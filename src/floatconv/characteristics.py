@@ -21,6 +21,7 @@ callers without coordination.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,18 +49,52 @@ def clip_domain(x, x_max: float):
     land an ulp outside the domain; a 1e-12 relative slack absorbs that
     without admitting genuinely out-of-range queries.
 
-    Returns (clipped array, was_scalar).
+    Returns (clipped value, was_scalar). A Python ``float`` or ``int``
+    (``np.float64`` subclasses ``float``) takes the scalar path: the same
+    checks, messages and clip in plain float arithmetic, returning a
+    Python float, so single-point callers skip numpy's per-call array
+    overhead. Everything else, 0-d arrays and other numpy scalars
+    included, goes through numpy and returns a clipped ndarray, or an
+    ``np.float64`` for 0-d input; evaluators therefore detect the scalar
+    path with ``type(value) is float``. Scalar results equal the 0-d array
+    results bit for bit. Never route a scalar through a 1-element array
+    to share the array code: numpy's vectorized ``power`` loop differs
+    from its scalar one in the last ulp on some inputs.
     """
+    slack = 1e-12 * max(abs(x_max), 1.0)
+    if isinstance(x, (float, int)):
+        v = float(x)
+        if not math.isfinite(v):
+            raise DomainError("displacement must be finite")
+        if v < -slack or v > x_max + slack:
+            raise DomainError(f"value range [{v:g}, {v:g}] outside domain [0, {x_max:g}]")
+        return min(max(v, 0.0), x_max), True
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("displacement must be finite")
-    slack = 1e-12 * max(abs(x_max), 1.0)
     if np.any(arr < -slack) or np.any(arr > x_max + slack):
         lo, hi = float(np.min(arr)), float(np.max(arr))
         raise DomainError(
             f"value range [{lo:g}, {hi:g}] outside domain [0, {x_max:g}]"
         )
     return np.clip(arr, 0.0, x_max), arr.ndim == 0
+
+
+def interp_scalar(x: float, xp: list, fp: list) -> float:
+    """``np.interp(x, xp, fp)`` for one float over increasing Python lists.
+
+    Same segment choice, end clamping and formula as numpy's C loop, so
+    the result is bit-identical.
+    """
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= len(xp) - 1:
+        return fp[-1]
+    if xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    return slope * (x - xp[j]) + fp[j]
 
 
 def _finite(name: str, value: float) -> float:
@@ -178,14 +213,25 @@ class ForceCharacteristic:
         fs = np.array([f for _, f in self.points], dtype=float)
         return xs, fs
 
-    def _eval(self, xs: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _knot_lists(self) -> tuple[list, list]:
+        return [x for x, _ in self.points], [f for _, f in self.points]
+
+    def _eval(self, xs):
+        """The law at xs: a Python float (scalar path) or numpy values."""
+        scalar = type(xs) is float
         if self.kind == LINEAR:
             return self.k * xs
         if self.kind == CONSTANT:
-            return np.full_like(xs, self.f0)
+            return self.f0 if scalar else np.full_like(xs, self.f0)
         if self.kind == POWER_LAW:
-            return self.c / (xs + self.d) ** self.p
+            # np.float64 keeps numpy's overflow to inf on a scalar, where a
+            # Python float ** would raise OverflowError
+            base = np.float64(xs + self.d) if scalar else xs + self.d
+            return self.c / base**self.p
         if self.kind == TABULATED:
+            if scalar:
+                return interp_scalar(xs, *self._knot_lists)
             kx, kf = self._knots
             return np.interp(xs, kx, kf)
         return -self.inner._eval(xs)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import ForceCharacteristic, clip_domain
+from .characteristics import ForceCharacteristic, _finite, clip_domain
 from .errors import (
     DomainError,
     IndeterminateEquilibrium,
@@ -56,6 +56,8 @@ class FloatingConverter:
     friction_f0: float = 0.0   # N, constant friction offset
 
     def __post_init__(self):
+        _finite("gap_x", self.gap_x)
+        _finite("friction_f0", self.friction_f0)
         if self.gap_x < 0:
             raise ValidationError(f"gap_x must be >= 0, got {self.gap_x}")
         if not 0 <= self.friction_mu < 1:
@@ -81,7 +83,11 @@ class FloatingConverter:
         """
         us, scalar = clip_domain(u, self.u_max)
         spring = self.left.force_at(us)
-        theta = np.maximum(us - self.gap_x, 0.0) / self.profile.circular_radius
+        R = self.profile.circular_radius
+        if type(us) is float:
+            counter = self.profile.realized_force(self.counter, max(us - self.gap_x, 0.0) / R)
+            return spring, (0.0 if us < self.gap_x else counter)
+        theta = np.maximum(us - self.gap_x, 0.0) / R
         counter = self.profile.realized_force(self.counter, theta)
         counter = np.where(us >= self.gap_x, counter, 0.0)
         if scalar:

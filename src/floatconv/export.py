@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characteristics import _finite
 from .converter import SweepTable
 from .errors import ParseError, ValidationError
 from .gripper import GraspTrace
@@ -40,6 +41,8 @@ class SvgOptions:
     close_curve: bool = False  # chord from last back to first sample
 
     def __post_init__(self):
+        for name in ("scale", "margin", "stroke_width"):
+            _finite(name, getattr(self, name))
         if not self.scale > 0:
             raise ValidationError(f"scale must be > 0, got {self.scale}")
         if self.margin < 0:

@@ -160,6 +160,8 @@ def plan_grasp(model: GripperModel, target_grip: float) -> GraspPlan:
     the target force.
     """
     left = model.converter.left
+    if not math.isfinite(target_grip):
+        raise UnreachableForce(f"target grip must be finite, got {target_grip!r}")
     if target_grip < 0:
         raise UnreachableForce(f"target grip must be >= 0, got {target_grip}")
     capacity = left.force_at(left.x_max)

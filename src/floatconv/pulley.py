@@ -20,12 +20,13 @@ safe without locks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .characteristics import LINEAR, ForceCharacteristic, clip_domain
+from .characteristics import LINEAR, ForceCharacteristic, _finite, clip_domain, interp_scalar
 from .errors import (
     DomainError,
     NumericalError,
@@ -60,9 +61,12 @@ class CounterElement:
 
     def __post_init__(self):
         if self.kind == WEIGHT:
+            _finite("load", self.load)
             if not self.load > 0:
                 raise ValidationError(f"counter weight load must be > 0, got {self.load}")
         elif self.kind == SPRING:
+            _finite("t0", self.t0)
+            _finite("k2", self.k2)
             if self.t0 < 0:
                 raise ValidationError(f"counter spring pretension must be >= 0, got {self.t0}")
             if self.k2 < 0:
@@ -128,9 +132,17 @@ class PulleyProfile:
 
     # -- geometry ----------------------------------------------------------
 
+    @cached_property
+    def _sample_lists(self) -> tuple[list, list, list]:
+        """thetas, radii and payout at the samples as lists, for scalar lookups."""
+        return self.thetas.tolist(), self.radii.tolist(), self._payout_at_samples.tolist()
+
     def radius_at(self, theta):
         """Radius (m) at rotation angle, linearly interpolated between samples."""
         th, scalar = clip_domain(theta, self.theta_max)
+        if type(th) is float:
+            t, r, _ = self._sample_lists
+            return interp_scalar(th, t, r)
         r = np.interp(th, self.thetas, self.radii)
         return float(r) if scalar else r
 
@@ -148,6 +160,10 @@ class PulleyProfile:
         profiles.
         """
         th, scalar = clip_domain(theta, self.theta_max)
+        if type(th) is float:
+            t, r, s = self._sample_lists
+            i = min(max(bisect_right(t, th) - 1, 0), len(t) - 2)
+            return s[i] + 0.5 * (r[i] + interp_scalar(th, t, r)) * (th - t[i])
         t, r = self.thetas, self.radii
         idx = np.clip(np.searchsorted(t, th, side="right") - 1, 0, t.size - 2)
         r_at = np.interp(th, t, r)
@@ -185,7 +201,11 @@ class PulleyProfile:
         the tension follows the paid-out cable length.
         """
         th, scalar = clip_domain(theta, self.theta_max)
-        r_at = np.interp(th, self.thetas, self.radii)
+        if type(th) is float:
+            t, r, _ = self._sample_lists
+            r_at = interp_scalar(th, t, r)
+        else:
+            r_at = np.interp(th, self.thetas, self.radii)
         if counter.kind == WEIGHT:
             tension = counter.load
         else:

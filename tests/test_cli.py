@@ -176,6 +176,18 @@ def test_grasp_backdrive_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERR:BackdriveFault:")
 
 
+@pytest.mark.parametrize("target", ["nan", "inf"])
+def test_grasp_non_finite_target_exit_2(tmp_path, capsys, target):
+    cfg = write_config(tmp_path, gripper_config())
+    out = tmp_path / "trace.csv"
+    code = main(["grasp", "--config", cfg, "--target-force-n", target, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERR:UnreachableForce:target grip must be finite, got {target}\n"
+    assert not out.exists()
+
+
 def test_grasp_requires_gripper_section(tmp_path, capsys):
     cfg = write_config(tmp_path, untruncated_config())
     code = main(["grasp", "--config", cfg, "--target-force-n", "10", "--out", "x.csv"])
@@ -195,6 +207,20 @@ def test_export_svg(tmp_path):
     content = svg.read_text()
     assert content.startswith("<?xml")
     assert "<path" in content
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan"])
+def test_export_svg_non_finite_scale_exit_1(tmp_path, capsys, scale):
+    cfg = write_config(tmp_path, prototype_config())
+    profile = tmp_path / "profile.csv"
+    svg = tmp_path / "shape.svg"
+    assert main(["synthesize", "--config", cfg, "--out", str(profile)]) == 0
+    capsys.readouterr()
+    code = main(["export-svg", "--profile", str(profile), "--out", str(svg), "--scale", scale])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERR:ValidationError:") and err.count("\n") == 1
+    assert not svg.exists()
 
 
 # -- config strictness ---------------------------------------------------------------

@@ -245,3 +245,10 @@ def test_converter_validation():
         matched_converter(mu=1.0)
     with pytest.raises(ValidationError):
         matched_converter(f0=-0.1)
+
+
+@pytest.mark.parametrize("field", ["gap_x", "f0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_converter_rejects_non_finite(field, value):
+    with pytest.raises(ValidationError, match="must be finite"):
+        matched_converter(**{field: value})

@@ -146,6 +146,13 @@ def test_svg_options_validation():
         SvgOptions(margin=-1.0)
 
 
+@pytest.mark.parametrize("field", ["scale", "margin", "stroke_width"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_svg_options_reject_non_finite(field, value):
+    with pytest.raises(ValidationError, match="must be finite"):
+        SvgOptions(**{field: value})
+
+
 # -- sweep / trace CSV --------------------------------------------------------------
 
 

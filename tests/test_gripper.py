@@ -115,6 +115,12 @@ def test_plan_unreachable_force():
         plan_grasp(make_model(), -1.0)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_plan_rejects_non_finite_target(target):
+    with pytest.raises(UnreachableForce, match="must be finite"):
+        plan_grasp(make_model(), target)
+
+
 def test_plan_unreachable_object():
     model = make_model(obj=0.155, travel=0.10)
     with pytest.raises(UnreachableObject):

@@ -349,6 +349,21 @@ def test_spring_counter_forward_verification_failure():
         )
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: CounterElement.spring(t0=v, k2=40.0),
+        lambda v: CounterElement.spring(t0=10.0, k2=v),
+        lambda v: CounterElement.weight(v),
+    ],
+    ids=["t0", "k2", "load"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_counter_element_rejects_non_finite(make, value):
+    with pytest.raises(ValidationError, match="must be finite"):
+        make(value)
+
+
 def test_spring_counter_requires_spring_element():
     with pytest.raises(ValidationError):
         synthesize_spring_counter(make_linear(), 0.02, CounterElement.weight(10.0))
