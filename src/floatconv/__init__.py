@@ -13,7 +13,7 @@ Typical use:
     profile = synthesize_weight_counter(spring, circular_radius=0.02, load=10.0)
 """
 
-from .characteristics import DEFAULT_ENERGY_PANELS, ForceCharacteristic
+from .characteristics import ForceCharacteristic
 from .converter import (
     EnergyLedger,
     FloatingConverter,
@@ -46,8 +46,6 @@ from .gripper import (
 from .pulley import (
     CounterElement,
     PulleyProfile,
-    angle_for_displacement,
-    displacement_for_angle,
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
@@ -69,14 +67,11 @@ __all__ = [
     "SvgOptions",
     "synthesize_weight_counter",
     "synthesize_spring_counter",
-    "angle_for_displacement",
-    "displacement_for_angle",
     "plan_grasp",
     "simulate_grasp",
     "profile_to_csv",
     "profile_to_svg",
     "read_profile_csv",
-    "DEFAULT_ENERGY_PANELS",
     "FloatConvError",
     "ValidationError",
     "DomainError",

@@ -13,6 +13,18 @@ Pairing a characteristic with its negation makes the net force vanish at
 every displacement; that cancellation is what lets the balance point of a
 series arrangement be moved with (ideally) zero external force.
 
+Each law is the one home of its force, its stored energy (the exact
+integral of force) and, where the law is monotone, its inverse, all in
+closed form:
+
+    linear      E = k*x**2/2                  x = F/k
+    constant    E = f0*x                      x = 0 at F = f0
+    power_law   E = c*d**(1-p)/(p-1) * (1 - (1 + x/d)**(1-p)),
+                or c*ln(1 + x/d) at p = 1     x = d*((F(0)/F)**(1/p) - 1)
+    tabulated   cumulative trapezoid over the knots (exact for the
+                piecewise-linear law)         x by linear interpolation
+    negated     E = -inner(x)                 x = inner at -F
+
 Units are SI throughout: metres, newtons, joules. Instances are immutable
 and every operation is pure, so they may be evaluated from concurrent
 callers without coordination.
@@ -27,13 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
-
-# Composite-trapezoid resolution for laws without a closed-form energy
-# integral.
-DEFAULT_ENERGY_PANELS = 2048
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+from .errors import DomainError, UnreachableForce, ValidationError
 
 LINEAR = "linear"
 CONSTANT = "constant"
@@ -245,30 +251,83 @@ class ForceCharacteristic:
         vals = self._eval(xs)
         return float(vals) if scalar else vals
 
-    def stored_energy(self, x: float, panels: int = DEFAULT_ENERGY_PANELS) -> float:
+    @cached_property
+    def _knot_energy(self) -> np.ndarray:
+        kx, kf = self._knots
+        return np.concatenate(([0.0], np.cumsum(0.5 * (kf[1:] + kf[:-1]) * np.diff(kx))))
+
+    def _energy(self, xs):
+        """The integral of the law from 0 to xs, on the same paths as _eval."""
+        scalar = type(xs) is float
+        if self.kind == LINEAR:
+            return 0.5 * self.k * xs * xs
+        if self.kind == CONSTANT:
+            return self.f0 * xs
+        if self.kind == POWER_LAW:
+            # log1p/expm1 keep full precision near x = 0
+            t = np.log1p(xs / self.d)
+            if self.p == 1.0:
+                return self.c * t
+            # np.float64 overflows to inf where a Python float ** would raise
+            scale = self.c * np.float64(self.d) ** (1.0 - self.p) / (self.p - 1.0)
+            return scale * -np.expm1((1.0 - self.p) * t)
+        if self.kind == TABULATED:
+            kx, kf = self._knots
+            if scalar:
+                i = min(max(bisect_right(self._knot_lists[0], xs) - 1, 0), kx.size - 2)
+            else:
+                i = np.clip(np.searchsorted(kx, xs, side="right") - 1, 0, kx.size - 2)
+            return self._knot_energy[i] + 0.5 * (kf[i] + self._eval(xs)) * (xs - kx[i])
+        return -self.inner._energy(xs)
+
+    def stored_energy(self, x):
         """Elastic energy (J) stored at extension x, the integral of force.
 
-        Linear and constant laws use their closed forms; a negation
-        delegates to its inner law; everything else uses composite
-        trapezoid quadrature with ``panels`` panels.
+        Exact closed form for every law; accepts a scalar or an ndarray
+        like :meth:`force_at`. Raises DomainError outside [0, x_max].
         """
-        xs, _ = clip_domain(x, self.x_max)
-        xv = float(xs)
-        if self.kind == LINEAR:
-            return 0.5 * self.k * xv * xv
-        if self.kind == CONSTANT:
-            return self.f0 * xv
-        if self.kind == NEGATED:
-            return -self.inner.stored_energy(xv, panels)
-        return self.quadrature_energy(xv, panels)
+        xs, scalar = clip_domain(x, self.x_max)
+        vals = self._energy(xs)
+        return float(vals) if scalar else vals
 
-    def quadrature_energy(self, x: float, panels: int = DEFAULT_ENERGY_PANELS) -> float:
-        """Trapezoid-quadrature energy, usable on any law (testing hook)."""
-        if panels < 1:
-            raise ValidationError(f"quadrature needs >= 1 panel, got {panels}")
-        xs, _ = clip_domain(x, self.x_max)
-        grid = np.linspace(0.0, float(xs), panels + 1)
-        return float(_trapz(self._eval(grid), grid))
+    def extension_at(self, force: float) -> float:
+        """Extension (m) at which the law delivers ``force`` (N).
+
+        The inverse of :meth:`force_at` for a monotone law. Raises
+        UnreachableForce when no extension delivers the force, and
+        ValidationError for a tabulated law that is not monotone.
+        """
+        force = float(force)
+        if self.kind == LINEAR:
+            # the same 1e-12 endpoint slack the grasp planner grants
+            if not 0.0 <= force <= self.k * self.x_max * (1 + 1e-12):
+                raise UnreachableForce(f"{force:g} N outside characteristic range")
+            return force / self.k
+        if self.kind == CONSTANT:
+            if force != self.f0:
+                raise UnreachableForce(f"{force:g} N outside characteristic range")
+            return 0.0
+        if self.kind == POWER_LAW:
+            f_end, f_start = self.force_at(self.x_max), self.force_at(0.0)
+            if not f_end <= force <= f_start:
+                raise UnreachableForce(f"{force:g} N outside characteristic range")
+            if force == f_start:
+                return 0.0
+            if force == f_end:
+                return self.x_max
+            return min(self.d * math.expm1(math.log(f_start / force) / self.p), self.x_max)
+        if self.kind == TABULATED:
+            xs, fs = self._knot_lists
+            pairs = list(zip(fs, fs[1:]))
+            if not (all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)):
+                raise ValidationError("tabulated characteristic must be monotone to invert")
+            for i, (a, b) in enumerate(pairs):
+                if min(a, b) <= force <= max(a, b):
+                    if a == b:
+                        return xs[i]
+                    return xs[i] + (force - a) / (b - a) * (xs[i + 1] - xs[i])
+            raise UnreachableForce(f"{force:g} N outside tabulated range")
+        return self.inner.extension_at(-force)
 
     def invert(self) -> "ForceCharacteristic":
         """The exact inverse characteristic: force_at flips sign pointwise."""

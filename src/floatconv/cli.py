@@ -93,6 +93,11 @@ def _cmd_verify(args) -> int:
     profile = export.read_profile_csv(_read(args.profile), R)
 
     thetas = profile.thetas
+    # the CSV's 6-decimal degrees can round theta_max a hair past the
+    # spring's range; pull samples inside that quantum back onto it
+    theta_end = cfg.spring.x_max / R
+    if thetas[-1] - theta_end <= _CSV_ANGLE_QUANTUM:
+        thetas = np.minimum(thetas, theta_end)
     target_force = cfg.spring.force_at(R * thetas)
     residual = profile.balance_residual(cfg.counter, cfg.spring, thetas)
     peak = max(float(np.max(np.abs(target_force))), 1e-300)
@@ -105,7 +110,7 @@ def _cmd_verify(args) -> int:
     else:
         tension_max = cfg.counter.t0 + cfg.counter.k2 * float(payout[-1])
         released = cfg.counter.t0 * payout + 0.5 * cfg.counter.k2 * payout**2
-    stored = np.array([cfg.spring.stored_energy(R * t) for t in thetas])
+    stored = cfg.spring.stored_energy(R * thetas)
     e_scale = max(float(stored[-1]), 1e-300)
     energy_rel = float(np.max(np.abs(released - stored))) / e_scale
 

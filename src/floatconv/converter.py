@@ -19,7 +19,7 @@ across workers and merged in deterministic row order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -219,32 +219,15 @@ class SweepTable:
     op_force_minus: np.ndarray
 
     def __post_init__(self):
-        cols = (
-            self.u,
-            self.spring_force,
-            self.counter_force,
-            self.op_force_ideal,
-            self.op_force_plus,
-            self.op_force_minus,
-        )
-        n = self.u.shape
-        for col in cols:
-            arr = np.asarray(col, dtype=float)
+        n = np.shape(self.u)
+        for field in fields(self):
+            arr = np.array(getattr(self, field.name), dtype=float)
             if arr.shape != n:
                 raise ValidationError("sweep columns must share one length")
+            arr.flags.writeable = False
+            object.__setattr__(self, field.name, arr)
         if np.any(np.diff(self.u) <= 0):
             raise ValidationError("sweep displacements must be strictly increasing")
-        for name in (
-            "u",
-            "spring_force",
-            "counter_force",
-            "op_force_ideal",
-            "op_force_plus",
-            "op_force_minus",
-        ):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     def summary(self) -> "SweepSummary":
         """Scalar summary: plateau force and both force-ratio normalizations."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .characteristics import LINEAR, TABULATED, ForceCharacteristic
 from .converter import FloatingConverter
 from .errors import (
     ActuatorStall,
@@ -51,7 +50,6 @@ class GripperModel:
     latch_holds: bool
     actuator_force_cap: float  # N
     object_position: float     # m from jaw start
-    object_rigid: bool = True
 
     def __post_init__(self):
         if not self.stage_step > 0:
@@ -62,8 +60,6 @@ class GripperModel:
             raise ValidationError(
                 f"actuator_force_cap must be > 0, got {self.actuator_force_cap}"
             )
-        if not self.object_rigid:
-            raise ValidationError("compliant objects are not supported")
         reach = self.stage_travel + self.converter.left.x_max
         if not 0 < self.object_position <= reach:
             raise ValidationError(
@@ -113,44 +109,6 @@ class GraspTrace:
         return self.max_grip / self.max_actuator
 
 
-def _inverse_force(char: ForceCharacteristic, target: float) -> float:
-    """Displacement where the characteristic delivers ``target`` newtons."""
-    if target == 0.0:
-        return 0.0
-    if char.kind == LINEAR:
-        return target / char.k
-    if char.kind == TABULATED:
-        xs, fs = char._knots
-        if any(fs[i + 1] < fs[i] for i in range(len(fs) - 1)):
-            raise ValidationError("tabulated characteristic must be non-decreasing to invert")
-        for i in range(len(xs) - 1):
-            if fs[i] <= target <= fs[i + 1]:
-                if fs[i + 1] == fs[i]:
-                    return float(xs[i])
-                frac = (target - fs[i]) / (fs[i + 1] - fs[i])
-                return float(xs[i] + frac * (xs[i + 1] - xs[i]))
-        raise UnreachableForce(f"{target:g} N outside tabulated range")
-    # generic monotone law: bisection on force_at
-    lo, hi = 0.0, char.x_max
-    f_lo = char.force_at(lo) - target
-    f_hi = char.force_at(hi) - target
-    if f_lo == 0.0:
-        return lo
-    if f_lo * f_hi > 0:
-        raise UnreachableForce(f"{target:g} N outside characteristic range")
-    tol = 1e-12 * max(char.x_max, 1.0)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = char.force_at(mid) - target
-        if fm == 0.0:
-            return mid
-        if f_lo * fm < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def plan_grasp(model: GripperModel, target_grip: float) -> GraspPlan:
     """Stage stop, remaining gap and converter stroke for a target grip force.
 
@@ -169,7 +127,8 @@ def plan_grasp(model: GripperModel, target_grip: float) -> GraspPlan:
         raise UnreachableForce(
             f"target {target_grip:g} N exceeds spring capacity {capacity:g} N"
         )
-    stroke = _inverse_force(left, target_grip)
+    # a zero grip needs no stroke, whatever the law delivers at x = 0
+    stroke = 0.0 if target_grip == 0.0 else left.extension_at(target_grip)
 
     step = model.stage_step
     # one step short of the object; the 1e-9 guard keeps exact multiples

@@ -236,24 +236,6 @@ class PulleyProfile:
         return PulleyProfile(self.circular_radius, self.thetas, clamped, slope)
 
 
-def angle_for_displacement(circular_radius: float, x: float) -> float:
-    """Rotation angle (rad) that pays out displacement x at the circular radius."""
-    if not circular_radius > 0:
-        raise ValidationError(f"circular radius must be > 0, got {circular_radius}")
-    if x < 0:
-        raise ValidationError(f"displacement must be >= 0, got {x}")
-    return x / circular_radius
-
-
-def displacement_for_angle(circular_radius: float, theta: float) -> float:
-    """Cable displacement x = R * theta at the circular radius."""
-    if not circular_radius > 0:
-        raise ValidationError(f"circular radius must be > 0, got {circular_radius}")
-    if theta < 0:
-        raise ValidationError(f"angle must be >= 0, got {theta}")
-    return circular_radius * theta
-
-
 def _resolve_theta_max(
     target: ForceCharacteristic, circular_radius: float, theta_max: float | None
 ) -> float:
@@ -313,10 +295,15 @@ def synthesize_spring_counter(
 
         r(theta) * (t0 + k2*s(theta)) = R * F(R*theta),   ds/dtheta = r
 
-    Eliminating r gives ds/dtheta = R*F / (t0 + k2*s), integrated with a
-    fixed-step classical 4th-order scheme (deterministic output); the
-    radius is then recovered algebraically at each node. The returned
-    profile is verified forward against the target and must match within
+    Eliminating r gives (t0 + k2*s) ds = R*F dtheta, which integrates to
+    the energy balance t0*s + k2*s**2/2 = E(R*theta): the counter releases
+    exactly the energy E the target stores. Its positive root
+
+        s = 2E / (t0 + sqrt(t0**2 + 2*k2*E))
+
+    gives the payout on n_steps + 1 nodes without cancellation, and the
+    radius follows algebraically at each node. The returned profile is
+    verified forward against the target and must match within
     SPRING_SYNTHESIS_RTOL of the peak force.
     """
     if counter.kind != SPRING:
@@ -324,39 +311,27 @@ def synthesize_spring_counter(
     if not circular_radius > 0:
         raise ValidationError(f"circular radius must be > 0, got {circular_radius}")
     if n_steps < 1:
-        raise ValidationError(f"need at least 1 integration step, got {n_steps}")
+        raise ValidationError(f"need at least 1 step, got {n_steps}")
     theta_max = _resolve_theta_max(target, circular_radius, theta_max)
 
     R = circular_radius
     t0, k2 = counter.t0, counter.k2
     thetas = np.linspace(0.0, theta_max, n_steps + 1)
-    h = theta_max / n_steps
     f_node = target.force_at(R * thetas)
-    f_mid = target.force_at(R * (thetas[:-1] + 0.5 * h))
     if np.any(f_node < 0):
         raise ValidationError("spring counter requires a non-negative target force")
-    if f_node[0] > 0 and t0 == 0:
-        raise SingularityError(
-            "nonzero target force at theta=0 with zero pretension leaves r(0) unbalanced"
-        )
+    if t0 == 0:
+        # checked before the payout formula, which is 0/0 at theta=0
+        if f_node[0] > 0:
+            raise SingularityError(
+                "nonzero target force at theta=0 with zero pretension leaves r(0) unbalanced"
+            )
+        raise SingularityError("zero pretension leaves the counter tension at 0 N at theta=0")
 
-    def slope_at(force: float, s: float) -> float:
-        tension = t0 + k2 * s
-        if tension <= 0:
-            raise SingularityError(f"counter tension {tension:g} N <= 0 during synthesis")
-        return R * force / tension
-
-    payout = np.empty_like(thetas)
-    payout[0] = 0.0
-    s = 0.0
-    for i in range(n_steps):
-        k_1 = slope_at(f_node[i], s)
-        k_2 = slope_at(f_mid[i], s + 0.5 * h * k_1)
-        k_3 = slope_at(f_mid[i], s + 0.5 * h * k_2)
-        k_4 = slope_at(f_node[i + 1], s + h * k_3)
-        s += h * (k_1 + 2.0 * k_2 + 2.0 * k_3 + k_4) / 6.0
-        payout[i + 1] = s
-
+    energy = target.stored_energy(R * thetas)
+    # a negative discriminant means the tension would pass through zero;
+    # clamping it makes the tension check below catch that case
+    payout = 2.0 * energy / (t0 + np.sqrt(np.maximum(t0 * t0 + 2.0 * k2 * energy, 0.0)))
     tension = t0 + k2 * payout
     if np.any(tension <= 0):
         raise SingularityError("counter tension reached zero while recovering radii")

@@ -2,11 +2,13 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from floatconv.cli import main
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 THETA_MAX_DEG = 345.0
 
 
@@ -104,6 +106,28 @@ def test_verify_truncated_fails_with_exit_2(tmp_path, capsys):
     assert main(["verify", "--config", cfg, "--profile", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("ERR:NumericalError:")
+
+
+@pytest.mark.parametrize("name", ["gripper", "spring_counter"])
+def test_shipped_config_verifies_its_own_profile(tmp_path, capsys, name):
+    cfg = str(CONFIGS / f"{name}.json")
+    out = tmp_path / "profile.csv"
+    assert main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["verify", "--config", cfg, "--profile", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_rejects_profile_a_degree_past_the_spring_range(tmp_path, capsys):
+    cfg = str(CONFIGS / "gripper.json")
+    out = tmp_path / "profile.csv"
+    assert main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows, last = out.read_text(encoding="utf-8").splitlines()
+    theta, r = (float(v) for v in last.split(","))
+    rows.append(f"{theta:.6f},{r:.6f}")
+    rows.append(f"{theta + 1.0:.6f},{r:.6f}")
+    out.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert main(["verify", "--config", cfg, "--profile", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("ERR:DomainError:")
 
 
 # -- sweep ------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from floatconv import (
     GripperModel,
     UnreachableForce,
     UnreachableObject,
-    ValidationError,
     plan_grasp,
     simulate_grasp,
     synthesize_weight_counter,
@@ -222,24 +221,6 @@ def test_short_stroke_never_engages_counter():
     assert plan.converter_stroke < plan.gap_x
     trace = simulate_grasp(model, plan)
     assert trace.amplification == pytest.approx(1.0, rel=1e-9)
-
-
-def test_rigid_object_required():
-    spring = ForceCharacteristic.linear(k=100.0, x_max=0.12)
-    profile = synthesize_weight_counter(spring, 0.02, 10.0)
-    conv = FloatingConverter(
-        left=spring, profile=profile, counter=CounterElement.weight(10.0)
-    )
-    with pytest.raises(ValidationError):
-        GripperModel(
-            converter=conv,
-            stage_travel=0.1,
-            stage_step=0.01,
-            latch_holds=True,
-            actuator_force_cap=2.0,
-            object_position=0.05,
-            object_rigid=False,
-        )
 
 
 def test_stroke_beyond_pulley_range_rejected():

@@ -14,8 +14,6 @@ from floatconv import (
     NumericalError,
     SingularityError,
     ValidationError,
-    angle_for_displacement,
-    displacement_for_angle,
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
@@ -126,29 +124,6 @@ def test_balance_residual_truncation_offset_and_decay():
     assert np.max(np.abs(trunc.balance_residual(weight, spring, beyond))) <= 1e-9 * peak
     before = trunc.balance_residual(weight, spring, kink - panel)
     assert before < -1e-3
-
-
-# -- angle / displacement mapping -------------------------------------------
-
-
-def test_angle_displacement_examples():
-    assert angle_for_displacement(0.02, 0.0) == 0.0
-    assert angle_for_displacement(0.02, 0.120428) == pytest.approx(6.0214, rel=1e-12)
-    assert displacement_for_angle(0.02, 1.5) == pytest.approx(0.03, rel=1e-12)
-    with pytest.raises(ValidationError):
-        angle_for_displacement(-1.0, 0.1)
-    with pytest.raises(ValidationError):
-        displacement_for_angle(0.0, 0.1)
-
-
-@given(
-    R=st.floats(min_value=1e-3, max_value=1.0),
-    x=st.floats(min_value=0.0, max_value=10.0),
-)
-def test_angle_displacement_round_trip(R, x):
-    assert displacement_for_angle(R, angle_for_displacement(R, x)) == pytest.approx(
-        x, rel=1e-12, abs=1e-300
-    )
 
 
 # -- payout ------------------------------------------------------------------
@@ -335,6 +310,15 @@ def test_spring_counter_singularities():
     with pytest.raises(SingularityError):
         # zero tension at theta=0 with zero initial force is still singular
         synthesize_spring_counter(lin, 0.02, CounterElement.spring(t0=0.0, k2=50.0))
+
+
+def test_spring_counter_tension_through_zero_is_singular():
+    # non-negative at both nodes, but the law dips so far between them that
+    # the stored energy turns negative and the counter tension would have
+    # to pass through zero
+    dip = ForceCharacteristic.tabulated([(0.0, 0.0), (0.06, -1000.0), (0.12, 0.0)])
+    with pytest.raises(SingularityError, match="reached zero"):
+        synthesize_spring_counter(dip, 0.02, CounterElement.spring(t0=10.0, k2=50.0), n_steps=1)
 
 
 def test_spring_counter_forward_verification_failure():

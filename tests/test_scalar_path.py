@@ -44,6 +44,7 @@ PROFILES = {
 def _cases():
     """(id, single-point function, upper end of its domain) for every evaluator."""
     cases = [(f"force_at[{k}]", law.force_at, X_MAX) for k, law in LAWS.items()]
+    cases += [(f"stored_energy[{k}]", law.stored_energy, X_MAX) for k, law in LAWS.items()]
     for c, counter in COUNTERS.items():
         profile = PROFILES[c]
         hi = profile.theta_max
@@ -131,6 +132,6 @@ def test_scalar_domain_errors_match_array_path(name, fn, hi, where):
 )
 def test_power_law_scalar_keeps_numpy_overflow_semantics(law, x):
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        fast = law.force_at(x)
-        reference = float(law.force_at(np.asarray(x)))
+        fast = law.force_at(x), law.stored_energy(x)
+        reference = tuple(float(fn(np.asarray(x))) for fn in (law.force_at, law.stored_energy))
     assert _bits(fast) == _bits(reference)
