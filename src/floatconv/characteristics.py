@@ -33,7 +33,7 @@ callers without coordination.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -101,6 +101,11 @@ def interp_scalar(x: float, xp: list, fp: list) -> float:
         return fp[j]
     slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
     return slope * (x - xp[j]) + fp[j]
+
+
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of samples y over x, starting at 0."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
 
 
 def _finite(name: str, value: float) -> float:
@@ -254,7 +259,7 @@ class ForceCharacteristic:
     @cached_property
     def _knot_energy(self) -> np.ndarray:
         kx, kf = self._knots
-        return np.concatenate(([0.0], np.cumsum(0.5 * (kf[1:] + kf[:-1]) * np.diff(kx))))
+        return cumulative_trapezoid(kf, kx)
 
     def _energy(self, xs):
         """The integral of the law from 0 to xs, on the same paths as _eval."""
@@ -317,7 +322,11 @@ class ForceCharacteristic:
                 return self.x_max
             return min(self.d * math.expm1(math.log(f_start / force) / self.p), self.x_max)
         if self.kind == TABULATED:
+            # only [0, x_max] is the law's domain: end the knots there
             xs, fs = self._knot_lists
+            n = bisect_left(xs, self.x_max)
+            xs = xs[:n] + [self.x_max]
+            fs = fs[:n] + [self._eval(self.x_max)]
             pairs = list(zip(fs, fs[1:]))
             if not (all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)):
                 raise ValidationError("tabulated characteristic must be monotone to invert")

@@ -13,28 +13,25 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import export
-from .config import RunConfig, parse_config, synthesize_from_config
+from .config import (
+    VERIFY_ENERGY_RTOL,
+    RunConfig,
+    parse_config,
+    synthesize_from_config,
+    verify_profile,
+)
 from .converter import FloatingConverter
 from .errors import FloatConvError, ValidationError
-from .pulley import SPRING_SYNTHESIS_RTOL
 from .export import SvgOptions, fmt6
 from .gripper import GripperModel, plan_grasp, simulate_grasp
 
 SWEEP_ROWS = 256
-
-# verify tolerances: balance residual relative to peak force, energy
-# identity relative to total stored energy
-VERIFY_FORCE_RTOL = 1e-9
-VERIFY_ENERGY_RTOL = 1e-6
-
-# half-ulps of the 6-decimal profile CSV columns (mm and deg)
-_CSV_RADIUS_QUANTUM = 0.5e-9          # m
-_CSV_ANGLE_QUANTUM = math.radians(0.5e-6)  # rad
 
 
 def _load_config(path: str) -> RunConfig:
@@ -62,12 +59,12 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
-def _converter(cfg: RunConfig, profile=None, gap_x=None) -> FloatingConverter:
+def _converter(cfg: RunConfig, gap_x: float) -> FloatingConverter:
     return FloatingConverter(
         left=cfg.spring,
-        profile=profile if profile is not None else synthesize_from_config(cfg),
+        profile=synthesize_from_config(cfg),
         counter=cfg.counter,
-        gap_x=cfg.gap_x_m if gap_x is None else gap_x,
+        gap_x=gap_x,
         friction_mu=cfg.friction_mu,
         friction_f0=cfg.friction_f0_n,
     )
@@ -89,53 +86,21 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    R = cfg.circular_radius_m
-    profile = export.read_profile_csv(_read(args.profile), R)
-
-    thetas = profile.thetas
-    # the CSV's 6-decimal degrees can round theta_max a hair past the
-    # spring's range; pull samples inside that quantum back onto it
-    theta_end = cfg.spring.x_max / R
-    if thetas[-1] - theta_end <= _CSV_ANGLE_QUANTUM:
-        thetas = np.minimum(thetas, theta_end)
-    target_force = cfg.spring.force_at(R * thetas)
-    residual = profile.balance_residual(cfg.counter, cfg.spring, thetas)
-    peak = max(float(np.max(np.abs(target_force))), 1e-300)
-    max_residual = float(np.max(np.abs(residual)))
-
-    payout = profile.payout(thetas)
-    if cfg.counter.kind == "weight":
-        tension_max = cfg.counter.load
-        released = cfg.counter.load * payout
-    else:
-        tension_max = cfg.counter.t0 + cfg.counter.k2 * float(payout[-1])
-        released = cfg.counter.t0 * payout + 0.5 * cfg.counter.k2 * payout**2
-    stored = cfg.spring.stored_energy(R * thetas)
-    e_scale = max(float(stored[-1]), 1e-300)
-    energy_rel = float(np.max(np.abs(released - stored))) / e_scale
-
-    # the profile CSV quantizes r and theta to 6 decimals, which puts a
-    # floor under the achievable residual; tolerate that floor on top of
-    # the relative bound. Spring-counter profiles are only guaranteed to
-    # the synthesis verification tolerance, since their realized force
-    # runs through the payout quadrature.
-    slope_bound = float(np.max(np.abs(np.diff(target_force) / np.diff(R * thetas))))
-    quantization = (
-        _CSV_RADIUS_QUANTUM * tension_max / R + slope_bound * R * _CSV_ANGLE_QUANTUM
-    )
-    rtol = VERIFY_FORCE_RTOL if cfg.counter.kind == "weight" else SPRING_SYNTHESIS_RTOL
-    residual_tol = rtol * peak + quantization
-
+    profile = export.read_profile_csv(_read(args.profile), cfg.circular_radius_m)
+    report = verify_profile(cfg, profile)
+    clamped = ""
+    if report.clamped_to is not None:
+        clamped = f" clamped_to_deg={fmt6(math.degrees(report.clamped_to))}"
     print(
-        f"max_residual_n={max_residual:.3e} "
-        f"residual_tol_n={residual_tol:.3e} "
-        f"energy_error_rel={energy_rel:.3e}"
+        f"max_residual_n={report.max_residual:.3e} "
+        f"residual_tol_n={report.residual_tol:.3e} "
+        f"energy_error_rel={report.energy_error:.3e}{clamped}"
     )
-    if max_residual > residual_tol or energy_rel > VERIFY_ENERGY_RTOL:
+    if not report.passed:
         print(
             f"ERR:NumericalError:verification tolerances exceeded "
-            f"(residual {max_residual:.3e} N vs {residual_tol:.3e} N, "
-            f"energy {energy_rel:.3e} vs {VERIFY_ENERGY_RTOL:.0e})",
+            f"(residual {report.max_residual:.3e} N vs {report.residual_tol:.3e} N, "
+            f"energy {report.energy_error:.3e} vs {VERIFY_ENERGY_RTOL:.0e})",
             file=sys.stderr,
         )
         return 2
@@ -161,15 +126,7 @@ def _cmd_grasp(args) -> int:
     cfg = _load_config(args.config)
     if cfg.gripper is None:
         raise ValidationError("config: missing required key 'gripper'")
-    g = cfg.gripper
-    model = GripperModel(
-        converter=_converter(cfg),
-        stage_travel=g.stage_travel_m,
-        stage_step=g.stage_step_m,
-        latch_holds=g.latch,
-        actuator_force_cap=g.actuator_cap_n,
-        object_position=g.object_position_m,
-    )
+    model = GripperModel(_converter(cfg, cfg.gap_x_m), **asdict(cfg.gripper))
     plan = plan_grasp(model, args.target_force_n)
     trace = simulate_grasp(model, plan)
     _write(args.out, export.trace_to_csv(trace))

@@ -1,33 +1,44 @@
-"""Strict JSON run-configuration parsing for the CLI.
+"""Strict JSON run configurations: parsing, synthesis and verification.
 
 Key names carry unit suffixes (_m, _n, _deg) to keep the SI-internal /
-mm-deg-export split explicit. Parsing is strict: unknown keys and missing
-required keys are rejected by full dotted path, so a typo never silently
-falls back to a default.
+mm-deg-export split explicit. Parsing is strict: unknown keys, missing
+required keys and non-finite numbers are rejected by full dotted path, so
+a typo never silently falls back to a default.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .characteristics import ForceCharacteristic
+import numpy as np
+
+from .characteristics import ForceCharacteristic, cumulative_trapezoid
 from .errors import ValidationError
+from .export import CSV_ANGLE_QUANTUM, CSV_RADIUS_QUANTUM
 from .pulley import (
+    SPRING_SYNTHESIS_RTOL,
     CounterElement,
     PulleyProfile,
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
 
+# verify tolerances: balance residual relative to peak force, energy
+# identity relative to total stored energy
+VERIFY_FORCE_RTOL = 1e-9
+VERIFY_ENERGY_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GripperSettings:
-    stage_travel_m: float
-    stage_step_m: float
-    latch: bool
-    actuator_cap_n: float
-    object_position_m: float
+    # the GripperModel keyword arguments the gripper section sets
+    stage_travel: float         # m
+    stage_step: float           # m per tick
+    latch_holds: bool
+    actuator_force_cap: float   # N
+    object_position: float      # m
 
 
 @dataclass(frozen=True)
@@ -36,19 +47,12 @@ class RunConfig:
     circular_radius_m: float
     theta_max_rad: float | None
     samples: int
-    r_min_m: float | None
-    r_max_m: float | None
+    truncation_bounds: tuple[float, float] | None   # (r_min_m, r_max_m)
     counter: CounterElement
     friction_mu: float
     friction_f0_n: float
     gap_x_m: float
     gripper: GripperSettings | None
-
-    @property
-    def truncation_bounds(self) -> tuple[float, float] | None:
-        if self.r_min_m is None:
-            return None
-        return (self.r_min_m, self.r_max_m if self.r_max_m is not None else math.inf)
 
 
 def _check_keys(section: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...]):
@@ -69,8 +73,11 @@ def _number(section: dict, path: str, key: str, default=None) -> float:
     if key not in section:
         return default
     value = section[key]
+    name = f"{path}.{key}" if path else key
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"config: '{path}.{key}' must be a number")
+        raise ValidationError(f"config: '{name}' must be a number")
+    if not abs(value) <= sys.float_info.max:   # NaN, +-inf, an int past float range
+        raise ValidationError(f"config: '{name}' must be finite")
     return float(value)
 
 
@@ -202,11 +209,11 @@ def parse_config(data: dict) -> RunConfig:
             (),
         )
         gripper = GripperSettings(
-            stage_travel_m=_number(g, "gripper", "stage_travel_m"),
-            stage_step_m=_number(g, "gripper", "stage_step_m"),
-            latch=_boolean(g, "gripper", "latch"),
-            actuator_cap_n=_number(g, "gripper", "actuator_cap_n"),
-            object_position_m=_number(g, "gripper", "object_position_m"),
+            stage_travel=_number(g, "gripper", "stage_travel_m"),
+            stage_step=_number(g, "gripper", "stage_step_m"),
+            latch_holds=_boolean(g, "gripper", "latch"),
+            actuator_force_cap=_number(g, "gripper", "actuator_cap_n"),
+            object_position=_number(g, "gripper", "object_position_m"),
         )
 
     return RunConfig(
@@ -214,8 +221,7 @@ def parse_config(data: dict) -> RunConfig:
         circular_radius_m=radius,
         theta_max_rad=math.radians(theta_max_deg) if theta_max_deg is not None else None,
         samples=samples,
-        r_min_m=r_min,
-        r_max_m=r_max,
+        truncation_bounds=None if r_min is None else (r_min, r_max),
         counter=counter,
         friction_mu=friction_mu,
         friction_f0_n=friction_f0,
@@ -226,11 +232,11 @@ def parse_config(data: dict) -> RunConfig:
 
 def synthesize_from_config(cfg: RunConfig) -> PulleyProfile:
     """Build the configured pulley, applying truncation bounds when present."""
-    if cfg.counter.kind == "weight":
+    if cfg.counter.k2 == 0:
         profile = synthesize_weight_counter(
             cfg.spring,
             circular_radius=cfg.circular_radius_m,
-            load=cfg.counter.load,
+            load=cfg.counter.t0,
             n_samples=cfg.samples,
             theta_max=cfg.theta_max_rad,
         )
@@ -246,3 +252,66 @@ def synthesize_from_config(cfg: RunConfig) -> PulleyProfile:
     if bounds is not None:
         profile = profile.truncated(*bounds)
     return profile
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """How closely a profile realizes its configuration."""
+
+    max_residual: float        # N, worst departure from the expected force
+    residual_tol: float        # N, tolerance on max_residual
+    energy_error: float        # energy identity error, relative to the stored energy
+    clamped_to: float | None   # rad, last sample truncation clamped; None if none
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.residual_tol and self.energy_error <= VERIFY_ENERGY_RTOL
+
+
+def verify_profile(cfg: RunConfig, profile: PulleyProfile) -> VerifyReport:
+    """Check a profile read back from its CSV against its config.
+
+    The config asks for the radius R*F/T(s) at the profile's own payout s,
+    clamped into the truncation bounds. Unclamped samples must balance;
+    clamped ones must sit on the clamped radius, and the energy identity
+    is credited with the work the clamp withholds. The force tolerance is
+    VERIFY_FORCE_RTOL of the peak for a dead weight, SPRING_SYNTHESIS_RTOL
+    for a spring, plus the floor of the CSV's 6-decimal columns.
+    """
+    R, target, counter = cfg.circular_radius_m, cfg.spring, cfg.counter
+    thetas = profile.thetas
+    # the CSV's 6-decimal degrees can round theta_max a hair past the
+    # spring's range; pull samples inside that quantum back onto it
+    theta_end = target.x_max / R
+    if thetas[-1] - theta_end <= CSV_ANGLE_QUANTUM:
+        thetas = np.minimum(thetas, theta_end)
+    xs = R * thetas
+    force = target.force_at(xs)
+    payout = profile.payout(thetas)
+    tension = counter.tension(payout)
+
+    withheld = np.zeros_like(force)   # force the truncation clamp withholds
+    if cfg.truncation_bounds is not None:
+        ideal = R * force / tension
+        expected = np.clip(ideal, *cfg.truncation_bounds)
+        withheld = np.where(expected != ideal, force - expected * tension / R, 0.0)
+    clamped = np.nonzero(withheld)[0]
+    residual = profile.balance_residual(counter, target, thetas) - withheld
+
+    stored = target.stored_energy(xs)
+    e_scale = max(float(stored[-1]), 1e-300)
+    release = stored - cumulative_trapezoid(withheld, xs)
+    energy_error = float(np.max(np.abs(counter.released_energy(payout) - release))) / e_scale
+
+    peak = max(float(np.max(np.abs(force))), 1e-300)
+    slope_bound = float(np.max(np.abs(np.diff(force) / np.diff(xs))))
+    quantization = (
+        CSV_RADIUS_QUANTUM * float(tension[-1]) / R + slope_bound * R * CSV_ANGLE_QUANTUM
+    )
+    rtol = VERIFY_FORCE_RTOL if counter.k2 == 0 else SPRING_SYNTHESIS_RTOL
+    return VerifyReport(
+        max_residual=float(np.max(np.abs(residual))),
+        residual_tol=rtol * peak + quantization,
+        energy_error=energy_error,
+        clamped_to=float(thetas[clamped[-1]]) if clamped.size else None,
+    )

@@ -99,11 +99,6 @@ class FloatingConverter:
         spring, counter = self.force_components(u)
         return spring - counter
 
-    def friction_band(self, u):
-        """Half-width of the friction envelope around the ideal force."""
-        _, counter = self.force_components(u)
-        return self.friction_mu * np.abs(counter) + self.friction_f0
-
     # -- sweeps ------------------------------------------------------------
 
     def sweep(self, u_min: float, u_max: float, n: int) -> "SweepTable":
@@ -143,13 +138,7 @@ class FloatingConverter:
         theta1 = max(u1 - self.gap_x, 0.0) / R
         s0 = self.profile.payout(theta0)
         s1 = self.profile.payout(theta1)
-        if self.counter.kind == "weight":
-            released = self.counter.load * (s1 - s0)
-        else:
-            released = self.counter.t0 * (s1 - s0) + 0.5 * self.counter.k2 * (
-                s1 * s1 - s0 * s0
-            )
-        delta_counter = -released
+        delta_counter = self.counter.released_energy(s0) - self.counter.released_energy(s1)
 
         us = np.linspace(u0, u1, OPERATOR_WORK_PANELS + 1)
         if min(u0, u1) < self.gap_x < max(u0, u1):

@@ -25,6 +25,9 @@ SWEEP_CSV_HEADER = (
     "u_mm,spring_force_n,counter_force_n,op_force_ideal_n,op_force_plus_n,op_force_minus_n"
 )
 TRACE_CSV_HEADER = "tick,phase,jaw_mm,grip_n,actuator_n,latch"
+# half an ulp of the fmt6 columns of a profile CSV: r in mm, theta in deg
+CSV_RADIUS_QUANTUM = 0.5e-9                 # m
+CSV_ANGLE_QUANTUM = math.radians(0.5e-6)   # rad
 
 
 def fmt6(value: float) -> str:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .characteristics import _finite
 from .converter import FloatingConverter
 from .errors import (
     ActuatorStall,
@@ -52,6 +53,8 @@ class GripperModel:
     object_position: float     # m from jaw start
 
     def __post_init__(self):
+        for name in ("stage_travel", "stage_step", "actuator_force_cap", "object_position"):
+            _finite(name, getattr(self, name))
         if not self.stage_step > 0:
             raise ValidationError(f"stage_step must be > 0, got {self.stage_step}")
         if self.stage_travel < 0:
@@ -90,10 +93,6 @@ class GraspTrace:
     rows: tuple[TraceRow, ...]
 
     @property
-    def max_grip(self) -> float:
-        return max(row.grip_force for row in self.rows)
-
-    @property
     def max_actuator(self) -> float:
         return max(row.actuator_force for row in self.rows)
 
@@ -106,7 +105,7 @@ class GraspTrace:
         """Peak grip force per peak actuator force; inf for a free converter."""
         if self.max_actuator == 0.0:
             return math.inf
-        return self.max_grip / self.max_actuator
+        return max(row.grip_force for row in self.rows) / self.max_actuator
 
 
 def plan_grasp(model: GripperModel, target_grip: float) -> GraspPlan:
@@ -193,15 +192,5 @@ def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
             TraceRow(tick, GRIPPING, jaw, grip, effort, model.latch_holds and grip > 0)
         )
 
-    last = rows[-1]
-    rows.append(
-        TraceRow(
-            last.tick + 1,
-            DONE,
-            last.jaw_position,
-            last.grip_force,
-            last.actuator_force,
-            last.latch_engaged,
-        )
-    )
+    rows.append(replace(rows[-1], tick=rows[-1].tick + 1, phase=DONE))
     return GraspTrace(tuple(rows))

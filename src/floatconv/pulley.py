@@ -4,14 +4,14 @@ A non-circular pulley rigidly coupled to a circular pulley of radius R
 converts a counter load into an arbitrary force law at the cable of the
 circular pulley. Static torque balance about the common axle:
 
-    r(theta) * T(theta) = R * F(x),      x = R * theta
+    r(theta) * T(s) = R * F(x),      x = R * theta
 
-where T is the counter tension (a dead weight mg, or a secondary spring
-T0 + k2*s fed by the cable the non-circular pulley pays out) and F is the
-force the circular-pulley cable must exert. Solving for the radius gives
-the synthesis rule r = R*F/T; for a linear target F = k*x under a dead
-weight the radius law collapses to the spiral r = a*theta with
-a = k*R**2 / mg.
+where F is the force the circular-pulley cable must exert and
+T(s) = t0 + k2*s the tension of the counter after the pulley has paid out
+cable s: a secondary spring, or a dead weight mg as the k2 = 0 case.
+Solving for the radius gives the synthesis rule r = R*F/T; for a linear
+target F = k*x under a dead weight the radius law collapses to the spiral
+r = a*theta with a = k*R**2 / mg.
 
 Radii are metres, angles radians. Profiles are immutable after synthesis
 and all analysis operations are pure, so parallel sweeps over theta are
@@ -26,7 +26,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .characteristics import LINEAR, ForceCharacteristic, _finite, clip_domain, interp_scalar
+from .characteristics import (
+    LINEAR,
+    ForceCharacteristic,
+    _finite,
+    clip_domain,
+    cumulative_trapezoid,
+    interp_scalar,
+)
 from .errors import (
     DomainError,
     NumericalError,
@@ -41,46 +48,51 @@ DEFAULT_SPRING_STEPS = 2048
 # the peak target force.
 SPRING_SYNTHESIS_RTOL = 1e-6
 
-WEIGHT = "weight"
-SPRING = "spring"
-
 
 @dataclass(frozen=True)
 class CounterElement:
-    """The load hung on the non-circular pulley.
+    """Counter load of tension T(s) = t0 + k2*s at payout s; a dead weight has k2 = 0."""
 
-    Either a dead weight of constant tension ``load`` (N) or a secondary
-    spring whose tension grows with the cable the pulley has paid out:
-    T = t0 + k2 * s.
-    """
-
-    kind: str
-    load: float = 0.0   # N, weight only
-    t0: float = 0.0     # N, spring pretension
-    k2: float = 0.0     # N/m, spring stiffness
+    t0: float         # N, tension at zero payout (a dead weight's load)
+    k2: float = 0.0   # N/m, tension gained per metre paid out
 
     def __post_init__(self):
-        if self.kind == WEIGHT:
-            _finite("load", self.load)
-            if not self.load > 0:
-                raise ValidationError(f"counter weight load must be > 0, got {self.load}")
-        elif self.kind == SPRING:
-            _finite("t0", self.t0)
-            _finite("k2", self.k2)
-            if self.t0 < 0:
-                raise ValidationError(f"counter spring pretension must be >= 0, got {self.t0}")
-            if self.k2 < 0:
-                raise ValidationError(f"counter spring stiffness must be >= 0, got {self.k2}")
-        else:
-            raise ValidationError(f"unknown counter element kind {self.kind!r}")
+        _finite("t0", self.t0)
+        _finite("k2", self.k2)
+        if self.t0 < 0:
+            raise ValidationError(f"counter spring pretension must be >= 0, got {self.t0}")
+        if self.k2 < 0:
+            raise ValidationError(f"counter spring stiffness must be >= 0, got {self.k2}")
+        if self.t0 == 0 and self.k2 == 0:
+            raise ValidationError("counter with t0 = 0 and k2 = 0 has no tension at all")
 
     @classmethod
     def weight(cls, load: float) -> "CounterElement":
-        return cls(kind=WEIGHT, load=float(load))
+        load = _finite("load", load)
+        if not load > 0:
+            raise ValidationError(f"counter weight load must be > 0, got {load}")
+        return cls(t0=load)
 
     @classmethod
     def spring(cls, t0: float, k2: float) -> "CounterElement":
-        return cls(kind=SPRING, t0=float(t0), k2=float(k2))
+        return cls(t0=float(t0), k2=float(k2))
+
+    def tension(self, s):
+        """Tension (N) after paying out s (m); scalar or array."""
+        return self.t0 + self.k2 * s
+
+    def released_energy(self, s):
+        """Work (J) the counter releases paying out s: the integral of tension."""
+        return self.t0 * s + 0.5 * self.k2 * s**2
+
+    def payout_for_energy(self, energy):
+        """Payout (m) after releasing ``energy`` (J), exact at k2 = 0.
+
+        The cancellation-free positive root of t0*s + k2*s**2/2 = E; a
+        negative discriminant (tension through zero) is clamped to 0.
+        """
+        disc = np.maximum(self.t0 * self.t0 + 2.0 * self.k2 * energy, 0.0)
+        return 2.0 * energy / (self.t0 + np.sqrt(disc))
 
 
 @dataclass(frozen=True)
@@ -148,9 +160,7 @@ class PulleyProfile:
 
     @cached_property
     def _payout_at_samples(self) -> np.ndarray:
-        dt = np.diff(self.thetas)
-        avg = 0.5 * (self.radii[1:] + self.radii[:-1])
-        return np.concatenate(([0.0], np.cumsum(avg * dt)))
+        return cumulative_trapezoid(self.radii, self.thetas)
 
     def payout(self, theta):
         """Cable length s(theta) = integral of r, paid out by the pulley.
@@ -178,9 +188,7 @@ class PulleyProfile:
 
     @cached_property
     def _arc_at_samples(self) -> np.ndarray:
-        g = self._arc_integrand
-        dt = np.diff(self.thetas)
-        return np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * dt)))
+        return cumulative_trapezoid(self._arc_integrand, self.thetas)
 
     def arc_length(self, theta):
         """Curve length integral of sqrt(r**2 + (dr/dtheta)**2) up to theta."""
@@ -197,8 +205,8 @@ class PulleyProfile:
     def realized_force(self, counter: CounterElement, theta):
         """Cable force (N) the pulley produces at the circular radius.
 
-        r(theta) * T / R with T the counter tension; for spring counters
-        the tension follows the paid-out cable length.
+        r(theta) * T(s) / R with T the counter tension at the paid-out
+        cable length s.
         """
         th, scalar = clip_domain(theta, self.theta_max)
         if type(th) is float:
@@ -206,10 +214,8 @@ class PulleyProfile:
             r_at = interp_scalar(th, t, r)
         else:
             r_at = np.interp(th, self.thetas, self.radii)
-        if counter.kind == WEIGHT:
-            tension = counter.load
-        else:
-            tension = counter.t0 + counter.k2 * self.payout(th)
+        # a dead weight's tension needs no payout lookup
+        tension = counter.t0 if counter.k2 == 0 else counter.tension(self.payout(th))
         val = r_at * tension / self.circular_radius
         return float(val) if scalar else val
 
@@ -236,20 +242,58 @@ class PulleyProfile:
         return PulleyProfile(self.circular_radius, self.thetas, clamped, slope)
 
 
-def _resolve_theta_max(
-    target: ForceCharacteristic, circular_radius: float, theta_max: float | None
-) -> float:
-    if theta_max is None:
-        theta_max = target.x_max / circular_radius
-    theta_max = float(theta_max)
+def _synthesize(
+    target: ForceCharacteristic,
+    R: float,
+    counter: CounterElement,
+    n_samples: int,
+    theta_max: float | None,
+) -> PulleyProfile:
+    """r = R*F/T(s) on n_samples nodes, with the payout s in closed form.
+
+    With ds/dtheta = r the balance r*T(s) = R*F integrates to an energy
+    balance: the counter releases the energy E(R*theta) the target stores,
+    so s = counter.payout_for_energy(E). The profile must reproduce the
+    target within SPRING_SYNTHESIS_RTOL of the peak force.
+    """
+    if not R > 0:
+        raise ValidationError(f"circular radius must be > 0, got {R}")
+    theta_max = float(target.x_max / R if theta_max is None else theta_max)
     if theta_max <= 0:
         raise ValidationError(f"theta_max must be > 0, got {theta_max}")
-    if circular_radius * theta_max > target.x_max * (1 + 1e-12):
+    if R * theta_max > target.x_max * (1 + 1e-12):
         raise DomainError(
             f"target domain [0, {target.x_max:g}] m too short for "
-            f"R*theta_max = {circular_radius * theta_max:g} m"
+            f"R*theta_max = {R * theta_max:g} m"
         )
-    return theta_max
+    thetas = np.linspace(0.0, theta_max, n_samples)
+    forces = target.force_at(R * thetas)
+    if np.any(forces < 0):
+        raise ValidationError("counter synthesis requires a non-negative target force")
+    if counter.t0 == 0:
+        # checked before the payout formula, which is 0/0 at theta=0
+        if forces[0] > 0:
+            raise SingularityError(
+                "nonzero target force at theta=0 with zero pretension leaves r(0) unbalanced"
+            )
+        raise SingularityError("zero pretension leaves the counter tension at 0 N at theta=0")
+
+    tension = counter.tension(counter.payout_for_energy(target.stored_energy(R * thetas)))
+    if np.any(tension <= 0):
+        raise SingularityError("counter tension reached zero while recovering radii")
+    radii = R * forces / tension
+    slope = target.k * R**2 / counter.t0 if target.kind == LINEAR and counter.k2 == 0 else None
+    profile = PulleyProfile(R, thetas, radii, slope)
+
+    realized = profile.realized_force(counter, thetas)
+    peak = max(float(np.max(np.abs(forces))), 1e-300)
+    residual = float(np.max(np.abs(realized - forces))) / peak
+    if residual > SPRING_SYNTHESIS_RTOL:
+        raise NumericalError(
+            f"forward verification residual {residual:.3e} exceeds "
+            f"{SPRING_SYNTHESIS_RTOL:.0e}; use more samples"
+        )
+    return profile
 
 
 def synthesize_weight_counter(
@@ -265,20 +309,11 @@ def synthesize_weight_counter(
     For a linear target the result is the exact spiral r = a*theta with
     a = k * R**2 / mg, recorded in the profile's ``slope``.
     """
-    if not circular_radius > 0:
-        raise ValidationError(f"circular radius must be > 0, got {circular_radius}")
     if not load > 0:
         raise ValidationError(f"counter load must be > 0, got {load}")
     if n_samples < 2:
         raise ValidationError(f"need at least 2 samples, got {n_samples}")
-    theta_max = _resolve_theta_max(target, circular_radius, theta_max)
-    thetas = np.linspace(0.0, theta_max, n_samples)
-    forces = target.force_at(circular_radius * thetas)
-    if np.any(forces < 0):
-        raise ValidationError("weight counter requires a non-negative target force")
-    radii = circular_radius * forces / load
-    slope = target.k * circular_radius**2 / load if target.kind == LINEAR else None
-    return PulleyProfile(circular_radius, thetas, radii, slope)
+    return _synthesize(target, circular_radius, CounterElement.weight(load), n_samples, theta_max)
 
 
 def synthesize_spring_counter(
@@ -290,61 +325,9 @@ def synthesize_spring_counter(
 ) -> PulleyProfile:
     """Shape a pulley so a secondary spring reproduces the target force law.
 
-    The counter tension depends on the cable already paid out, which
-    couples the radius law to its own integral:
-
-        r(theta) * (t0 + k2*s(theta)) = R * F(R*theta),   ds/dtheta = r
-
-    Eliminating r gives (t0 + k2*s) ds = R*F dtheta, which integrates to
-    the energy balance t0*s + k2*s**2/2 = E(R*theta): the counter releases
-    exactly the energy E the target stores. Its positive root
-
-        s = 2E / (t0 + sqrt(t0**2 + 2*k2*E))
-
-    gives the payout on n_steps + 1 nodes without cancellation, and the
-    radius follows algebraically at each node. The returned profile is
-    verified forward against the target and must match within
-    SPRING_SYNTHESIS_RTOL of the peak force.
+    The payout solves the energy balance t0*s + k2*s**2/2 = E(R*theta) on
+    n_steps + 1 nodes; a counter with k2 = 0 gives the dead-weight profile.
     """
-    if counter.kind != SPRING:
-        raise ValidationError("spring-counter synthesis needs a spring counter element")
-    if not circular_radius > 0:
-        raise ValidationError(f"circular radius must be > 0, got {circular_radius}")
     if n_steps < 1:
         raise ValidationError(f"need at least 1 step, got {n_steps}")
-    theta_max = _resolve_theta_max(target, circular_radius, theta_max)
-
-    R = circular_radius
-    t0, k2 = counter.t0, counter.k2
-    thetas = np.linspace(0.0, theta_max, n_steps + 1)
-    f_node = target.force_at(R * thetas)
-    if np.any(f_node < 0):
-        raise ValidationError("spring counter requires a non-negative target force")
-    if t0 == 0:
-        # checked before the payout formula, which is 0/0 at theta=0
-        if f_node[0] > 0:
-            raise SingularityError(
-                "nonzero target force at theta=0 with zero pretension leaves r(0) unbalanced"
-            )
-        raise SingularityError("zero pretension leaves the counter tension at 0 N at theta=0")
-
-    energy = target.stored_energy(R * thetas)
-    # a negative discriminant means the tension would pass through zero;
-    # clamping it makes the tension check below catch that case
-    payout = 2.0 * energy / (t0 + np.sqrt(np.maximum(t0 * t0 + 2.0 * k2 * energy, 0.0)))
-    tension = t0 + k2 * payout
-    if np.any(tension <= 0):
-        raise SingularityError("counter tension reached zero while recovering radii")
-    radii = R * f_node / tension
-    slope = target.k * R**2 / t0 if (target.kind == LINEAR and k2 == 0.0) else None
-    profile = PulleyProfile(R, thetas, radii, slope)
-
-    realized = profile.realized_force(counter, thetas)
-    peak = max(float(np.max(np.abs(f_node))), 1e-300)
-    residual = float(np.max(np.abs(realized - f_node))) / peak
-    if residual > SPRING_SYNTHESIS_RTOL:
-        raise NumericalError(
-            f"forward verification residual {residual:.3e} exceeds "
-            f"{SPRING_SYNTHESIS_RTOL:.0e}; increase n_steps"
-        )
-    return profile
+    return _synthesize(target, circular_radius, counter, n_steps + 1, theta_max)

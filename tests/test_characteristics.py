@@ -175,6 +175,10 @@ INVERSE_LAWS = {
     "power_law_p1": ForceCharacteristic.power_law(c=0.3, d=0.02, p=1.0, x_max=0.12),
     "power_law": ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12),
     "tabulated": ForceCharacteristic.tabulated([(0.0, 0.5), (0.0123, 2.0), (0.0902, 7.75), (0.13, 9.0)]),
+    # x_max inside the last segment: forces past F(x_max) are out of range
+    "tabulated_x_max_inside": ForceCharacteristic.tabulated(
+        [(0.0, 0.5), (0.0902, 7.75), (0.13, 9.0)], x_max=0.1117
+    ),
     "tabulated_falling": FALLING,
     "negated": FALLING.invert(),
     "negated_power_law": ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12).invert(),
@@ -194,7 +198,12 @@ def test_extension_matches_bisection_oracle(char):
 def test_extension_out_of_range_raises_like_bisection(char):
     ends = sorted((char.force_at(0.0), char.force_at(char.x_max)))
     span = ends[1] - ends[0]
-    for target in (ends[0] - 0.01 * span - 1.0, ends[1] + 0.01 * span + 1.0):
+    for target in (
+        ends[0] - 0.01 * span - 1.0,
+        ends[0] - 0.01 * span,
+        ends[1] + 0.01 * span,
+        ends[1] + 0.01 * span + 1.0,
+    ):
         with pytest.raises(UnreachableForce):
             bisect_extension(char, target)
         with pytest.raises(UnreachableForce):

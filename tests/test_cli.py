@@ -99,16 +99,39 @@ def test_synthesize_then_verify_untruncated_passes(tmp_path):
     assert main(["verify", "--config", cfg, "--profile", str(out)]) == 0
 
 
-def test_verify_truncated_fails_with_exit_2(tmp_path, capsys):
+def test_verify_truncated_prototype_passes_and_reports_clamp(tmp_path, capsys):
     cfg = write_config(tmp_path, prototype_config())
     out = tmp_path / "profile.csv"
     assert main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["verify", "--config", cfg, "--profile", str(out)]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--profile", str(out)]) == 0
     captured = capsys.readouterr()
-    assert captured.err.startswith("ERR:NumericalError:")
+    assert captured.err == ""
+    fields = dict(tok.split("=") for tok in captured.out.split())
+    # the 10 mm floor holds the radius up to the last sample before the
+    # spiral a*theta reaches it at 2.007 rad (115.0 deg)
+    clamped = float(fields["clamped_to_deg"])
+    panel = THETA_MAX_DEG / 511
+    assert math.degrees(0.010 / 4.982e-3) - panel < clamped < math.degrees(0.010 / 4.982e-3)
+    assert float(fields["max_residual_n"]) <= float(fields["residual_tol_n"])
+    assert float(fields["energy_error_rel"]) <= 1e-6
 
 
-@pytest.mark.parametrize("name", ["gripper", "spring_counter"])
+@pytest.mark.parametrize("row", [2, 300], ids=["clamped", "unclamped"])
+def test_verify_truncated_rejects_a_micrometre_bump(tmp_path, capsys, row):
+    cfg = write_config(tmp_path, prototype_config())
+    out = tmp_path / "profile.csv"
+    assert main(["synthesize", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    theta, r = (float(v) for v in lines[row].split(","))
+    assert (r == 10.0) == (row == 2)
+    lines[row] = f"{theta:.6f},{r + 0.001:.6f}"
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", "--config", cfg, "--profile", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("ERR:NumericalError:")
+
+
+@pytest.mark.parametrize("name", ["gripper", "spring_counter", "truncated_pulley"])
 def test_shipped_config_verifies_its_own_profile(tmp_path, capsys, name):
     cfg = str(CONFIGS / f"{name}.json")
     out = tmp_path / "profile.csv"
@@ -271,6 +294,34 @@ def test_invalid_json_exit_1(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["synthesize", "--config", str(path), "--out", "x.csv"]) == 1
     assert capsys.readouterr().err.startswith("ERR:ValidationError:")
+
+
+@pytest.mark.parametrize(
+    "section, key, literal, message",
+    [
+        ("spring", "k_n_per_m", "NaN", "'spring.k_n_per_m' must be finite"),
+        ("counter", "load_n", "Infinity", "'counter.load_n' must be finite"),
+        ("pulley", "circular_radius_m", "-Infinity", "'pulley.circular_radius_m' must be finite"),
+        ("pulley", "r_max_m", "1e999", "'pulley.r_max_m' must be finite"),
+        (None, "gap_x_m", "1" + "0" * 400, "'gap_x_m' must be finite"),
+        ("gripper", "stage_travel_m", "1e999", "'gripper.stage_travel_m' must be finite"),
+        ("counter", "k2_n_per_m", "0.0", "no tension"),
+    ],
+    ids=["nan", "infinity", "minus_infinity", "overflow", "huge_integer", "gripper", "no_tension"],
+)
+def test_bad_config_value_exit_1(tmp_path, capsys, section, key, literal, message):
+    cfg = gripper_config()
+    cfg["pulley"].update(r_min_m=0.0, r_max_m=0.04)
+    if key == "k2_n_per_m":
+        cfg["counter"] = {"type": "spring", "t0_n": 0.0, "k2_n_per_m": 0.0}
+    (cfg if section is None else cfg[section])[key] = 123456.789
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace("123456.789", literal))
+    assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERR:ValidationError:") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_missing_config_file_exit_1(tmp_path, capsys):

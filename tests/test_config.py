@@ -2,8 +2,13 @@
 
 import pytest
 
-from floatconv import ValidationError
-from floatconv.config import parse_characteristic, parse_config
+from floatconv import PulleyProfile, ValidationError
+from floatconv.config import (
+    parse_characteristic,
+    parse_config,
+    synthesize_from_config,
+    verify_profile,
+)
 
 
 def base_config():
@@ -104,3 +109,34 @@ def test_latch_must_be_boolean():
     }
     with pytest.raises(ValidationError, match="gripper.latch"):
         parse_config(data)
+
+
+# -- verify_profile ----------------------------------------------------------------
+
+
+def test_verify_profile_untruncated_reports_no_clamp():
+    cfg = parse_config(base_config())
+    report = verify_profile(cfg, synthesize_from_config(cfg))
+    assert report.clamped_to is None
+    assert report.max_residual <= 1e-12 * 12.0
+    assert report.energy_error <= 1e-12
+    assert report.passed
+
+
+def test_verify_profile_credits_the_clamp_and_catches_a_bump():
+    data = base_config()
+    data["pulley"].update(r_min_m=0.01, r_max_m=0.04)
+    cfg = parse_config(data)
+    profile = synthesize_from_config(cfg)
+    report = verify_profile(cfg, profile)
+    # the spiral 0.004*theta clears the 10 mm floor at 2.5 rad
+    panel = profile.theta_max / (profile.n_samples - 1)
+    assert 2.5 - panel < report.clamped_to < 2.5
+    assert report.max_residual <= 1e-12 * 12.0
+    assert report.energy_error <= 1e-6
+    assert report.passed
+    for i in (1, 400):   # one clamped, one free sample
+        radii = profile.radii.copy()
+        radii[i] += 1e-6
+        bumped = PulleyProfile(profile.circular_radius, profile.thetas, radii)
+        assert not verify_profile(cfg, bumped).passed

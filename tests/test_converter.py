@@ -105,10 +105,10 @@ def test_friction_band_ratio():
     # mu calibrated so the band is 0.3% of the generated force: at the
     # displacement where the spring makes 10 N the band is +/-0.03 N
     conv = matched_converter(mu=0.003)
-    spring, counter = conv.force_components(0.1)
-    assert spring == pytest.approx(10.0, rel=1e-12)
-    band = conv.friction_band(0.1)
-    assert band == pytest.approx(0.003 * counter, rel=1e-12)
+    table = conv.sweep(0.0, 0.1, 2)
+    assert table.spring_force[1] == pytest.approx(10.0, rel=1e-12)
+    band = table.op_force_plus[1] - table.op_force_ideal[1]
+    assert band == pytest.approx(0.003 * table.counter_force[1], rel=1e-12)
     assert band == pytest.approx(0.03, rel=1e-9)
 
 

@@ -1,6 +1,7 @@
 """Grasp planning, tick simulation, latch and stall faults, amplification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from floatconv import (
     GripperModel,
     UnreachableForce,
     UnreachableObject,
+    ValidationError,
     plan_grasp,
     simulate_grasp,
     synthesize_weight_counter,
@@ -221,6 +223,16 @@ def test_short_stroke_never_engages_counter():
     assert plan.converter_stroke < plan.gap_x
     trace = simulate_grasp(model, plan)
     assert trace.amplification == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "field", ["stage_travel", "stage_step", "actuator_force_cap", "object_position"]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_gripper_model_rejects_non_finite(field, value):
+    model = make_model()
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        replace(model, **{field: value})
 
 
 def test_stroke_beyond_pulley_range_rejected():

@@ -1,6 +1,7 @@
 """Pulley synthesis, forward verification, payout/arc geometry, truncation."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from floatconv import (
     CounterElement,
     DomainError,
+    FloatingConverter,
     ForceCharacteristic,
     NumericalError,
     SingularityError,
@@ -348,9 +350,38 @@ def test_counter_element_rejects_non_finite(make, value):
         make(value)
 
 
-def test_spring_counter_requires_spring_element():
-    with pytest.raises(ValidationError):
-        synthesize_spring_counter(make_linear(), 0.02, CounterElement.weight(10.0))
+def test_weight_is_the_zero_stiffness_spring():
+    weight, relaxed = CounterElement.weight(10.0), CounterElement.spring(t0=10.0, k2=0.0)
+    assert weight == relaxed
+    stiff = CounterElement.spring(t0=10.0, k2=50.0)
+    s = np.linspace(0.0, 0.5, 101)
+    for counter in (weight, stiff):
+        # released energy is the integral of tension, exact for a linear law
+        tension = counter.tension(s)
+        panels = 0.5 * (tension[1:] + tension[:-1]) * np.diff(s)
+        released = counter.released_energy(s)
+        assert released == pytest.approx(np.concatenate(([0.0], np.cumsum(panels))), rel=1e-12)
+        assert counter.payout_for_energy(released) == pytest.approx(s, rel=1e-12, abs=0.0)
+
+    lin = make_linear()
+    profile = synthesize_weight_counter(lin, 0.02, 10.0)
+    thetas = np.linspace(0.0, profile.theta_max, 77)
+    assert np.array_equal(
+        profile.realized_force(weight, thetas), profile.realized_force(relaxed, thetas)
+    )
+    assert profile.realized_force(weight, 1.3) == profile.realized_force(relaxed, 1.3)
+    ledgers = [
+        FloatingConverter(left=lin, profile=profile, counter=c, gap_x=0.01).energy_ledger(
+            0.005, 0.1
+        )
+        for c in (weight, relaxed)
+    ]
+    for a, b in zip(astuple(ledgers[0]), astuple(ledgers[1])):
+        assert a == pytest.approx(b, rel=1e-12)
+    # the slack cable pays out nothing below the gap; the weight then
+    # releases load * payout
+    s1 = profile.payout((0.1 - 0.01) / 0.02)
+    assert ledgers[0].delta_counter == pytest.approx(-10.0 * s1, rel=1e-12)
 
 
 # -- profile validation --------------------------------------------------------
