@@ -34,7 +34,7 @@ from .errors import (
     UnreachableObject,
     ValidationError,
 )
-from .export import SvgOptions, profile_to_csv, profile_to_svg, read_profile_csv
+from .export import profile_to_csv, profile_to_svg, read_profile_csv
 from .gripper import (
     GraspPlan,
     GraspTrace,
@@ -64,7 +64,6 @@ __all__ = [
     "GraspPlan",
     "GraspTrace",
     "TraceRow",
-    "SvgOptions",
     "synthesize_weight_counter",
     "synthesize_spring_counter",
     "plan_grasp",

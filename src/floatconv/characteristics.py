@@ -7,15 +7,16 @@ closed domain [0, x_max]. Supported laws:
     constant    F = f0
     power_law   F = c / (x + d)**p   (magnet-like decaying attraction)
     tabulated   piecewise-linear through (x, F) knots
-    negated     F = -inner(x)        (the exact inverse characteristic)
 
-Pairing a characteristic with its negation makes the net force vanish at
-every displacement; that cancellation is what lets the balance point of a
-series arrangement be moved with (ideally) zero external force.
+The inverse characteristic, F = -law(x), is not a law here: the
+non-circular pulley and its counter realize it (see pulley.py). Pairing a
+law with it makes the net force vanish at every displacement; that
+cancellation is what lets the balance point of a series arrangement be
+moved with (ideally) zero external force.
 
 Each law is the one home of its force, its stored energy (the exact
-integral of force) and, where the law is monotone, its inverse, all in
-closed form:
+integral of force) and, where the law is monotone, its inverse function
+x(F), all in closed form:
 
     linear      E = k*x**2/2                  x = F/k
     constant    E = f0*x                      x = 0 at F = f0
@@ -23,7 +24,6 @@ closed form:
                 or c*ln(1 + x/d) at p = 1     x = d*((F(0)/F)**(1/p) - 1)
     tabulated   cumulative trapezoid over the knots (exact for the
                 piecewise-linear law)         x by linear interpolation
-    negated     E = -inner(x)                 x = inner at -F
 
 Units are SI throughout: metres, newtons, joules. Instances are immutable
 and every operation is pure, so they may be evaluated from concurrent
@@ -45,7 +45,6 @@ LINEAR = "linear"
 CONSTANT = "constant"
 POWER_LAW = "power_law"
 TABULATED = "tabulated"
-NEGATED = "negated"
 
 
 def clip_domain(x, x_max: float):
@@ -86,26 +85,59 @@ def clip_domain(x, x_max: float):
     return np.clip(arr, 0.0, x_max), arr.ndim == 0
 
 
-def interp_scalar(x: float, xp: list, fp: list) -> float:
-    """``np.interp(x, xp, fp)`` for one float over increasing Python lists.
-
-    Same segment choice, end clamping and formula as numpy's C loop, so
-    the result is bit-identical.
-    """
-    j = bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j >= len(xp) - 1:
-        return fp[-1]
-    if xp[j] == x:
-        return fp[j]
-    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-    return slope * (x - xp[j]) + fp[j]
-
-
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Running trapezoid integral of samples y over x, starting at 0."""
     return np.concatenate(([0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))))
+
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseLinear:
+    """A sampled curve y(x), linear between knots: its value and running integral.
+
+    ``xs`` must be strictly increasing. Both methods take a Python float
+    (the scalar path of :func:`clip_domain`: plain float arithmetic over
+    cached lists) or numpy values, and the two paths agree bit for bit.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """The integral from xs[0] up to each knot."""
+        return cumulative_trapezoid(self.ys, self.xs)
+
+    @cached_property
+    def _lists(self) -> tuple[list, list, list]:
+        return self.xs.tolist(), self.ys.tolist(), self.cumulative.tolist()
+
+    def at(self, x):
+        """y at x, clamped to the end values outside the knots: np.interp."""
+        if type(x) is not float:
+            return np.interp(x, self.xs, self.ys)
+        # numpy's segment choice, end clamping and formula, so the result
+        # is bit-identical
+        xp, fp, _ = self._lists
+        j = bisect_right(xp, x) - 1
+        if j < 0:
+            return fp[0]
+        if j >= len(xp) - 1:
+            return fp[-1]
+        if xp[j] == x:
+            return fp[j]
+        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+        return slope * (x - xp[j]) + fp[j]
+
+    def integral(self, x):
+        """The integral from xs[0] to x: the knots' running sum plus the
+        partial trapezoid, exact for the piecewise-linear curve."""
+        if type(x) is float:
+            xp, fp, cum = self._lists
+            i = min(max(bisect_right(xp, x) - 1, 0), len(xp) - 2)
+        else:
+            xp, fp, cum = self.xs, self.ys, self.cumulative
+            i = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
+        return cum[i] + 0.5 * (fp[i] + self.at(x)) * (x - xp[i])
 
 
 def _finite(name: str, value: float) -> float:
@@ -120,8 +152,8 @@ class ForceCharacteristic:
     """A force-vs-displacement law on the closed domain [0, x_max].
 
     Build instances through the factory classmethods (:meth:`linear`,
-    :meth:`constant`, :meth:`power_law`, :meth:`tabulated`,
-    :meth:`negated`) rather than the raw constructor.
+    :meth:`constant`, :meth:`power_law`, :meth:`tabulated`) rather than
+    the raw constructor.
     """
 
     kind: str
@@ -132,7 +164,6 @@ class ForceCharacteristic:
     d: float = 0.0        # m, power-law offset (keeps the pole off-domain)
     p: float = 1.0        # power-law exponent
     points: tuple[tuple[float, float], ...] = ()
-    inner: "ForceCharacteristic | None" = None
 
     def __post_init__(self):
         _finite("x_max", self.x_max)
@@ -157,9 +188,6 @@ class ForceCharacteristic:
                 raise ValidationError(f"power-law p must be >= 1, got {self.p}")
         elif self.kind == TABULATED:
             self._validate_points()
-        elif self.kind == NEGATED:
-            if not isinstance(self.inner, ForceCharacteristic):
-                raise ValidationError("negated characteristic requires an inner one")
         else:
             raise ValidationError(f"unknown characteristic kind {self.kind!r}")
 
@@ -211,22 +239,14 @@ class ForceCharacteristic:
             x_max = pts[-1][0]
         return cls(kind=TABULATED, x_max=float(x_max), points=pts)
 
-    @classmethod
-    def negated(cls, inner: "ForceCharacteristic") -> "ForceCharacteristic":
-        """Exact inverse characteristic, F = -inner(x)."""
-        return cls(kind=NEGATED, x_max=inner.x_max, inner=inner)
-
     # -- evaluation --------------------------------------------------------
 
     @cached_property
-    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+    def _curve(self) -> PiecewiseLinear:
+        """A tabulated law's knots as a curve."""
         xs = np.array([x for x, _ in self.points], dtype=float)
         fs = np.array([f for _, f in self.points], dtype=float)
-        return xs, fs
-
-    @cached_property
-    def _knot_lists(self) -> tuple[list, list]:
-        return [x for x, _ in self.points], [f for _, f in self.points]
+        return PiecewiseLinear(xs, fs)
 
     def _eval(self, xs):
         """The law at xs: a Python float (scalar path) or numpy values."""
@@ -240,12 +260,7 @@ class ForceCharacteristic:
             # Python float ** would raise OverflowError
             base = np.float64(xs + self.d) if scalar else xs + self.d
             return self.c / base**self.p
-        if self.kind == TABULATED:
-            if scalar:
-                return interp_scalar(xs, *self._knot_lists)
-            kx, kf = self._knots
-            return np.interp(xs, kx, kf)
-        return -self.inner._eval(xs)
+        return self._curve.at(xs)
 
     def force_at(self, x):
         """Force (N) at extension x (m); accepts a scalar or an ndarray.
@@ -256,14 +271,8 @@ class ForceCharacteristic:
         vals = self._eval(xs)
         return float(vals) if scalar else vals
 
-    @cached_property
-    def _knot_energy(self) -> np.ndarray:
-        kx, kf = self._knots
-        return cumulative_trapezoid(kf, kx)
-
     def _energy(self, xs):
         """The integral of the law from 0 to xs, on the same paths as _eval."""
-        scalar = type(xs) is float
         if self.kind == LINEAR:
             return 0.5 * self.k * xs * xs
         if self.kind == CONSTANT:
@@ -276,14 +285,7 @@ class ForceCharacteristic:
             # np.float64 overflows to inf where a Python float ** would raise
             scale = self.c * np.float64(self.d) ** (1.0 - self.p) / (self.p - 1.0)
             return scale * -np.expm1((1.0 - self.p) * t)
-        if self.kind == TABULATED:
-            kx, kf = self._knots
-            if scalar:
-                i = min(max(bisect_right(self._knot_lists[0], xs) - 1, 0), kx.size - 2)
-            else:
-                i = np.clip(np.searchsorted(kx, xs, side="right") - 1, 0, kx.size - 2)
-            return self._knot_energy[i] + 0.5 * (kf[i] + self._eval(xs)) * (xs - kx[i])
-        return -self.inner._energy(xs)
+        return self._curve.integral(xs)
 
     def stored_energy(self, x):
         """Elastic energy (J) stored at extension x, the integral of force.
@@ -321,23 +323,17 @@ class ForceCharacteristic:
             if force == f_end:
                 return self.x_max
             return min(self.d * math.expm1(math.log(f_start / force) / self.p), self.x_max)
-        if self.kind == TABULATED:
-            # only [0, x_max] is the law's domain: end the knots there
-            xs, fs = self._knot_lists
-            n = bisect_left(xs, self.x_max)
-            xs = xs[:n] + [self.x_max]
-            fs = fs[:n] + [self._eval(self.x_max)]
-            pairs = list(zip(fs, fs[1:]))
-            if not (all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)):
-                raise ValidationError("tabulated characteristic must be monotone to invert")
-            for i, (a, b) in enumerate(pairs):
-                if min(a, b) <= force <= max(a, b):
-                    if a == b:
-                        return xs[i]
-                    return xs[i] + (force - a) / (b - a) * (xs[i + 1] - xs[i])
-            raise UnreachableForce(f"{force:g} N outside tabulated range")
-        return self.inner.extension_at(-force)
-
-    def invert(self) -> "ForceCharacteristic":
-        """The exact inverse characteristic: force_at flips sign pointwise."""
-        return ForceCharacteristic.negated(self)
+        # tabulated: only [0, x_max] is the law's domain, so end the knots there
+        xs, fs, _ = self._curve._lists
+        n = bisect_left(xs, self.x_max)
+        xs = xs[:n] + [self.x_max]
+        fs = fs[:n] + [self._eval(self.x_max)]
+        pairs = list(zip(fs, fs[1:]))
+        if not (all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)):
+            raise ValidationError("tabulated characteristic must be monotone to invert")
+        for i, (a, b) in enumerate(pairs):
+            if min(a, b) <= force <= max(a, b):
+                if a == b:
+                    return xs[i]
+                return xs[i] + (force - a) / (b - a) * (xs[i + 1] - xs[i])
+        raise UnreachableForce(f"{force:g} N outside tabulated range")

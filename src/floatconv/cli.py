@@ -28,7 +28,7 @@ from .config import (
 )
 from .converter import FloatingConverter
 from .errors import FloatConvError, ValidationError
-from .export import SvgOptions, fmt6
+from .export import fmt6
 from .gripper import GripperModel, plan_grasp, simulate_grasp
 
 SWEEP_ROWS = 256
@@ -142,8 +142,7 @@ def _cmd_grasp(args) -> int:
 
 def _cmd_export_svg(args) -> int:
     profile = export.read_profile_csv(_read(args.profile))
-    opts = SvgOptions(scale=args.scale)
-    _write(args.out, export.profile_to_svg(profile, opts))
+    _write(args.out, export.profile_to_svg(profile, args.scale))
     return 0
 
 

@@ -30,6 +30,10 @@ from .pulley import (
 VERIFY_FORCE_RTOL = 1e-9
 VERIFY_ENERGY_RTOL = 1e-6
 
+# pulley.samples range; the cap keeps a config from requesting an
+# unbounded allocation
+MAX_PROFILE_SAMPLES = 2**20
+
 
 @dataclass(frozen=True)
 class GripperSettings:
@@ -72,8 +76,10 @@ def _check_keys(section: dict, path: str, required: tuple[str, ...], optional: t
 def _number(section: dict, path: str, key: str, default=None) -> float:
     if key not in section:
         return default
-    value = section[key]
-    name = f"{path}.{key}" if path else key
+    return _finite_number(section[key], f"{path}.{key}" if path else key)
+
+
+def _finite_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"config: '{name}' must be a number")
     if not abs(value) <= sys.float_info.max:   # NaN, +-inf, an int past float range
@@ -130,13 +136,12 @@ def parse_characteristic(section: dict, path: str = "spring") -> ForceCharacteri
             raise ValidationError(
                 f"config: '{path}.points_m_n' must be a list of [x_m, force_n] pairs"
             )
+        points = [
+            [_finite_number(v, f"{path}.points_m_n[{i}]") for v in pt]
+            for i, pt in enumerate(points)
+        ]
         return ForceCharacteristic.tabulated(
             points, x_max=_number(section, path, "max_extension_m", default=None)
-        )
-    if kind == "negated":
-        _check_keys(section, path, ("type", "inner"), ())
-        return ForceCharacteristic.negated(
-            parse_characteristic(section["inner"], path=f"{path}.inner")
         )
     raise ValidationError(f"config: unknown characteristic type '{kind}' at '{path}.type'")
 
@@ -177,6 +182,10 @@ def parse_config(data: dict) -> RunConfig:
     radius = _number(pulley, "pulley", "circular_radius_m")
     theta_max_deg = _number(pulley, "pulley", "theta_max_deg", default=None)
     samples = _integer(pulley, "pulley", "samples", default=512)
+    if not 2 <= samples <= MAX_PROFILE_SAMPLES:
+        raise ValidationError(
+            f"config: 'pulley.samples' must be in [2, {MAX_PROFILE_SAMPLES}], got {samples}"
+        )
     r_min = _number(pulley, "pulley", "r_min_m", default=None)
     r_max = _number(pulley, "pulley", "r_max_m", default=None)
     if (r_min is None) != (r_max is None):
@@ -245,7 +254,7 @@ def synthesize_from_config(cfg: RunConfig) -> PulleyProfile:
             cfg.spring,
             circular_radius=cfg.circular_radius_m,
             counter=cfg.counter,
-            n_steps=max(cfg.samples - 1, 1),
+            n_steps=cfg.samples - 1,
             theta_max=cfg.theta_max_rad,
         )
     bounds = cfg.truncation_bounds

@@ -75,6 +75,10 @@ class FloatingConverter:
 
     # -- forces ------------------------------------------------------------
 
+    def friction_band(self, counter_force):
+        """Half-width (N) of the friction band around the ideal operating force."""
+        return self.friction_mu * abs(counter_force) + self.friction_f0
+
     def force_components(self, u):
         """(spring force, counter force) at balance displacement u.
 
@@ -114,7 +118,7 @@ class FloatingConverter:
         us = np.linspace(u_min, u_max, n)
         spring, counter = self.force_components(us)
         ideal = spring - counter
-        band = self.friction_mu * np.abs(counter) + self.friction_f0
+        band = self.friction_band(counter)
         return SweepTable(us, spring, counter, ideal, ideal + band, ideal - band)
 
     # -- energy ------------------------------------------------------------

@@ -10,7 +10,6 @@ golden-file friendly. Line endings are LF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,28 +27,14 @@ TRACE_CSV_HEADER = "tick,phase,jaw_mm,grip_n,actuator_n,latch"
 # half an ulp of the fmt6 columns of a profile CSV: r in mm, theta in deg
 CSV_RADIUS_QUANTUM = 0.5e-9                 # m
 CSV_ANGLE_QUANTUM = math.radians(0.5e-6)   # rad
+SVG_MARGIN_MM = 5.0     # around the curve
+SVG_STROKE_PX = 1.0
 
 
 def fmt6(value: float) -> str:
     """Fixed 6-decimal rendering; negative zero is normalized away."""
     text = f"{value:.6f}"
     return "0.000000" if text == "-0.000000" else text
-
-
-@dataclass(frozen=True)
-class SvgOptions:
-    scale: float = 10.0        # px per mm
-    stroke_width: float = 1.0  # px
-    margin: float = 5.0        # mm around the curve
-    close_curve: bool = False  # chord from last back to first sample
-
-    def __post_init__(self):
-        for name in ("scale", "margin", "stroke_width"):
-            _finite(name, getattr(self, name))
-        if not self.scale > 0:
-            raise ValidationError(f"scale must be > 0, got {self.scale}")
-        if self.margin < 0:
-            raise ValidationError(f"margin must be >= 0, got {self.margin}")
 
 
 def profile_to_csv(profile: PulleyProfile) -> str:
@@ -93,30 +78,30 @@ def read_profile_csv(text: str, circular_radius_m: float = 1.0) -> PulleyProfile
     )
 
 
-def profile_to_svg(profile: PulleyProfile, opts: SvgOptions = SvgOptions()) -> str:
+def profile_to_svg(profile: PulleyProfile, scale: float = 10.0) -> str:
     """Render the polar curve as a single SVG path plus an axis marker.
 
     Points are (r*cos(theta), r*sin(theta)) in mm, y flipped to screen
-    convention, scaled by opts.scale; the viewBox tightly bounds the curve
-    plus the margin.
+    convention, scaled by ``scale`` px per mm; the viewBox tightly bounds
+    the curve plus SVG_MARGIN_MM.
     """
+    sc = _finite("scale", scale)
+    if not sc > 0:
+        raise ValidationError(f"scale must be > 0, got {scale}")
     if profile.thetas.size == 0:
         raise ValidationError("cannot render an empty profile")
     r_mm = profile.radii * 1000.0
     xs = r_mm * np.cos(profile.thetas)
     ys = -r_mm * np.sin(profile.thetas)  # screen y grows downward
 
-    sc = opts.scale
-    x0 = (float(np.min(xs)) - opts.margin) * sc
-    y0 = (float(np.min(ys)) - opts.margin) * sc
-    width = (float(np.max(xs)) - float(np.min(xs)) + 2 * opts.margin) * sc
-    height = (float(np.max(ys)) - float(np.min(ys)) + 2 * opts.margin) * sc
+    x0 = (float(np.min(xs)) - SVG_MARGIN_MM) * sc
+    y0 = (float(np.min(ys)) - SVG_MARGIN_MM) * sc
+    width = (float(np.max(xs)) - float(np.min(xs)) + 2 * SVG_MARGIN_MM) * sc
+    height = (float(np.max(ys)) - float(np.min(ys)) + 2 * SVG_MARGIN_MM) * sc
 
     steps = [f"M {fmt6(xs[0] * sc)} {fmt6(ys[0] * sc)}"]
     for x, y in zip(xs[1:], ys[1:]):
         steps.append(f"L {fmt6(x * sc)} {fmt6(y * sc)}")
-    if opts.close_curve:
-        steps.append("Z")
     path = " ".join(steps)
 
     marker_r = 0.5 * sc  # 0.5 mm dot at the rotation axis
@@ -126,7 +111,7 @@ def profile_to_svg(profile: PulleyProfile, opts: SvgOptions = SvgOptions()) -> s
         f'width="{fmt6(width)}" height="{fmt6(height)}" '
         f'viewBox="{fmt6(x0)} {fmt6(y0)} {fmt6(width)} {fmt6(height)}">\n'
         f'  <path d="{path}" fill="none" stroke="black" '
-        f'stroke-width="{fmt6(opts.stroke_width)}"/>\n'
+        f'stroke-width="{fmt6(SVG_STROKE_PX)}"/>\n'
         f'  <circle cx="0.000000" cy="0.000000" r="{fmt6(marker_r)}" fill="black"/>\n'
         "</svg>\n"
     )

@@ -177,7 +177,7 @@ def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
         u = min(j * step, plan.converter_stroke)
         spring, counter = conv.force_components(u)
         grip = spring
-        effort = abs(spring - counter) + conv.friction_mu * abs(counter) + conv.friction_f0
+        effort = abs(spring - counter) + conv.friction_band(counter)
         if grip > GRIP_FORCE_TOL and not model.latch_holds:
             raise BackdriveFault(
                 f"tick {tick}: grip reaction {grip:g} N back-drives the unlatched stage"

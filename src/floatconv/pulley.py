@@ -20,7 +20,6 @@ safe without locks.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,10 +28,9 @@ import numpy as np
 from .characteristics import (
     LINEAR,
     ForceCharacteristic,
+    PiecewiseLinear,
     _finite,
     clip_domain,
-    cumulative_trapezoid,
-    interp_scalar,
 )
 from .errors import (
     DomainError,
@@ -145,22 +143,15 @@ class PulleyProfile:
     # -- geometry ----------------------------------------------------------
 
     @cached_property
-    def _sample_lists(self) -> tuple[list, list, list]:
-        """thetas, radii and payout at the samples as lists, for scalar lookups."""
-        return self.thetas.tolist(), self.radii.tolist(), self._payout_at_samples.tolist()
-
-    def radius_at(self, theta):
-        """Radius (m) at rotation angle, linearly interpolated between samples."""
-        th, scalar = clip_domain(theta, self.theta_max)
-        if type(th) is float:
-            t, r, _ = self._sample_lists
-            return interp_scalar(th, t, r)
-        r = np.interp(th, self.thetas, self.radii)
-        return float(r) if scalar else r
+    def _radius(self) -> PiecewiseLinear:
+        return PiecewiseLinear(self.thetas, self.radii)
 
     @cached_property
-    def _payout_at_samples(self) -> np.ndarray:
-        return cumulative_trapezoid(self.radii, self.thetas)
+    def _arc(self) -> PiecewiseLinear:
+        """The arc-length integrand sqrt(r**2 + (dr/dtheta)**2) over theta."""
+        # central differences inside, one-sided second order at the ends
+        drdt = np.gradient(self.radii, self.thetas)
+        return PiecewiseLinear(self.thetas, np.hypot(self.radii, drdt))
 
     def payout(self, theta):
         """Cable length s(theta) = integral of r, paid out by the pulley.
@@ -170,34 +161,13 @@ class PulleyProfile:
         profiles.
         """
         th, scalar = clip_domain(theta, self.theta_max)
-        if type(th) is float:
-            t, r, s = self._sample_lists
-            i = min(max(bisect_right(t, th) - 1, 0), len(t) - 2)
-            return s[i] + 0.5 * (r[i] + interp_scalar(th, t, r)) * (th - t[i])
-        t, r = self.thetas, self.radii
-        idx = np.clip(np.searchsorted(t, th, side="right") - 1, 0, t.size - 2)
-        r_at = np.interp(th, t, r)
-        val = self._payout_at_samples[idx] + 0.5 * (r[idx] + r_at) * (th - t[idx])
+        val = self._radius.integral(th)
         return float(val) if scalar else val
-
-    @cached_property
-    def _arc_integrand(self) -> np.ndarray:
-        # central differences inside, one-sided second order at the ends
-        drdt = np.gradient(self.radii, self.thetas)
-        return np.hypot(self.radii, drdt)
-
-    @cached_property
-    def _arc_at_samples(self) -> np.ndarray:
-        return cumulative_trapezoid(self._arc_integrand, self.thetas)
 
     def arc_length(self, theta):
         """Curve length integral of sqrt(r**2 + (dr/dtheta)**2) up to theta."""
         th, scalar = clip_domain(theta, self.theta_max)
-        t = self.thetas
-        g = self._arc_integrand
-        idx = np.clip(np.searchsorted(t, th, side="right") - 1, 0, t.size - 2)
-        g_at = np.interp(th, t, g)
-        val = self._arc_at_samples[idx] + 0.5 * (g[idx] + g_at) * (th - t[idx])
+        val = self._arc.integral(th)
         return float(val) if scalar else val
 
     # -- force analysis ----------------------------------------------------
@@ -209,14 +179,9 @@ class PulleyProfile:
         cable length s.
         """
         th, scalar = clip_domain(theta, self.theta_max)
-        if type(th) is float:
-            t, r, _ = self._sample_lists
-            r_at = interp_scalar(th, t, r)
-        else:
-            r_at = np.interp(th, self.thetas, self.radii)
         # a dead weight's tension needs no payout lookup
         tension = counter.t0 if counter.k2 == 0 else counter.tension(self.payout(th))
-        val = r_at * tension / self.circular_radius
+        val = self._radius.at(th) * tension / self.circular_radius
         return float(val) if scalar else val
 
     def balance_residual(self, counter: CounterElement, target: ForceCharacteristic, theta):

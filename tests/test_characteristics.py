@@ -1,4 +1,4 @@
-"""Force-law evaluation, energy integrals, inverses, and exact negation."""
+"""Force-law evaluation, energy integrals and inverses."""
 
 import math
 
@@ -32,18 +32,6 @@ def test_tabulated_midpoint_interpolation():
     assert tab.force_at(0.05) == pytest.approx(5.0, rel=1e-12)
 
 
-def test_negated_flips_sign():
-    inv = ForceCharacteristic.linear(k=100.0, x_max=0.12).invert()
-    assert inv.force_at(0.1) == pytest.approx(-10.0, rel=1e-12)
-    assert inv.force_at(0.0) == 0.0
-
-
-def test_invert_constant():
-    inv = ForceCharacteristic.constant(f0=10.0, x_max=0.2).invert()
-    for x in (0.0, 0.1, 0.2):
-        assert inv.force_at(x) == -10.0
-
-
 def test_vectorized_evaluation_matches_scalar():
     tab = ForceCharacteristic.tabulated([(0.0, 1.0), (0.04, 3.0), (0.1, 4.0)])
     xs = np.linspace(0.0, 0.1, 23)
@@ -68,11 +56,6 @@ def test_power_law_energy_against_fine_quadrature():
     assert pw.stored_energy(0.1) == pytest.approx(oracle, abs=5e-6)
 
 
-def test_negated_energy_is_minus_inner():
-    pw = ForceCharacteristic.power_law(c=1.0, d=0.1, p=2.0, x_max=0.1)
-    assert pw.invert().stored_energy(0.1) == -pw.stored_energy(0.1)
-
-
 # -- energy oracle ---------------------------------------------------------------
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -87,7 +70,6 @@ ENERGY_LAWS = {
     "power_law_p1": ForceCharacteristic.power_law(c=0.3, d=0.02, p=1.0, x_max=0.12),
     "power_law": ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12),
     "tabulated": OFF_GRID,
-    "negated": ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12).invert(),
 }
 
 
@@ -98,9 +80,8 @@ def quadrature_energy(char, x, panels=2**16):
     smooth laws converge as panels**-2.
     """
     grid = np.linspace(0.0, x, panels + 1)
-    law = char.inner if char.kind == "negated" else char
-    if law.kind == "tabulated":
-        knots = np.array([k for k, _ in law.points])
+    if char.kind == "tabulated":
+        knots = np.array([k for k, _ in char.points])
         grid = np.union1d(grid, knots[knots < x])
     return float(_trapz(char.force_at(grid), grid))
 
@@ -180,8 +161,6 @@ INVERSE_LAWS = {
         [(0.0, 0.5), (0.0902, 7.75), (0.13, 9.0)], x_max=0.1117
     ),
     "tabulated_falling": FALLING,
-    "negated": FALLING.invert(),
-    "negated_power_law": ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12).invert(),
 }
 
 
@@ -235,46 +214,12 @@ def test_linear_and_tabulated_extension_formulas():
     "char",
     [
         ForceCharacteristic.tabulated([(0.0, 0.0), (0.04, 6.0), (0.08, 3.0), (0.12, 9.0)]),
-        ForceCharacteristic.tabulated([(0.0, 0.0), (0.04, 6.0), (0.08, 3.0), (0.12, 9.0)]).invert(),
     ],
-    ids=["tabulated", "negated"],
+    ids=["tabulated"],
 )
 def test_non_monotone_tabulated_extension_rejected(char):
     with pytest.raises(ValidationError, match="monotone"):
         char.extension_at(char.force_at(0.02))
-
-
-@pytest.mark.parametrize(
-    "char",
-    [
-        ForceCharacteristic.linear(k=100.0, x_max=0.12),
-        ForceCharacteristic.constant(f0=10.0, x_max=0.12),
-        ForceCharacteristic.power_law(c=1.0, d=0.1, p=2.0, x_max=0.12),
-        ForceCharacteristic.tabulated([(0.0, 1.0), (0.03, 7.0), (0.12, 2.0)]),
-        ForceCharacteristic.linear(k=5.0, x_max=0.12).invert(),
-    ],
-    ids=["linear", "constant", "power_law", "tabulated", "negated"],
-)
-def test_negation_cancels_exactly_for_every_kind(char):
-    inv = char.invert()
-    xs = np.linspace(0.0, char.x_max, 101)
-    assert np.all(char.force_at(xs) + inv.force_at(xs) == 0.0)
-
-
-@given(k=stiffness, x_max=extension_limit)
-def test_negation_cancels_exactly(k, x_max):
-    lin = ForceCharacteristic.linear(k=k, x_max=x_max)
-    inv = lin.invert()
-    xs = np.linspace(0.0, x_max, 101)
-    assert np.all(lin.force_at(xs) + inv.force_at(xs) == 0.0)
-
-
-@given(k=stiffness, x_max=extension_limit)
-def test_double_negation_is_pointwise_identity(k, x_max):
-    lin = ForceCharacteristic.linear(k=k, x_max=x_max)
-    back = lin.invert().invert()
-    xs = np.linspace(0.0, x_max, 101)
-    assert np.all(back.force_at(xs) == lin.force_at(xs))
 
 
 @given(

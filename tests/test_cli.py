@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from floatconv.cli import main
+from floatconv.config import MAX_PROFILE_SAMPLES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 THETA_MAX_DEG = 345.0
@@ -306,15 +307,30 @@ def test_invalid_json_exit_1(tmp_path, capsys):
         (None, "gap_x_m", "1" + "0" * 400, "'gap_x_m' must be finite"),
         ("gripper", "stage_travel_m", "1e999", "'gripper.stage_travel_m' must be finite"),
         ("counter", "k2_n_per_m", "0.0", "no tension"),
+        ("spring", "points_m_n", '"abc"', "'spring.points_m_n[1]' must be a number"),
+        ("spring", "points_m_n", "true", "'spring.points_m_n[1]' must be a number"),
+        ("spring", "points_m_n", "1e999", "'spring.points_m_n[1]' must be finite"),
+        ("spring", "points_m_n", "1" + "0" * 400, "'spring.points_m_n[1]' must be finite"),
+        ("pulley", "samples", "-5", "'pulley.samples' must be in [2, "),
+        ("pulley", "samples", "0", "'pulley.samples' must be in [2, "),
+        ("pulley", "samples", "1", "'pulley.samples' must be in [2, "),
+        ("pulley", "samples", str(MAX_PROFILE_SAMPLES + 1), "'pulley.samples' must be in [2, "),
     ],
-    ids=["nan", "infinity", "minus_infinity", "overflow", "huge_integer", "gripper", "no_tension"],
+    ids=[
+        "nan", "infinity", "minus_infinity", "overflow", "huge_integer", "gripper", "no_tension",
+        "point_string", "point_bool", "point_overflow", "point_huge_integer",
+        "samples_negative", "samples_zero", "samples_one", "samples_above_limit",
+    ],
 )
 def test_bad_config_value_exit_1(tmp_path, capsys, section, key, literal, message):
     cfg = gripper_config()
     cfg["pulley"].update(r_min_m=0.0, r_max_m=0.04)
     if key == "k2_n_per_m":
         cfg["counter"] = {"type": "spring", "t0_n": 0.0, "k2_n_per_m": 0.0}
-    (cfg if section is None else cfg[section])[key] = 123456.789
+    if key == "points_m_n":
+        cfg["spring"] = {"type": "tabulated", "points_m_n": [[0.0, 0.0], [0.1205, 123456.789]]}
+    else:
+        (cfg if section is None else cfg[section])[key] = 123456.789
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg).replace("123456.789", literal))
     assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "p.csv")]) == 1

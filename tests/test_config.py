@@ -26,23 +26,10 @@ def test_power_law_characteristic():
     assert char.force_at(0.0) == pytest.approx(100.0, rel=1e-12)
 
 
-def test_negated_characteristic():
-    char = parse_characteristic(
-        {
-            "type": "negated",
-            "inner": {"type": "constant", "f0_n": 10.0, "max_extension_m": 0.2},
-        }
-    )
-    assert char.force_at(0.1) == -10.0
-
-
 def test_nested_unknown_key_names_full_path():
-    with pytest.raises(ValidationError, match="spring.inner.k_per_m"):
+    with pytest.raises(ValidationError, match="'spring.k_per_m'"):
         parse_characteristic(
-            {
-                "type": "negated",
-                "inner": {"type": "linear", "k_per_m": 1.0, "max_extension_m": 0.1},
-            },
+            {"type": "linear", "k_n_per_m": 1.0, "k_per_m": 1.0, "max_extension_m": 0.1},
             path="spring",
         )
 

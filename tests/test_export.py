@@ -14,7 +14,6 @@ from floatconv import (
     ForceCharacteristic,
     ParseError,
     PulleyProfile,
-    SvgOptions,
     ValidationError,
     plan_grasp,
     profile_to_csv,
@@ -98,7 +97,7 @@ def test_empty_profile_rejected():
 def test_svg_bounding_box_of_circle():
     const = ForceCharacteristic.constant(f0=10.0, x_max=0.2)
     profile = synthesize_weight_counter(const, 0.02, 10.0, theta_max=2 * math.pi)
-    svg = profile_to_svg(profile, SvgOptions(scale=10.0, margin=5.0))
+    svg = profile_to_svg(profile, scale=10.0)
     match = re.search(r'viewBox="([-\d.]+) ([-\d.]+) ([\d.]+) ([\d.]+)"', svg)
     assert match
     w, h = float(match.group(3)), float(match.group(4))
@@ -108,7 +107,7 @@ def test_svg_bounding_box_of_circle():
 
 
 def test_svg_prototype_profile_extent():
-    svg = profile_to_svg(prototype_profile(), SvgOptions(scale=10.0, margin=5.0))
+    svg = profile_to_svg(prototype_profile(), scale=10.0)
     match = re.search(r'viewBox="[-\d. ]+ ([\d.]+) ([\d.]+)"', svg)
     w = float(match.group(1))
     # max radial extent is 40 mm, so the box is at most 80 + 2*margin mm
@@ -125,32 +124,22 @@ def test_svg_point_count_and_finite_coordinates():
         assert math.isfinite(float(x)) and math.isfinite(float(y))
 
 
-def test_svg_close_curve_appends_chord():
-    profile = prototype_profile()
-    open_svg = profile_to_svg(profile, SvgOptions(close_curve=False))
-    closed_svg = profile_to_svg(profile, SvgOptions(close_curve=True))
-    assert " Z" not in open_svg
-    assert " Z" in closed_svg
-
-
 def test_svg_determinism():
     profile = prototype_profile()
     assert profile_to_svg(profile).encode() == profile_to_svg(profile).encode()
     assert profile_to_csv(profile).encode() == profile_to_csv(profile).encode()
 
 
-def test_svg_options_validation():
-    with pytest.raises(ValidationError):
-        SvgOptions(scale=0.0)
-    with pytest.raises(ValidationError):
-        SvgOptions(margin=-1.0)
+def test_svg_scale_validation():
+    for scale in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="scale must be > 0"):
+            profile_to_svg(prototype_profile(), scale=scale)
 
 
-@pytest.mark.parametrize("field", ["scale", "margin", "stroke_width"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_svg_options_reject_non_finite(field, value):
+def test_svg_scale_rejects_non_finite(value):
     with pytest.raises(ValidationError, match="must be finite"):
-        SvgOptions(**{field: value})
+        profile_to_svg(prototype_profile(), scale=value)
 
 
 # -- sweep / trace CSV --------------------------------------------------------------

@@ -189,6 +189,20 @@ def test_latch_column_set_only_during_grip():
             assert row.latch_engaged
 
 
+def test_actuator_force_adds_the_friction_band():
+    # the actuator supplies |spring - counter| + mu*|counter| + f0, the
+    # upper edge of the sweep's band wherever the operating force is >= 0
+    model = make_model()
+    conv = replace(model.converter, friction_mu=0.004, friction_f0=0.02)
+    model = replace(model, converter=conv)
+    plan = plan_grasp(model, 10.0)
+    rows = [row for row in simulate_grasp(model, plan).rows if row.phase == "gripping"]
+    us = np.minimum(0.01 * np.arange(1, len(rows) + 1), plan.converter_stroke)
+    spring, counter = replace(model.converter, gap_x=plan.gap_x).force_components(us)
+    expected = np.abs(spring - counter) + 0.004 * np.abs(counter) + 0.02
+    assert [row.actuator_force for row in rows] == pytest.approx(expected, rel=1e-12)
+
+
 def test_smaller_gap_needs_less_actuator_force():
     # the plateau force is k * gap_x, strictly increasing in the gap
     forces = []

@@ -73,22 +73,24 @@ def test_synthesis_validation_errors():
     with pytest.raises(DomainError):
         # requested stroke exceeds the target's domain
         synthesize_weight_counter(lin, 0.02, 10.0, theta_max=2 * PROTO_THETA_MAX)
-    inv = lin.invert()
-    with pytest.raises(ValidationError):
-        synthesize_weight_counter(inv, 0.02, 10.0)
+    dips_negative = ForceCharacteristic.tabulated([(0.0, 1.0), (0.06, -1.0), (0.13, 2.0)])
+    with pytest.raises(ValidationError, match="non-negative target force"):
+        synthesize_weight_counter(dips_negative, 0.02, 10.0)
 
 
 # -- realized force and balance residual -----------------------------------
 
 
-def test_radius_at_interpolates_between_samples():
-    profile = synthesize_weight_counter(make_linear(k=100.0), 0.02, 10.0)
-    assert profile.radius_at(0.0) == 0.0
-    assert profile.radius_at(1.3) == pytest.approx(0.004 * 1.3, rel=1e-12)
+def test_realized_force_interpolates_radius_between_samples():
+    # a coarse curved profile: between samples the radius is the chord,
+    # not the target law
+    law = ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12)
+    profile = synthesize_weight_counter(law, 0.02, 10.0, n_samples=9)
     mid = 0.5 * (profile.thetas[3] + profile.thetas[4])
-    assert profile.radius_at(float(mid)) == pytest.approx(
-        0.5 * (profile.radii[3] + profile.radii[4]), rel=1e-12
-    )
+    chord = 0.5 * (profile.radii[3] + profile.radii[4]) * 10.0 / 0.02
+    weight = CounterElement.weight(10.0)
+    assert profile.realized_force(weight, float(mid)) == pytest.approx(chord, rel=1e-12)
+    assert abs(chord - law.force_at(0.02 * float(mid))) > 1e-4 * chord
 
 
 def test_realized_force_spiral():

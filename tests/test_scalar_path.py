@@ -29,7 +29,6 @@ LAWS = {
     "tabulated": ForceCharacteristic.tabulated(
         [(0.0, 0.0), (0.03, 2.0), (0.07, 5.5), (0.12, 9.0)]
     ),
-    "negated": ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=X_MAX).invert(),
 }
 COUNTERS = {
     "weight": CounterElement.weight(10.0),
@@ -49,8 +48,8 @@ def _cases():
         profile = PROFILES[c]
         hi = profile.theta_max
         cases += [
-            (f"radius_at[{c}]", profile.radius_at, hi),
             (f"payout[{c}]", profile.payout, hi),
+            (f"arc_length[{c}]", profile.arc_length, hi),
             (f"realized_force[{c}]", functools.partial(profile.realized_force, counter), hi),
         ]
         for k, law in LAWS.items():
