@@ -1,6 +1,7 @@
 """Force-law evaluation, energy integrals and inverses."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floatconv import DomainError, ForceCharacteristic, UnreachableForce, ValidationError
+from floatconv.characteristics import PiecewiseLinear
 
 stiffness = st.floats(min_value=1e-2, max_value=1e5, allow_nan=False)
 extension_limit = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
@@ -124,6 +126,53 @@ def test_power_law_energy_keeps_precision_near_zero():
     # E ~ F(0)*x for tiny x; forming 1 + x/d before the log keeps only
     # about seven digits here
     assert pw.stored_energy(x) == pytest.approx(pw.force_at(0.0) * x, rel=1e-9, abs=0.0)
+
+
+# -- piecewise-linear curve ------------------------------------------------------
+
+# ordinates that are not small integers, so that another rounding order
+# of the interpolation shows in the last bit
+CURVE = PiecewiseLinear(np.array([0.5, 0.8, 1.2, 2.0]), np.array([1.0, -2.3, 4.1, 3.7]))
+CURVE_POINTS = [0.5, 0.65, 0.7, 0.8, 0.9, 1.0, 1.2, 1.7, math.nextafter(2.0, 0.0), 2.0]
+
+
+def _bits(value):
+    assert type(value) is float
+    return struct.pack("<d", value)
+
+
+@pytest.mark.parametrize("x", CURVE_POINTS)
+def test_piecewise_linear_float_path_matches_numpy(x):
+    assert _bits(CURVE.at(x)) == _bits(float(CURVE.at(np.asarray(x))))
+    assert _bits(CURVE.integral(x)) == _bits(float(CURVE.integral(np.asarray(x))))
+
+
+def test_piecewise_linear_array_path_matches_float_path():
+    xs = np.array(CURVE_POINTS)
+    assert [_bits(float(v)) for v in CURVE.at(xs)] == [_bits(CURVE.at(x)) for x in CURVE_POINTS]
+    assert [_bits(float(v)) for v in CURVE.integral(xs)] == [
+        _bits(CURVE.integral(x)) for x in CURVE_POINTS
+    ]
+
+
+def test_piecewise_linear_clamps_outside_the_knots():
+    for x in (0.0, 0.4, 2.5):
+        assert CURVE.at(x) == float(np.interp(x, CURVE.xs, CURVE.ys))
+        assert CURVE.at(x) == float(CURVE.at(np.asarray(x)))
+    assert (CURVE.at(0.0), CURVE.at(2.5)) == (1.0, 3.7)
+
+
+def test_piecewise_linear_integral_is_exact_for_the_curve():
+    # one trapezoid per panel by hand; inside a panel the curve is linear,
+    # so the partial trapezoid is its exact integral
+    by_hand = [0.0, 0.5 * (1.0 - 2.3) * 0.3]
+    by_hand.append(by_hand[-1] + 0.5 * (-2.3 + 4.1) * 0.4)
+    by_hand.append(by_hand[-1] + 0.5 * (4.1 + 3.7) * 0.8)
+    assert CURVE.cumulative == pytest.approx(by_hand, rel=1e-15, abs=1e-16)
+    for x, cum in zip(CURVE.xs, by_hand):
+        assert CURVE.integral(float(x)) == pytest.approx(cum, rel=1e-15, abs=1e-16)
+    # y falls from 1 to -0.65 over [0.5, 0.65]
+    assert CURVE.integral(0.65) == pytest.approx(0.15 * 0.5 * (1.0 - 0.65), rel=1e-14)
 
 
 # -- inverse oracle --------------------------------------------------------------

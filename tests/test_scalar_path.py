@@ -26,6 +26,8 @@ LAWS = {
     "linear": ForceCharacteristic.linear(k=124.55, x_max=X_MAX),
     "constant": ForceCharacteristic.constant(f0=10.0, x_max=X_MAX),
     "power_law": ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=X_MAX),
+    # p = 1 takes the logarithmic energy branch
+    "power_law_p1": ForceCharacteristic.power_law(c=0.3, d=0.02, p=1.0, x_max=X_MAX),
     "tabulated": ForceCharacteristic.tabulated(
         [(0.0, 0.0), (0.03, 2.0), (0.07, 5.5), (0.12, 9.0)]
     ),
