@@ -257,8 +257,9 @@ def test_export_svg(tmp_path):
     assert "<path" in content
 
 
-@pytest.mark.parametrize("scale", ["inf", "nan"])
-def test_export_svg_non_finite_scale_exit_1(tmp_path, capsys, scale):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", ["inf", "nan", "1e308", "1e306", "1e-320", "0", "-1"])
+def test_export_svg_bad_scale_exit_1(tmp_path, capsys, scale):
     cfg = write_config(tmp_path, prototype_config())
     profile = tmp_path / "profile.csv"
     svg = tmp_path / "shape.svg"

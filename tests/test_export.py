@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from floatconv import (
     CounterElement,
+    FloatConvError,
     FloatingConverter,
     ForceCharacteristic,
     ParseError,
@@ -22,8 +24,9 @@ from floatconv import (
     simulate_grasp,
     synthesize_weight_counter,
 )
+from floatconv.converter import SweepTable
 from floatconv.export import fmt6, sweep_to_csv, trace_to_csv
-from floatconv.gripper import GripperModel
+from floatconv.gripper import GraspTrace, GripperModel, TraceRow
 
 THETA_MAX = math.radians(345.0)
 
@@ -130,10 +133,16 @@ def test_svg_determinism():
     assert profile_to_csv(profile).encode() == profile_to_csv(profile).encode()
 
 
-def test_svg_scale_validation():
-    for scale in (0.0, -1.0):
-        with pytest.raises(ValidationError, match="scale must be > 0"):
-            profile_to_svg(prototype_profile(), scale=scale)
+@pytest.mark.parametrize("scale", [0.0, -1.0, 1e-320, 9.99e-4, 1.001e6, 1e306, 1e308])
+def test_svg_scale_validation(scale):
+    with pytest.raises(ValidationError, match=r"scale must be in \[0.001, 1e\+06\] px/mm"):
+        profile_to_svg(prototype_profile(), scale=scale)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e6])
+def test_svg_scale_range_is_inclusive(scale):
+    svg = profile_to_svg(prototype_profile(), scale=scale)
+    assert "inf" not in svg and "nan" not in svg
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -192,3 +201,221 @@ def test_fmt6_normalizes_negative_zero():
     assert fmt6(-0.0) == "0.000000"
     assert fmt6(1.5) == "1.500000"
     assert fmt6(-2.25) == "-2.250000"
+
+
+# -- reference writers and reader: one value, one row at a time -------------------
+#
+# The package writes whole columns and parses the whole body at once; these
+# are the per-value loops it replaced. Every output byte and every ParseError
+# must match them.
+
+
+def ref_fmt6(value):
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
+def ref_profile_csv(profile):
+    lines = ["theta_deg,r_mm"]
+    for theta, r in zip(profile.thetas, profile.radii):
+        lines.append(f"{ref_fmt6(math.degrees(theta))},{ref_fmt6(r * 1000.0)}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_sweep_csv(table):
+    lines = [
+        "u_mm,spring_force_n,counter_force_n,op_force_ideal_n,op_force_plus_n,op_force_minus_n"
+    ]
+    for u, sf, cf, ideal, plus, minus in zip(
+        table.u,
+        table.spring_force,
+        table.counter_force,
+        table.op_force_ideal,
+        table.op_force_plus,
+        table.op_force_minus,
+    ):
+        lines.append(",".join(ref_fmt6(v) for v in (u * 1000.0, sf, cf, ideal, plus, minus)))
+    return "\n".join(lines) + "\n"
+
+
+def ref_trace_csv(trace):
+    lines = ["tick,phase,jaw_mm,grip_n,actuator_n,latch"]
+    for row in trace.rows:
+        lines.append(
+            f"{row.tick},{row.phase},{ref_fmt6(row.jaw_position * 1000.0)},"
+            f"{ref_fmt6(row.grip_force)},{ref_fmt6(row.actuator_force)},"
+            f"{1 if row.latch_engaged else 0}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def ref_svg_path(profile, scale):
+    r_mm = profile.radii * 1000.0
+    xs = r_mm * np.cos(profile.thetas)
+    ys = -r_mm * np.sin(profile.thetas)
+    steps = [f"M {ref_fmt6(xs[0] * scale)} {ref_fmt6(ys[0] * scale)}"]
+    for x, y in zip(xs[1:], ys[1:]):
+        steps.append(f"L {ref_fmt6(x * scale)} {ref_fmt6(y * scale)}")
+    return " ".join(steps)
+
+
+def ref_read_profile_csv(text, circular_radius_m=1.0):
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines = lines[:-1]
+    if not lines or lines[0] != "theta_deg,r_mm":
+        got = lines[0] if lines else ""
+        raise ParseError(f"expected header {'theta_deg,r_mm'!r}, got {got!r}", line=1)
+    thetas, radii = [], []
+    for i, row in enumerate(lines[1:], start=2):
+        parts = row.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected 2 fields, got {len(parts)}", line=i)
+        try:
+            theta_deg, r_mm = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ParseError(f"non-numeric field in {row!r}", line=i) from None
+        thetas.append(math.radians(theta_deg))
+        radii.append(r_mm / 1000.0)
+    if len(thetas) < 2:
+        raise ParseError("profile needs at least 2 sample rows", line=len(lines))
+    return PulleyProfile(
+        circular_radius=circular_radius_m, thetas=np.asarray(thetas), radii=np.asarray(radii)
+    )
+
+
+def read_outcome(reader, text):
+    """What a reader makes of ``text``: the sample bytes, or the error it raised."""
+    try:
+        profile = reader(text, 0.02)
+    except FloatConvError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return profile.thetas.tobytes(), profile.radii.tobytes(), profile.circular_radius
+
+
+HEADER = "theta_deg,r_mm\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HEADER + "0.0,10.0\n\n1.0,11.0\n",            # blank line in the middle
+        HEADER + "0.0,10.0,1.0\n2.0\n",                # 3-field row, then a 1-field row
+        HEADER + "0.0,10.0\nabc\n",
+        HEADER + "0.0,10.0\n1.0,abc\n",
+        HEADER + "0.0,10.0\n",                         # a single data row
+        HEADER + "abc\n",                              # ... that is bad
+        HEADER,
+        "theta_deg,r_mm",
+        "",
+        "\n",
+        HEADER + "\n",
+        HEADER + "0.0,10.0\n1.0,11.0",                  # no final newline
+        HEADER + "0.0,10.0\n1.0,11.0\n\n",              # a blank last row
+        HEADER + "0.0,10.0\r\n1.0,11.0\r\n",            # CRLF rows
+        "theta_deg,r_mm\r\n0.0,10.0\r\n1.0,11.0\r\n",  # CRLF header
+        HEADER + "0.0,10.0\n1_0,11.0\n",               # float() reads 1_0 as 10
+        HEADER + "0.0,10.0\n 1.0 ,\t11.0 \n",          # surrounding whitespace
+        HEADER + "0.0,10.0\n1.0,nan\n",
+        HEADER + "0.0,10.0\n1.0,inf\n",
+        HEADER + "0.0,10.0\n1.0,-1.0\n",
+        HEADER + "0.0,10.0\n1.0,\n",
+        HEADER + "0.0,10.0\n1.0,1e999\n",
+        HEADER + "0.0,10.0\n1.0,0x10\n",
+        HEADER + "0.0,10.0\n1.0,\u0661\u0662\n",       # Arabic-Indic digits: float() accepts
+        HEADER + "0.0,10.0\n1.0,\ud800\n",             # a lone surrogate
+        HEADER + "0.0,10.0\n1.0,11.0\n0.5,12.0\n",      # thetas not increasing
+    ],
+)
+def test_read_profile_matches_row_loop(text):
+    assert read_outcome(read_profile_csv, text) == read_outcome(ref_read_profile_csv, text)
+
+
+_CELLS = st.sampled_from(
+    ["0", "1.5", "-1", "1_0", " 3 ", "nan", "inf", "abc", "", "1e3", "0x1", "7,", ","]
+)
+# None stands for a well-formed row whose theta keeps increasing
+_ROWS = st.none() | _CELLS | st.tuples(_CELLS, _CELLS).map(",".join)
+
+
+@settings(deadline=None, max_examples=200)
+@given(rows=st.lists(_ROWS, max_size=6), ending=st.sampled_from(["", "\n", "\r\n", "\n\n"]))
+def test_read_profile_matches_row_loop_on_generated_text(rows, ending):
+    body = "\n".join(f"{i}.5,10.0" if row is None else row for i, row in enumerate(rows))
+    text = HEADER + body + ending
+    assert read_outcome(read_profile_csv, text) == read_outcome(ref_read_profile_csv, text)
+
+
+# values at the rounding edges of 6 decimals, large ones, and both signs of zero
+_EDGE = [0.0, -0.0, -4.9e-7, 4.9e-7, 5e-7, -5e-7, 5.0000001e-7, 1e15, -1e15, 123456789.1234565]
+_VALUES = st.sampled_from(_EDGE) | st.floats(-1e16, 1e16, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=100)
+@given(rows=st.lists(st.tuples(*[_VALUES] * 6), min_size=1, max_size=40))
+def test_sweep_csv_matches_per_value_writer(rows):
+    columns = np.array(rows).T
+    u, first = np.unique(columns[0] / 1000.0, return_index=True)
+    table = SweepTable(u, *columns[1:, first])
+    assert sweep_to_csv(table).encode() == ref_sweep_csv(table).encode()
+
+
+def test_sweep_csv_writes_non_finite_values_as_before():
+    table = SweepTable(
+        [0.0, 1.0, 2.0], [math.inf, -math.inf, math.nan], [-0.0] * 3, [1e300] * 3,
+        [-5e-7] * 3, [0.0] * 3,
+    )
+    assert sweep_to_csv(table) == ref_sweep_csv(table)
+
+
+_RADII = st.sampled_from([0.0, -0.0, 4.9e-10, 5e-10, 1e12]) | st.floats(0.0, 1e3)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    r0=_RADII,
+    samples=st.lists(st.tuples(st.floats(1e-9, 1.0), _RADII), min_size=1, max_size=40),
+    scale=st.sampled_from([1e-3, 0.37, 10.0, 1e6]),
+)
+def test_profile_writers_match_per_value_writers(r0, samples, scale):
+    steps, radii = zip(*samples)
+    profile = PulleyProfile(0.02, np.cumsum((0.0,) + steps), np.array((r0,) + radii))
+    assert profile_to_csv(profile).encode() == ref_profile_csv(profile).encode()
+    svg = profile_to_svg(profile, scale=scale)
+    assert f'<path d="{ref_svg_path(profile, scale)}" ' in svg
+
+
+def test_profile_writers_match_per_value_writers_on_synthesized_profile():
+    profile = prototype_profile()
+    assert profile_to_csv(profile) == ref_profile_csv(profile)
+    assert f'<path d="{ref_svg_path(profile, 10.0)}" ' in profile_to_svg(profile)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["positioning", "gripping", "done"]),
+            _VALUES, _VALUES, _VALUES, st.booleans(),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_trace_csv_matches_per_value_writer(rows):
+    trace = GraspTrace(tuple(TraceRow(i, *row) for i, row in enumerate(rows)))
+    assert trace_to_csv(trace).encode() == ref_trace_csv(trace).encode()
+
+
+def test_fmt6_matches_reference_at_edges():
+    for value in _EDGE + [math.inf, -math.inf, math.nan, 1e300]:
+        assert fmt6(value) == ref_fmt6(value)
+        assert fmt6(np.float64(value)) == ref_fmt6(value)
+
+
+def test_svg_rejects_coordinates_that_overflow():
+    profile = PulleyProfile(0.02, np.array([0.0, 1.0]), np.array([1e305, 1e305]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="SVG coordinates overflow"):
+            profile_to_svg(profile, scale=10.0)
