@@ -3,7 +3,8 @@
 Key names carry unit suffixes (_m, _n, _deg) to keep the SI-internal /
 mm-deg-export split explicit. Parsing is strict: unknown keys, missing
 required keys and non-finite numbers are rejected by full dotted path, so
-a typo never silently falls back to a default.
+a typo never silently falls back to a default. The schema is data: one
+table per section, read by the one function _section.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .characteristics import ForceCharacteristic, cumulative_trapezoid
 from .errors import ValidationError
 from .export import CSV_ANGLE_QUANTUM, CSV_RADIUS_QUANTUM
 from .pulley import (
+    DEFAULT_PROFILE_SAMPLES,
     SPRING_SYNTHESIS_RTOL,
     CounterElement,
     PulleyProfile,
@@ -59,27 +61,43 @@ class RunConfig:
     gripper: GripperSettings | None
 
 
-def _check_keys(section: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...]):
+REQUIRED = object()   # the default of a key that has none
+
+
+def _section(section, path: str, spec: dict) -> list:
+    """A config object's values in spec order; spec maps each key to (reader, default).
+
+    Rejects a non-object, then an unknown key, then a missing required key.
+    """
     if not isinstance(section, dict):
         raise ValidationError(f"config: {path or 'top level'} must be an object")
-    allowed = set(required) | set(optional)
+    prefix = f"{path}." if path else ""
     for key in section:
-        if key not in allowed:
-            full = f"{path}.{key}" if path else key
-            raise ValidationError(f"config: unknown key '{full}'")
-    for key in required:
-        if key not in section:
-            full = f"{path}.{key}" if path else key
-            raise ValidationError(f"config: missing required key '{full}'")
+        if key not in spec:
+            raise ValidationError(f"config: unknown key '{prefix}{key}'")
+    for key, (_, default) in spec.items():
+        if default is REQUIRED and key not in section:
+            raise ValidationError(f"config: missing required key '{prefix}{key}'")
+    return [
+        reader(section[key], prefix + key) if key in section else default
+        for key, (reader, default) in spec.items()
+    ]
 
 
-def _number(section: dict, path: str, key: str, default=None) -> float:
-    if key not in section:
-        return default
-    return _finite_number(section[key], f"{path}.{key}" if path else key)
+def _typed(section, path: str, what: str, table: dict):
+    """A typed section: table maps its "type" to (factory, spec)."""
+    if not isinstance(section, dict) or "type" not in section:
+        raise ValidationError(f"config: missing required key '{path}.type'")
+    kind = section["type"]
+    # a list or object is unhashable: test for a str before the lookup
+    if not isinstance(kind, str) or kind not in table:
+        raise ValidationError(f"config: unknown {what} type '{kind}' at '{path}.type'")
+    factory, spec = table[kind]
+    fields = {key: value for key, value in section.items() if key != "type"}
+    return factory(*_section(fields, path, spec))
 
 
-def _finite_number(value, name: str) -> float:
+def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"config: '{name}' must be a number")
     if not abs(value) <= sys.float_info.max:   # NaN, +-inf, an int past float range
@@ -87,176 +105,109 @@ def _finite_number(value, name: str) -> float:
     return float(value)
 
 
-def _integer(section: dict, path: str, key: str, default=None) -> int:
-    if key not in section:
-        return default
-    value = section[key]
+def _radians(value, name: str) -> float:
+    return math.radians(_number(value, name))
+
+
+def _samples(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"config: '{path}.{key}' must be an integer")
+        raise ValidationError(f"config: '{name}' must be an integer")
+    if not 2 <= value <= MAX_PROFILE_SAMPLES:
+        bounds = f"[2, {MAX_PROFILE_SAMPLES}]"
+        raise ValidationError(f"config: '{name}' must be in {bounds}, got {value}")
     return value
 
 
-def _boolean(section: dict, path: str, key: str) -> bool:
-    value = section[key]
+def _boolean(value, name: str) -> bool:
     if not isinstance(value, bool):
-        raise ValidationError(f"config: '{path}.{key}' must be true or false")
+        raise ValidationError(f"config: '{name}' must be true or false")
     return value
+
+
+def _points(value, name: str) -> list:
+    pairs = isinstance(value, list) and all(isinstance(pt, list) and len(pt) == 2 for pt in value)
+    if not pairs:
+        raise ValidationError(f"config: '{name}' must be a list of [x_m, force_n] pairs")
+    return [[_number(v, f"{name}[{i}]") for v in pt] for i, pt in enumerate(value)]
 
 
 def parse_characteristic(section: dict, path: str = "spring") -> ForceCharacteristic:
-    if not isinstance(section, dict) or "type" not in section:
-        raise ValidationError(f"config: missing required key '{path}.type'")
-    kind = section["type"]
-    if kind == "linear":
-        _check_keys(section, path, ("type", "k_n_per_m", "max_extension_m"), ())
-        return ForceCharacteristic.linear(
-            k=_number(section, path, "k_n_per_m"),
-            x_max=_number(section, path, "max_extension_m"),
-        )
-    if kind == "constant":
-        _check_keys(section, path, ("type", "f0_n", "max_extension_m"), ())
-        return ForceCharacteristic.constant(
-            f0=_number(section, path, "f0_n"),
-            x_max=_number(section, path, "max_extension_m"),
-        )
-    if kind == "power_law":
-        _check_keys(section, path, ("type", "c", "d_m", "p", "max_extension_m"), ())
-        return ForceCharacteristic.power_law(
-            c=_number(section, path, "c"),
-            d=_number(section, path, "d_m"),
-            p=_number(section, path, "p"),
-            x_max=_number(section, path, "max_extension_m"),
-        )
-    if kind == "tabulated":
-        _check_keys(section, path, ("type", "points_m_n"), ("max_extension_m",))
-        points = section["points_m_n"]
-        if not isinstance(points, list) or any(
-            not isinstance(pt, list) or len(pt) != 2 for pt in points
-        ):
-            raise ValidationError(
-                f"config: '{path}.points_m_n' must be a list of [x_m, force_n] pairs"
-            )
-        points = [
-            [_finite_number(v, f"{path}.points_m_n[{i}]") for v in pt]
-            for i, pt in enumerate(points)
-        ]
-        return ForceCharacteristic.tabulated(
-            points, x_max=_number(section, path, "max_extension_m", default=None)
-        )
-    raise ValidationError(f"config: unknown characteristic type '{kind}' at '{path}.type'")
+    return _typed(section, path, "characteristic", LAWS)
 
 
-def parse_counter(section: dict, path: str = "counter") -> CounterElement:
-    if not isinstance(section, dict) or "type" not in section:
-        raise ValidationError(f"config: missing required key '{path}.type'")
-    kind = section["type"]
-    if kind == "weight":
-        _check_keys(section, path, ("type", "load_n"), ())
-        return CounterElement.weight(_number(section, path, "load_n"))
-    if kind == "spring":
-        _check_keys(section, path, ("type", "t0_n", "k2_n_per_m"), ())
-        return CounterElement.spring(
-            t0=_number(section, path, "t0_n"),
-            k2=_number(section, path, "k2_n_per_m"),
+def _counter(section, path: str) -> CounterElement:
+    return _typed(section, path, "counter", COUNTERS)
+
+
+def _pulley(section, path: str) -> tuple:
+    """(circular radius, theta_max rad, samples, truncation bounds)."""
+    radius, theta_max, samples, r_min, r_max = _section(section, path, PULLEY)
+    if (r_min is None) != (r_max is None):
+        raise ValidationError(
+            f"config: '{path}.r_min_m' and '{path}.r_max_m' must be given together"
         )
-    raise ValidationError(f"config: unknown counter type '{kind}' at '{path}.type'")
+    return radius, theta_max, samples, None if r_min is None else (r_min, r_max)
+
+
+def _friction(section, path: str) -> list:
+    return _section(section, path, FRICTION)
+
+
+def _gripper(section, path: str) -> GripperSettings:
+    return GripperSettings(*_section(section, path, GRIPPER))
+
+
+# the schema: each section maps its keys to (reader, default); a typed section
+# maps its "type" to (factory, keys), and the factory takes the values in order
+NUMBER = (_number, REQUIRED)
+LAWS = {
+    "linear": (ForceCharacteristic.linear, {"k_n_per_m": NUMBER, "max_extension_m": NUMBER}),
+    "constant": (ForceCharacteristic.constant, {"f0_n": NUMBER, "max_extension_m": NUMBER}),
+    "power_law": (ForceCharacteristic.power_law,
+                  {"c": NUMBER, "d_m": NUMBER, "p": NUMBER, "max_extension_m": NUMBER}),
+    # max_extension_m None: the last knot's x
+    "tabulated": (ForceCharacteristic.tabulated,
+                  {"points_m_n": (_points, REQUIRED), "max_extension_m": (_number, None)}),
+}
+COUNTERS = {
+    "weight": (CounterElement.weight, {"load_n": NUMBER}),
+    "spring": (CounterElement.spring, {"t0_n": NUMBER, "k2_n_per_m": NUMBER}),
+}
+PULLEY = {
+    "circular_radius_m": NUMBER,
+    "theta_max_deg": (_radians, None),   # None: the spring's whole extension
+    "samples": (_samples, DEFAULT_PROFILE_SAMPLES),
+    "r_min_m": (_number, None),
+    "r_max_m": (_number, None),
+}
+FRICTION = {"mu": (_number, 0.0), "offset_n": (_number, 0.0)}
+GRIPPER = {
+    "stage_travel_m": NUMBER, "stage_step_m": NUMBER, "latch": (_boolean, REQUIRED),
+    "actuator_cap_n": NUMBER, "object_position_m": NUMBER,
+}
+# read in this order: of two faulty sections, the first listed is reported
+CONFIG = {
+    "spring": (parse_characteristic, REQUIRED),
+    "counter": (_counter, REQUIRED),
+    "pulley": (_pulley, REQUIRED),
+    "friction": (_friction, (0.0, 0.0)),
+    "gap_x_m": (_number, 0.0),
+    "gripper": (_gripper, None),
+}
 
 
 def parse_config(data: dict) -> RunConfig:
-    _check_keys(
-        data,
-        "",
-        ("spring", "pulley", "counter"),
-        ("friction", "gap_x_m", "gripper"),
-    )
-    spring = parse_characteristic(data["spring"])
-    counter = parse_counter(data["counter"])
-
-    pulley = data["pulley"]
-    _check_keys(
-        pulley,
-        "pulley",
-        ("circular_radius_m",),
-        ("theta_max_deg", "samples", "r_min_m", "r_max_m"),
-    )
-    radius = _number(pulley, "pulley", "circular_radius_m")
-    theta_max_deg = _number(pulley, "pulley", "theta_max_deg", default=None)
-    samples = _integer(pulley, "pulley", "samples", default=512)
-    if not 2 <= samples <= MAX_PROFILE_SAMPLES:
-        raise ValidationError(
-            f"config: 'pulley.samples' must be in [2, {MAX_PROFILE_SAMPLES}], got {samples}"
-        )
-    r_min = _number(pulley, "pulley", "r_min_m", default=None)
-    r_max = _number(pulley, "pulley", "r_max_m", default=None)
-    if (r_min is None) != (r_max is None):
-        raise ValidationError(
-            "config: 'pulley.r_min_m' and 'pulley.r_max_m' must be given together"
-        )
-
-    friction_mu, friction_f0 = 0.0, 0.0
-    if "friction" in data:
-        fr = data["friction"]
-        _check_keys(fr, "friction", (), ("mu", "offset_n"))
-        friction_mu = _number(fr, "friction", "mu", default=0.0)
-        friction_f0 = _number(fr, "friction", "offset_n", default=0.0)
-
-    gap_x = _number(data, "", "gap_x_m", default=0.0)
-
-    gripper = None
-    if "gripper" in data:
-        g = data["gripper"]
-        _check_keys(
-            g,
-            "gripper",
-            (
-                "stage_travel_m",
-                "stage_step_m",
-                "latch",
-                "actuator_cap_n",
-                "object_position_m",
-            ),
-            (),
-        )
-        gripper = GripperSettings(
-            stage_travel=_number(g, "gripper", "stage_travel_m"),
-            stage_step=_number(g, "gripper", "stage_step_m"),
-            latch_holds=_boolean(g, "gripper", "latch"),
-            actuator_force_cap=_number(g, "gripper", "actuator_cap_n"),
-            object_position=_number(g, "gripper", "object_position_m"),
-        )
-
-    return RunConfig(
-        spring=spring,
-        circular_radius_m=radius,
-        theta_max_rad=math.radians(theta_max_deg) if theta_max_deg is not None else None,
-        samples=samples,
-        truncation_bounds=None if r_min is None else (r_min, r_max),
-        counter=counter,
-        friction_mu=friction_mu,
-        friction_f0_n=friction_f0,
-        gap_x_m=gap_x,
-        gripper=gripper,
-    )
+    spring, counter, pulley, friction, gap_x, gripper = _section(data, "", CONFIG)
+    return RunConfig(spring, *pulley, counter, *friction, gap_x, gripper)
 
 
 def synthesize_from_config(cfg: RunConfig) -> PulleyProfile:
     """Build the configured pulley, applying truncation bounds when present."""
-    if cfg.counter.k2 == 0:
-        profile = synthesize_weight_counter(
-            cfg.spring,
-            circular_radius=cfg.circular_radius_m,
-            load=cfg.counter.t0,
-            n_samples=cfg.samples,
-            theta_max=cfg.theta_max_rad,
-        )
+    R, counter, theta_max = cfg.circular_radius_m, cfg.counter, cfg.theta_max_rad
+    if counter.k2 == 0:
+        profile = synthesize_weight_counter(cfg.spring, R, counter.t0, cfg.samples, theta_max)
     else:
-        profile = synthesize_spring_counter(
-            cfg.spring,
-            circular_radius=cfg.circular_radius_m,
-            counter=cfg.counter,
-            n_steps=cfg.samples - 1,
-            theta_max=cfg.theta_max_rad,
-        )
+        profile = synthesize_spring_counter(cfg.spring, R, counter, cfg.samples - 1, theta_max)
     bounds = cfg.truncation_bounds
     if bounds is not None:
         profile = profile.truncated(*bounds)

@@ -141,18 +141,16 @@ def profile_to_svg(profile: PulleyProfile, scale: float = 10.0) -> str:
         raise ValidationError(
             f"scale must be in [{SVG_SCALE_MIN:g}, {SVG_SCALE_MAX:g}] px/mm, got {scale}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_mm = profile.radii * 1000.0
-        xs = r_mm * np.cos(profile.thetas)
-        ys = -r_mm * np.sin(profile.thetas)  # screen y grows downward
-        px, py = xs * sc, ys * sc
+    # PulleyProfile bounds the radii, so no coordinate can overflow
+    r_mm = profile.radii * 1000.0
+    xs = r_mm * np.cos(profile.thetas)
+    ys = -r_mm * np.sin(profile.thetas)  # screen y grows downward
+    px, py = xs * sc, ys * sc
 
     x0 = (float(np.min(xs)) - SVG_MARGIN_MM) * sc
     y0 = (float(np.min(ys)) - SVG_MARGIN_MM) * sc
     width = (float(np.max(xs)) - float(np.min(xs)) + 2 * SVG_MARGIN_MM) * sc
     height = (float(np.max(ys)) - float(np.min(ys)) + 2 * SVG_MARGIN_MM) * sc
-    if not np.isfinite(np.concatenate((px, py, (x0, y0, width, height)))).all():
-        raise ValidationError(f"SVG coordinates overflow at scale {scale} px/mm")
 
     path = "M " + _fill(f"{_F6} {_F6} L ", profile.n_samples, _interleave(px, py))[:-3]
     marker_r = 0.5 * sc  # 0.5 mm dot at the rotation axis

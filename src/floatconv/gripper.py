@@ -36,6 +36,11 @@ from .errors import (
 
 GRIP_FORCE_TOL = 1e-6  # N, grip considered on-target within this band
 
+# cap on each phase's tick count (positioning up to the object, gripping
+# over the spring's extension), so a tiny stage step cannot ask for an
+# unbounded trace
+MAX_GRASP_TICKS = 2**20
+
 POSITIONING = "positioning"
 GRIPPING = "gripping"
 DONE = "done"
@@ -67,6 +72,12 @@ class GripperModel:
         if not 0 < self.object_position <= reach:
             raise ValidationError(
                 f"object at {self.object_position} m outside reach (0, {reach:g}] m"
+            )
+        ticks = max(self.object_position, self.converter.left.x_max) / self.stage_step
+        if not ticks <= MAX_GRASP_TICKS:
+            raise ValidationError(
+                f"stage_step {self.stage_step:g} m needs {ticks:.3g} ticks, "
+                f"more than MAX_GRASP_TICKS = {MAX_GRASP_TICKS}"
             )
 
 

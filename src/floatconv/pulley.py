@@ -46,6 +46,10 @@ DEFAULT_SPRING_STEPS = 2048
 # the peak target force.
 SPRING_SYNTHESIS_RTOL = 1e-6
 
+# Largest profile radius (m), far above any buildable pulley. It bounds the
+# exported numbers: 1e12 m is 1e15 mm, 1e21 px at the largest SVG scale.
+MAX_PROFILE_RADIUS = 1e12
+
 
 @dataclass(frozen=True)
 class CounterElement:
@@ -125,6 +129,10 @@ class PulleyProfile:
             raise ValidationError("profile thetas must be strictly increasing")
         if np.any(radii < 0):
             raise ValidationError("profile radii must be non-negative")
+        if np.any(radii > MAX_PROFILE_RADIUS):
+            raise ValidationError(
+                f"profile radii must be <= {MAX_PROFILE_RADIUS:g} m, got {np.max(radii):g} m"
+            )
         thetas = thetas.copy()
         radii = radii.copy()
         thetas.flags.writeable = False
@@ -247,7 +255,8 @@ def _synthesize(
     if np.any(tension <= 0):
         raise SingularityError("counter tension reached zero while recovering radii")
     radii = R * forces / tension
-    slope = target.k * R**2 / counter.t0 if target.kind == LINEAR and counter.k2 == 0 else None
+    # R * R, not R**2: a float ** raises OverflowError where * gives inf
+    slope = target.k * (R * R) / counter.t0 if target.kind == LINEAR and counter.k2 == 0 else None
     profile = PulleyProfile(R, thetas, radii, slope)
 
     realized = profile.realized_force(counter, thetas)
@@ -274,8 +283,6 @@ def synthesize_weight_counter(
     For a linear target the result is the exact spiral r = a*theta with
     a = k * R**2 / mg, recorded in the profile's ``slope``.
     """
-    if not load > 0:
-        raise ValidationError(f"counter load must be > 0, got {load}")
     if n_samples < 2:
         raise ValidationError(f"need at least 2 samples, got {n_samples}")
     return _synthesize(target, circular_radius, CounterElement.weight(load), n_samples, theta_max)

@@ -341,6 +341,41 @@ def test_bad_config_value_exit_1(tmp_path, capsys, section, key, literal, messag
     assert "Traceback" not in err
 
 
+def assert_one_validation_error(capsys, start):
+    err = capsys.readouterr().err
+    assert err.startswith("ERR:ValidationError:" + start) and err.count("\n") == 1
+
+
+def test_synthesize_huge_circular_radius_exit_1(tmp_path, capsys):
+    cfg = untruncated_config()
+    del cfg["pulley"]["theta_max_deg"]
+    cfg["pulley"]["circular_radius_m"] = 1e300
+    out = tmp_path / "p.csv"
+    assert main(["synthesize", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert_one_validation_error(capsys, "profile radii must be <= 1e+12 m")
+    assert not out.exists()
+
+
+def test_export_svg_huge_radius_exit_1(tmp_path, capsys):
+    profile = tmp_path / "huge.csv"
+    profile.write_text("theta_deg,r_mm\n0.0,1e290\n10.0,1e290\n")
+    out = tmp_path / "huge.svg"
+    assert main(["export-svg", "--profile", str(profile), "--out", str(out)]) == 1
+    assert_one_validation_error(capsys, "profile radii must be <= 1e+12 m")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", [5e-324, 1e-9])
+def test_grasp_tick_cap_exit_1(tmp_path, capsys, step):
+    cfg = gripper_config()
+    cfg["gripper"]["stage_step_m"] = step
+    out = tmp_path / "trace.csv"
+    path = write_config(tmp_path, cfg)
+    assert main(["grasp", "--config", path, "--target-force-n", "10", "--out", str(out)]) == 1
+    assert_one_validation_error(capsys, f"stage_step {step:g} m needs ")
+    assert not out.exists()
+
+
 def test_missing_config_file_exit_1(tmp_path, capsys):
     assert main(["synthesize", "--config", str(tmp_path / "no.json"), "--out", "x.csv"]) == 1
     assert capsys.readouterr().err.startswith("ERR:ValidationError:")

@@ -1,14 +1,30 @@
 """Config parsing branches not exercised by the CLI round trips."""
 
+import copy
+import json
+import math
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floatconv import PulleyProfile, ValidationError
 from floatconv.config import (
+    CONFIG,
+    COUNTERS,
+    FRICTION,
+    GRIPPER,
+    LAWS,
+    PULLEY,
+    RunConfig,
     parse_characteristic,
     parse_config,
     synthesize_from_config,
     verify_profile,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_config():
@@ -127,3 +143,319 @@ def test_verify_profile_credits_the_clamp_and_catches_a_bump():
         radii[i] += 1e-6
         bumped = PulleyProfile(profile.circular_radius, profile.thetas, radii)
         assert not verify_profile(cfg, bumped).passed
+
+
+# -- the schema, key by key ---------------------------------------------------------
+
+DROP = object()   # delete the key
+
+
+def full_config():
+    """Every section and every key of a linear law with a dead weight."""
+    return {
+        "spring": {"type": "linear", "k_n_per_m": 100.0, "max_extension_m": 0.1205},
+        "pulley": {
+            "circular_radius_m": 0.02,
+            "theta_max_deg": 345.0,
+            "samples": 512,
+            "r_min_m": 0.01,
+            "r_max_m": 0.04,
+        },
+        "counter": {"type": "weight", "load_n": 10.0},
+        "friction": {"mu": 0.003, "offset_n": 0.0},
+        "gap_x_m": 0.0,
+        "gripper": {
+            "stage_travel_m": 0.1,
+            "stage_step_m": 0.01,
+            "latch": True,
+            "actuator_cap_n": 2.0,
+            "object_position_m": 0.05,
+        },
+    }
+
+
+CONSTANT = {"type": "constant", "f0_n": 3.0, "max_extension_m": 0.1}
+POWER = {"type": "power_law", "c": 1.0, "d_m": 0.1, "p": 2.0, "max_extension_m": 0.1}
+TABLE = {"type": "tabulated", "points_m_n": [[0.0, 0.0], [0.12, 9.0]]}
+SPRING_COUNTER = {"type": "spring", "t0_n": 5.0, "k2_n_per_m": 10.0}
+
+
+def mutated(changes):
+    """full_config() with each (dotted path, value) applied in turn."""
+    data = full_config()
+    for dotted, value in changes:
+        *parents, key = dotted.split(".")
+        node = data
+        for name in parents:
+            node = node[name]
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+    return data
+
+
+def must(name, what):
+    return f"config: '{name}' must be {what}"
+
+
+def missing(name):
+    return f"config: missing required key '{name}'"
+
+
+def unknown(name):
+    return f"config: unknown key '{name}'"
+
+
+PAIRED = "config: 'pulley.r_min_m' and 'pulley.r_max_m' must be given together"
+PAIRS = must("spring.points_m_n", "a list of [x_m, force_n] pairs")
+
+SCHEMA_CASES = [
+    # top level
+    ([("spring", DROP)], missing("spring")),
+    ([("pulley", DROP)], missing("pulley")),
+    ([("counter", DROP)], missing("counter")),
+    ([("extra", 1)], unknown("extra")),
+    ([("pulley", None)], "config: pulley must be an object"),
+    ([("friction", 1)], "config: friction must be an object"),
+    ([("gripper", [])], "config: gripper must be an object"),
+    ([("gap_x_m", "0")], must("gap_x_m", "a number")),
+    ([("gap_x_m", math.nan)], must("gap_x_m", "finite")),
+    # spring: the type
+    ([("spring", [])], missing("spring.type")),
+    ([("spring.type", DROP)], missing("spring.type")),
+    ([("spring.type", "negated")], "config: unknown characteristic type 'negated' at 'spring.type'"),
+    ([("spring.type", ["linear"])],
+     "config: unknown characteristic type '['linear']' at 'spring.type'"),
+    ([("spring.type", {"linear": 1})],
+     "config: unknown characteristic type '{'linear': 1}' at 'spring.type'"),
+    ([("spring.type", 1)], "config: unknown characteristic type '1' at 'spring.type'"),
+    # linear
+    ([("spring.k_per_m", 1.0)], unknown("spring.k_per_m")),
+    ([("spring.k_n_per_m", DROP)], missing("spring.k_n_per_m")),
+    ([("spring.max_extension_m", DROP)], missing("spring.max_extension_m")),
+    ([("spring.k_n_per_m", "100")], must("spring.k_n_per_m", "a number")),
+    ([("spring.k_n_per_m", True)], must("spring.k_n_per_m", "a number")),
+    ([("spring.k_n_per_m", math.inf)], must("spring.k_n_per_m", "finite")),
+    ([("spring.k_n_per_m", 10**400)], must("spring.k_n_per_m", "finite")),
+    ([("spring.k_n_per_m", -1)], "linear stiffness k must be > 0, got -1.0"),
+    ([("spring.max_extension_m", None)], must("spring.max_extension_m", "a number")),
+    ([("spring.max_extension_m", 0)], "x_max must be > 0, got 0.0"),
+    # constant
+    ([("spring", CONSTANT), ("spring.f0_n", DROP)], missing("spring.f0_n")),
+    ([("spring", CONSTANT), ("spring.f0_n", "3")], must("spring.f0_n", "a number")),
+    ([("spring", CONSTANT), ("spring.f0_n", -1.0)], "constant force f0 must be >= 0, got -1.0"),
+    ([("spring", CONSTANT), ("spring.k_n_per_m", 1.0)], unknown("spring.k_n_per_m")),
+    # power law
+    ([("spring", POWER), ("spring.c", DROP)], missing("spring.c")),
+    ([("spring", POWER), ("spring.d_m", DROP)], missing("spring.d_m")),
+    ([("spring", POWER), ("spring.p", DROP)], missing("spring.p")),
+    ([("spring", POWER), ("spring.c", math.nan)], must("spring.c", "finite")),
+    ([("spring", POWER), ("spring.d_m", [0.1])], must("spring.d_m", "a number")),
+    ([("spring", POWER), ("spring.c", -1.0)], "power-law c must be >= 0, got -1.0"),
+    ([("spring", POWER), ("spring.d_m", 0.0)], "power-law d must be > 0, got 0.0"),
+    ([("spring", POWER), ("spring.p", 0.5)], "power-law p must be >= 1, got 0.5"),
+    # tabulated
+    ([("spring", TABLE), ("spring.points_m_n", DROP)], missing("spring.points_m_n")),
+    ([("spring", TABLE), ("spring.points_m_n", "0,0")], PAIRS),
+    ([("spring", TABLE), ("spring.points_m_n", [[0.0, 0.0, 1.0]])], PAIRS),
+    ([("spring", TABLE), ("spring.points_m_n", [[0.0, 0.0], [0.1, "5"]])],
+     must("spring.points_m_n[1]", "a number")),
+    ([("spring", TABLE), ("spring.points_m_n", [[0.0, 0.0], [math.inf, 5.0]])],
+     must("spring.points_m_n[1]", "finite")),
+    ([("spring", TABLE), ("spring.points_m_n", [])],
+     "tabulated characteristic needs at least 2 points"),
+    ([("spring", TABLE), ("spring.points_m_n", [[0.0, 0.0]])], "x_max must be > 0, got 0.0"),
+    ([("spring", TABLE), ("spring.max_extension_m", "0.1")],
+     must("spring.max_extension_m", "a number")),
+    ([("spring", TABLE), ("spring.max_extension_m", 0.2)], "x_max 0.2 exceeds last tabulated x 0.12"),
+    # counter: the type
+    ([("counter", "weight")], missing("counter.type")),
+    ([("counter.type", DROP)], missing("counter.type")),
+    ([("counter.type", "magnet")], "config: unknown counter type 'magnet' at 'counter.type'"),
+    ([("counter.type", ["weight"])], "config: unknown counter type '['weight']' at 'counter.type'"),
+    # weight
+    ([("counter.mass_kg", 1.0)], unknown("counter.mass_kg")),
+    ([("counter.load_n", DROP)], missing("counter.load_n")),
+    ([("counter.load_n", "10")], must("counter.load_n", "a number")),
+    ([("counter.load_n", -math.inf)], must("counter.load_n", "finite")),
+    ([("counter.load_n", 0)], "counter weight load must be > 0, got 0.0"),
+    # spring counter
+    ([("counter", SPRING_COUNTER), ("counter.t0_n", DROP)], missing("counter.t0_n")),
+    ([("counter", SPRING_COUNTER), ("counter.k2_n_per_m", DROP)], missing("counter.k2_n_per_m")),
+    ([("counter", SPRING_COUNTER), ("counter.load_n", 10.0)], unknown("counter.load_n")),
+    ([("counter", SPRING_COUNTER), ("counter.t0_n", False)], must("counter.t0_n", "a number")),
+    ([("counter", SPRING_COUNTER), ("counter.k2_n_per_m", math.nan)],
+     must("counter.k2_n_per_m", "finite")),
+    ([("counter", SPRING_COUNTER), ("counter.t0_n", -1.0)],
+     "counter spring pretension must be >= 0, got -1.0"),
+    ([("counter", SPRING_COUNTER), ("counter.k2_n_per_m", -1.0)],
+     "counter spring stiffness must be >= 0, got -1.0"),
+    ([("counter", SPRING_COUNTER), ("counter.t0_n", 0.0), ("counter.k2_n_per_m", 0)],
+     "counter with t0 = 0 and k2 = 0 has no tension at all"),
+    # pulley
+    ([("pulley.radius_mm", 20.0)], unknown("pulley.radius_mm")),
+    ([("pulley.circular_radius_m", DROP)], missing("pulley.circular_radius_m")),
+    ([("pulley.circular_radius_m", "0.02")], must("pulley.circular_radius_m", "a number")),
+    ([("pulley.circular_radius_m", -math.inf)], must("pulley.circular_radius_m", "finite")),
+    ([("pulley.theta_max_deg", [345])], must("pulley.theta_max_deg", "a number")),
+    ([("pulley.theta_max_deg", math.nan)], must("pulley.theta_max_deg", "finite")),
+    ([("pulley.samples", 512.0)], must("pulley.samples", "an integer")),
+    ([("pulley.samples", True)], must("pulley.samples", "an integer")),
+    ([("pulley.samples", 1)], must("pulley.samples", "in [2, 1048576], got 1")),
+    ([("pulley.samples", 2**20 + 1)], must("pulley.samples", "in [2, 1048576], got 1048577")),
+    ([("pulley.r_min_m", DROP)], PAIRED),
+    ([("pulley.r_max_m", DROP)], PAIRED),
+    ([("pulley.r_min_m", "0.01")], must("pulley.r_min_m", "a number")),
+    ([("pulley.r_max_m", math.inf)], must("pulley.r_max_m", "finite")),
+    # friction
+    ([("friction.f0_n", 0.0)], unknown("friction.f0_n")),
+    ([("friction.mu", "0.003")], must("friction.mu", "a number")),
+    ([("friction.offset_n", math.nan)], must("friction.offset_n", "finite")),
+    # gripper
+    ([("gripper.speed", 1.0)], unknown("gripper.speed")),
+    *[
+        ([(f"gripper.{key}", DROP)], missing(f"gripper.{key}"))
+        for key in ("stage_travel_m", "stage_step_m", "latch", "actuator_cap_n",
+                    "object_position_m")
+    ],
+    ([("gripper.stage_travel_m", None)], must("gripper.stage_travel_m", "a number")),
+    ([("gripper.stage_step_m", "0.01")], must("gripper.stage_step_m", "a number")),
+    ([("gripper.latch", 1)], must("gripper.latch", "true or false")),
+    ([("gripper.latch", "true")], must("gripper.latch", "true or false")),
+    ([("gripper.actuator_cap_n", math.inf)], must("gripper.actuator_cap_n", "finite")),
+    ([("gripper.object_position_m", -math.inf)], must("gripper.object_position_m", "finite")),
+]
+
+# two faults: which one is reported
+ORDER_CASES = [
+    # in a section: an unknown key, then a missing one, then values in table order
+    ([("spring.extra", 1), ("spring.k_n_per_m", DROP)], unknown("spring.extra")),
+    ([("pulley.extra", 1), ("pulley.circular_radius_m", DROP)], unknown("pulley.extra")),
+    ([("spring.k_n_per_m", DROP), ("spring.max_extension_m", DROP)],
+     missing("spring.k_n_per_m")),
+    # k_n_per_m moved after max_extension_m in the object: still read first
+    ([("spring.k_n_per_m", DROP), ("spring.k_n_per_m", "x"), ("spring.max_extension_m", "x")],
+     must("spring.k_n_per_m", "a number")),
+    # every value is read before the law checks its range
+    ([("spring.k_n_per_m", -1), ("spring.max_extension_m", "x")],
+     must("spring.max_extension_m", "a number")),
+    ([("spring", TABLE), ("spring.points_m_n", "x"), ("spring.max_extension_m", "x")], PAIRS),
+    # a typed section: its type before its keys
+    ([("spring.type", DROP), ("spring.extra", 1)], missing("spring.type")),
+    ([("spring.type", "negated"), ("spring.extra", 1)],
+     "config: unknown characteristic type 'negated' at 'spring.type'"),
+    ([("counter.type", ["weight"]), ("counter.load_n", DROP)],
+     "config: unknown counter type '['weight']' at 'counter.type'"),
+    # pulley: samples, then the pairing of the bounds
+    ([("pulley.samples", 0), ("pulley.r_max_m", DROP)],
+     must("pulley.samples", "in [2, 1048576], got 0")),
+    # top level: an unknown key, then missing sections, then sections in the
+    # order spring, counter, pulley, friction, gap_x_m, gripper
+    ([("extra", 1), ("spring", DROP)], unknown("extra")),
+    ([("spring", DROP), ("pulley", DROP)], missing("spring")),
+    ([("pulley", DROP), ("counter", DROP)], missing("counter")),
+    ([("spring.k_n_per_m", "x"), ("counter.load_n", "x")], must("spring.k_n_per_m", "a number")),
+    ([("counter.load_n", 0), ("pulley.samples", 0)], "counter weight load must be > 0, got 0.0"),
+    ([("pulley.r_max_m", DROP), ("friction.mu", "x")], PAIRED),
+    ([("friction.mu", "x"), ("gap_x_m", "x")], must("friction.mu", "a number")),
+    ([("gap_x_m", "x"), ("gripper.latch", 1)], must("gap_x_m", "a number")),
+]
+
+
+def _case_id(changes):
+    return "+".join(
+        f"{path}-" + ("drop" if value is DROP else type(value).__name__)
+        for path, value in changes
+    )
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    SCHEMA_CASES + ORDER_CASES,
+    ids=[_case_id(changes) for changes, _ in SCHEMA_CASES + ORDER_CASES],
+)
+def test_schema_error_text(changes, message):
+    with pytest.raises(ValidationError) as info:
+        parse_config(mutated(changes))
+    assert str(info.value) == message
+
+
+def test_full_config_parses_every_key():
+    cfg = parse_config(full_config())
+    assert cfg.theta_max_rad == math.radians(345.0)
+    assert cfg.samples == 512
+    assert cfg.truncation_bounds == (0.01, 0.04)
+    assert (cfg.friction_mu, cfg.friction_f0_n, cfg.gap_x_m) == (0.003, 0.0, 0.0)
+    assert cfg.gripper.latch_holds is True
+    assert cfg.gripper.object_position == 0.05
+
+
+@pytest.mark.parametrize("data", [[], None, "spring", 1.0])
+def test_top_level_must_be_an_object(data):
+    with pytest.raises(ValidationError) as info:
+        parse_config(data)
+    assert str(info.value) == "config: top level must be an object"
+
+
+# -- the schema under random edits ----------------------------------------------------
+
+SHIPPED = [json.loads(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "configs").glob("*.json"))]
+SCHEMA_KEYS = sorted(
+    {key for table in (CONFIG, PULLEY, FRICTION, GRIPPER) for key in table}
+    | {key for _, spec in (*LAWS.values(), *COUNTERS.values()) for key in spec}
+    | {"type", *LAWS, *COUNTERS}
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**307, max_value=10**400)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(SCHEMA_KEYS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _objects(node):
+    """Every JSON object in node, node itself included."""
+    found = [node] if isinstance(node, dict) else []
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    for child in children:
+        found += _objects(child)
+    return found
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_mutated_shipped_configs_parse_or_raise_validation_error(data):
+    cfg = copy.deepcopy(data.draw(st.sampled_from(SHIPPED)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = data.draw(st.sampled_from(_objects(cfg)))
+        keys = SCHEMA_KEYS if not node or data.draw(st.booleans()) else sorted(node)
+        key = data.draw(st.sampled_from(keys))
+        if key in node and data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUES)
+    try:
+        result = parse_config(cfg)
+    except ValidationError:
+        return
+    assert isinstance(result, RunConfig)
+
+
+# -- the README documents the schema --------------------------------------------------
+
+
+def test_readme_config_example_parses_and_names_every_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(json.loads(example))
+    assert cfg.gripper is not None and cfg.truncation_bounds is not None
+    for key in SCHEMA_KEYS:
+        assert f"`{key}`" in section or f'"{key}"' in section, key

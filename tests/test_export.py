@@ -25,8 +25,9 @@ from floatconv import (
     synthesize_weight_counter,
 )
 from floatconv.converter import SweepTable
-from floatconv.export import fmt6, sweep_to_csv, trace_to_csv
+from floatconv.export import SVG_SCALE_MAX, fmt6, sweep_to_csv, trace_to_csv
 from floatconv.gripper import GraspTrace, GripperModel, TraceRow
+from floatconv.pulley import MAX_PROFILE_RADIUS
 
 THETA_MAX = math.radians(345.0)
 
@@ -413,9 +414,12 @@ def test_fmt6_matches_reference_at_edges():
         assert fmt6(np.float64(value)) == ref_fmt6(value)
 
 
-def test_svg_rejects_coordinates_that_overflow():
-    profile = PulleyProfile(0.02, np.array([0.0, 1.0]), np.array([1e305, 1e305]))
+def test_svg_numbers_stay_short_at_the_radius_bound():
+    # a radius that would overflow the SVG coordinates never reaches the writer
+    with pytest.raises(ValidationError, match=r"profile radii must be <= 1e\+12 m, got 1e\+305 m"):
+        PulleyProfile(0.02, np.array([0.0, 1.0]), np.array([1e305, 1e305]))
+    profile = PulleyProfile(0.02, np.array([0.0, 1.0]), np.full(2, MAX_PROFILE_RADIUS))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="SVG coordinates overflow"):
-            profile_to_svg(profile, scale=10.0)
+        svg = profile_to_svg(profile, scale=SVG_SCALE_MAX)
+    assert max(len(token) for token in re.findall(r"[-0-9.]+", svg)) <= 32

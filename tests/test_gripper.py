@@ -249,6 +249,26 @@ def test_gripper_model_rejects_non_finite(field, value):
         replace(model, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "step, obj, ticks",
+    [
+        (5e-324, 0.05, "inf"),       # plan_grasp's ceil(inf) raised OverflowError
+        (1e-9, 0.05, "1.2e+08"),     # about 5e7 positioning rows
+        (1e-7, 0.05, "1.2e+06"),     # the spring's extension: 0.12 m / 1e-7 m
+        (1.5e-7, 0.2, "1.33e+06"),   # the object: 0.2 m / 1.5e-7 m
+    ],
+)
+def test_grasp_tick_count_capped_at_construction(step, obj, ticks):
+    with pytest.raises(ValidationError) as info:
+        make_model(step=step, obj=obj)
+    assert str(info.value).endswith(f"needs {ticks} ticks, more than MAX_GRASP_TICKS = 1048576")
+
+
+def test_grasp_tick_cap_admits_a_fine_step():
+    model = make_model(step=2e-7, obj=0.2)   # 1e6 and 6e5 ticks
+    assert model.stage_step == 2e-7
+
+
 def test_stroke_beyond_pulley_range_rejected():
     # pulley deliberately shorter than the spring: R*theta_max = 0.06 m
     spring = ForceCharacteristic.linear(k=100.0, x_max=0.12)

@@ -19,6 +19,7 @@ from floatconv import (
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
+from floatconv.pulley import MAX_PROFILE_RADIUS, PulleyProfile
 
 PROTO_THETA_MAX = math.radians(345.0)  # 6.0214 rad prototype stroke
 
@@ -195,6 +196,34 @@ def test_truncate_is_identity_with_loose_bounds():
     same = profile.truncated(0.0, math.inf)
     assert np.array_equal(same.radii, profile.radii)
     assert same.slope == profile.slope
+
+
+@pytest.mark.parametrize(
+    "load, message",
+    [
+        (0.0, "counter weight load must be > 0, got 0.0"),
+        (-1.0, "counter weight load must be > 0, got -1.0"),
+        (math.nan, "load must be finite, got nan"),
+    ],
+)
+def test_weight_synthesis_load_checked_once_by_the_counter(load, message):
+    with pytest.raises(ValidationError) as info:
+        synthesize_weight_counter(make_linear(), 0.02, load)
+    assert str(info.value) == message
+
+
+def test_profile_radii_bounded_on_every_path():
+    thetas = np.array([0.0, 1.0])
+    PulleyProfile(0.02, thetas, np.array([0.0, MAX_PROFILE_RADIUS]))   # the bound itself
+    with pytest.raises(ValidationError, match=r"profile radii must be <= 1e\+12 m, got 2e\+12 m"):
+        PulleyProfile(0.02, thetas, np.array([0.0, 2e12]))
+    profile = synthesize_weight_counter(make_linear(), 0.02, 10.0)
+    with pytest.raises(ValidationError, match="profile radii must be <= "):
+        profile.truncated(2e12, 3e12)
+    # R**2 would raise OverflowError; the slope overflows to inf and the
+    # 1.2e300 m radii are rejected instead
+    with pytest.raises(ValidationError, match=r"got 1\.20428e\+300 m"):
+        synthesize_weight_counter(make_linear(), 1e300, 10.0)
 
 
 def test_truncate_clamps_and_drops_slope():
