@@ -2,7 +2,8 @@
 
 Results go to stdout and output files; diagnostics go to stderr with a
 stable machine-readable prefix ``ERR:<kind>:``. Exit codes: 0 success, 1
-validation or configuration error, 2 numerical or simulation failure.
+validation or configuration error (a usage error included), 2 numerical
+or simulation failure.
 All subcommands are deterministic: the same config bytes produce the same
 output bytes.
 """
@@ -10,6 +11,7 @@ output bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -146,8 +148,17 @@ def _cmd_export_svg(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ``ValidationError``; subparsers share the class."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    """The parser, built on first use and reused: parsing leaves it unchanged."""
+    parser = _Parser(
         prog="floatconv",
         description="Non-circular pulley synthesis and floating-converter simulation.",
     )
@@ -185,8 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except FloatConvError as exc:
         print(f"ERR:{type(exc).__name__}:{exc}", file=sys.stderr)

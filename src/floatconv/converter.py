@@ -41,6 +41,8 @@ EQUILIBRIUM_FORCE_TOL = 1e-9
 EQUILIBRIUM_U_TOL = 1e-9
 
 OPERATOR_WORK_PANELS = 1024
+# Largest row count one sweep may allocate.
+MAX_SWEEP_ROWS = 2**20
 _EQUILIBRIUM_SCAN = 1024
 
 
@@ -107,8 +109,14 @@ class FloatingConverter:
 
     def sweep(self, u_min: float, u_max: float, n: int) -> "SweepTable":
         """Uniform displacement sweep with ideal and friction-banded forces."""
-        if n < 2:
-            raise ValidationError(f"sweep needs at least 2 rows, got {n}")
+        if (
+            isinstance(n, bool)
+            or not isinstance(n, (int, np.integer))
+            or not 2 <= n <= MAX_SWEEP_ROWS
+        ):
+            raise ValidationError(
+                f"sweep rows must be an integer in [2, {MAX_SWEEP_ROWS}], got {n!r}"
+            )
         if not 0 <= u_min < u_max:
             raise ValidationError(f"need 0 <= u_min < u_max, got [{u_min}, {u_max}]")
         if u_max > self.u_max * (1 + 1e-12):

@@ -1,12 +1,18 @@
 """CLI subcommands: outputs, exit codes, determinism, config strictness."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from test_golden import GOLDEN, pipeline, run
 
-from floatconv.cli import main
+import floatconv
+from floatconv.cli import _build_parser, main
 from floatconv.config import MAX_PROFILE_SAMPLES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -406,3 +412,112 @@ def test_tabulated_spring_config(tmp_path):
     out = tmp_path / "profile.csv"
     assert main(["synthesize", "--config", path, "--out", str(out)]) == 0
     assert main(["verify", "--config", path, "--profile", str(out)]) == 0
+
+
+# -- usage errors and the shared parser ---------------------------------------------
+
+GRIPPER = str(CONFIGS / "gripper.json")
+
+
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["sweep", "--config", GRIPPER, "--gap-mm", "abc", "--out", "x.csv"],
+         "floatconv sweep: argument --gap-mm: invalid float value: 'abc'"),
+        (["sweep", "--config", GRIPPER], "floatconv sweep: the following arguments"),
+        (["grasp", "--config", GRIPPER, "--out", "x.csv"], "floatconv grasp: the following"),
+        (["export-svg", "--profile", "p.csv", "--out", "x.svg", "--scale", "big"],
+         "floatconv export-svg: argument --scale: invalid float value"),
+        (["sweep", "--config", GRIPPER, "--out", "x.csv", "--bogus"],
+         "floatconv: unrecognized arguments: --bogus"),
+        (["bogus"], "floatconv: argument command: invalid choice: 'bogus'"),
+        ([], "floatconv: the following arguments are required: command"),
+    ],
+)
+def test_usage_error_is_one_validation_error_exit_1(capsys, argv, start):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ERR:ValidationError:" + start) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["sweep", "--help"], ["grasp", "-h"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: floatconv") and err == ""
+
+
+def test_parser_carries_no_state_between_calls(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    names = sorted(GOLDEN)
+    runs = {}
+    for name in names:
+        (tmp_path / name).mkdir()
+        runs[name] = pipeline(CONFIGS / f"{name}.json", tmp_path / name)
+    noise = tmp_path / "noise"
+    noise.mkdir()
+    profile = str(noise / "profile.csv")
+    assert main(["synthesize", "--config", GRIPPER, "--out", profile]) == 0
+    disturb = [
+        (["sweep", "--config", GRIPPER, "--gap-mm", "7", "--out", str(noise / "s.csv")], 0),
+        (["export-svg", "--profile", profile, "--out", str(noise / "p.svg"), "--scale", "5"], 0),
+        (["sweep", "--config", GRIPPER, "--gap-mm", "abc", "--out", "x.csv"], 1),
+        (["grasp", "--config", GRIPPER, "--target-force-n", "10"], 1),
+        (["export-svg", "--profile", profile], 1),
+        (["bogus", "--scale", "5"], 1),
+    ]
+    subcommands = list(GOLDEN[names[0]])
+    config_major = [(name, sub) for name in names for sub in subcommands]
+    # synthesize first (verify and export-svg read its profile), then the
+    # rest in reverse, each over the configs in reverse
+    command_major = [
+        (name, sub) for sub in subcommands[:1] + subcommands[:0:-1] for name in names[::-1]
+    ]
+    for order in (config_major, command_major):
+        for i, (name, sub) in enumerate(order):
+            argv, code = disturb[i % len(disturb)]
+            assert main(argv) == code, argv
+            argv, out = runs[name][sub]
+            if out is not None:
+                out.unlink(missing_ok=True)
+            assert run(argv, out) == GOLDEN[name][sub], (name, sub)
+    capsys.readouterr()
+
+
+# -- entry points ----------------------------------------------------------------
+
+
+def run_module(*args, cwd):
+    src = str(Path(floatconv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "floatconv", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_module_help_exits_0(tmp_path):
+    proc = run_module("--help", cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: floatconv")
+
+
+def test_module_without_arguments_exits_1(tmp_path):
+    proc = run_module(cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("ERR:ValidationError:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_module_sweep_matches_golden(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = run_module("sweep", "--config", GRIPPER, "--out", str(out), cwd=tmp_path)
+    code, stdout_sha, out_sha = GOLDEN["gripper"]["sweep"]
+    assert proc.returncode == code
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha

@@ -17,6 +17,7 @@ from floatconv import (
     ValidationError,
     synthesize_weight_counter,
 )
+from floatconv.converter import MAX_SWEEP_ROWS
 
 PROTO_THETA_MAX = math.radians(345.0)
 
@@ -124,10 +125,21 @@ def test_sweep_validation():
     conv = matched_converter()
     with pytest.raises(ValidationError):
         conv.sweep(0.05, 0.01, 16)
-    with pytest.raises(ValidationError):
-        conv.sweep(0.0, 0.1, 1)
     with pytest.raises(DomainError):
         conv.sweep(0.0, conv.u_max * 1.5, 16)
+
+
+@pytest.mark.parametrize("n", [MAX_SWEEP_ROWS + 1, 2.5, True, 1, 0])
+def test_sweep_rows_rejected_before_allocation(monkeypatch, n):
+    # validation only: a sweep at the limit is never run
+    conv = matched_converter()
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sweep allocated its grid before validating n")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(ValidationError, match=r"integer in \[2, 1048576\]"):
+        conv.sweep(0.0, conv.u_max, n)
 
 
 def test_sweep_summary_ratios():

@@ -109,7 +109,7 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(argv, out: Path | None):
+def run(argv, out: Path | None):
     buf = StringIO()
     with redirect_stdout(buf):
         code = main(argv)
@@ -117,20 +117,30 @@ def _run(argv, out: Path | None):
     return code, _sha(buf.getvalue().encode()), produced
 
 
-def run_pipeline(config: Path, work: Path) -> dict:
-    """Run every subcommand on one config; map subcommand to its hashes."""
+def pipeline(config: Path, work: Path) -> dict:
+    """Map each subcommand to its (argv, output path or None) on one config.
+
+    Insertion order is a valid run order: verify and export-svg read the
+    profile that synthesize writes.
+    """
     cfg = str(config)
     csv, svg = work / "profile.csv", work / "profile.svg"
     sweep, trace = work / "sweep.csv", work / "trace.csv"
     return {
-        "synthesize": _run(["synthesize", "--config", cfg, "--out", str(csv)], csv),
-        "verify": _run(["verify", "--config", cfg, "--profile", str(csv)], None),
-        "sweep": _run(["sweep", "--config", cfg, "--out", str(sweep)], sweep),
-        "export-svg": _run(["export-svg", "--profile", str(csv), "--out", str(svg)], svg),
-        "grasp": _run(
-            ["grasp", "--config", cfg, "--target-force-n", "10", "--out", str(trace)], trace
+        "synthesize": (["synthesize", "--config", cfg, "--out", str(csv)], csv),
+        "verify": (["verify", "--config", cfg, "--profile", str(csv)], None),
+        "sweep": (["sweep", "--config", cfg, "--out", str(sweep)], sweep),
+        "export-svg": (["export-svg", "--profile", str(csv), "--out", str(svg)], svg),
+        "grasp": (
+            ["grasp", "--config", cfg, "--target-force-n", "10", "--out", str(trace)],
+            trace,
         ),
     }
+
+
+def run_pipeline(config: Path, work: Path) -> dict:
+    """Run every subcommand on one config; map subcommand to its hashes."""
+    return {sub: run(argv, out) for sub, (argv, out) in pipeline(config, work).items()}
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
