@@ -114,8 +114,8 @@ def _cmd_sweep(args) -> int:
     gap_x = cfg.gap_x_m if args.gap_mm is None else args.gap_mm / 1000.0
     conv = _converter(cfg, gap_x=gap_x)
     table = conv.sweep(gap_x, conv.u_max, SWEEP_ROWS)
-    _write(args.out, export.sweep_to_csv(table))
     s = table.summary()
+    _write(args.out, export.sweep_to_csv(table))
     print(
         f"op_force_const_n={fmt6(s.op_force_const)} "
         f"ratio_peak={fmt6(s.ratio_peak)} "

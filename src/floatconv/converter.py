@@ -19,7 +19,9 @@ across workers and merged in deterministic row order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .errors import (
     DomainError,
     IndeterminateEquilibrium,
     NoRootError,
+    NumericalError,
     ValidationError,
 )
 from .pulley import CounterElement, PulleyProfile
@@ -67,7 +70,7 @@ class FloatingConverter:
         if self.friction_f0 < 0:
             raise ValidationError(f"friction_f0 must be >= 0, got {self.friction_f0}")
 
-    @property
+    @cached_property
     def u_max(self) -> float:
         """Largest balance-point displacement both elements can follow."""
         return min(
@@ -85,17 +88,20 @@ class FloatingConverter:
         """(spring force, counter force) at balance displacement u.
 
         The counter cable is slack for u < gap_x (the jaw has not met the
-        object yet) and contributes zero force there.
+        object yet) and contributes zero force there. u is checked once,
+        against u_max, which lies inside both the law's and the pulley's range.
         """
         us, scalar = clip_domain(u, self.u_max)
-        spring = self.left.force_at(us)
-        R = self.profile.circular_radius
+        spring = self.left._eval(us)
+        profile = self.profile
+        R = profile.circular_radius
         if type(us) is float:
-            counter = self.profile.realized_force(self.counter, max(us - self.gap_x, 0.0) / R)
-            return spring, (0.0 if us < self.gap_x else counter)
-        theta = np.maximum(us - self.gap_x, 0.0) / R
-        counter = self.profile.realized_force(self.counter, theta)
-        counter = np.where(us >= self.gap_x, counter, 0.0)
+            if us < self.gap_x:
+                return float(spring), 0.0
+            theta = min((us - self.gap_x) / R, profile.theta_max)
+            return float(spring), profile._cable_force(self.counter, theta)
+        theta = np.minimum(np.maximum(us - self.gap_x, 0.0) / R, profile.theta_max)
+        counter = np.where(us >= self.gap_x, profile._cable_force(self.counter, theta), 0.0)
         if scalar:
             return float(spring), float(counter)
         return spring, counter
@@ -230,8 +236,14 @@ class SweepTable:
         if np.any(np.diff(self.u) <= 0):
             raise ValidationError("sweep displacements must be strictly increasing")
 
+    # an overflowing ratio is reported by the finite check, not as a warning
+    @np.errstate(over="ignore", invalid="ignore")
     def summary(self) -> "SweepSummary":
-        """Scalar summary: plateau force and both force-ratio normalizations."""
+        """Scalar summary: plateau force and both force-ratio normalizations.
+
+        Raises NumericalError when a value is not finite, as when a friction
+        band near the float range overflows a ratio.
+        """
         peak = float(np.max(np.abs(self.spring_force)))
         op_const = float(np.max(np.abs(self.op_force_ideal)))
         banded = np.maximum(np.abs(self.op_force_plus), np.abs(self.op_force_minus))
@@ -241,6 +253,11 @@ class SweepTable:
             ratio_point = float(np.max(banded[nonzero] / np.abs(self.spring_force[nonzero])))
         else:
             ratio_point = 0.0
+        if not all(map(math.isfinite, (op_const, ratio_peak, ratio_point))):
+            raise NumericalError(
+                f"sweep summary is not finite: op_force_const={op_const:g} N "
+                f"ratio_peak={ratio_peak:g} ratio_point={ratio_point:g}"
+            )
         return SweepSummary(op_const, ratio_peak, ratio_point)
 
 

@@ -35,7 +35,7 @@ class SingularityError(FloatConvError):
 
 
 class NumericalError(FloatConvError):
-    """A synthesized profile failed its forward verification tolerance."""
+    """A profile failed its forward verification, or a sweep summary is not finite."""
 
     exit_code = 2
 

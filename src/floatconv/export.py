@@ -179,9 +179,8 @@ def sweep_to_csv(table: SweepTable) -> str:
 
 
 def trace_to_csv(trace: GraspTrace) -> str:
-    values = []
-    for r in trace.rows:
-        latch = 1 if r.latch_engaged else 0
-        values += (r.tick, r.phase, r.jaw_position * 1000.0, r.grip_force, r.actuator_force, latch)
-    row = f"%s,%s,{_F6},{_F6},{_F6},%d\n"
-    return TRACE_CSV_HEADER + "\n" + _fill(row, len(trace.rows), values)
+    row = f"%d,{{}},{_F6},{_F6},{_F6},%d\n"
+    template = "".join(row.format(phase) * n for phase, n in trace.phase_counts)
+    ticks = np.arange(trace.jaw.size)
+    values = _interleave(ticks, trace.jaw * 1000.0, trace.grip, trace.actuator, trace.latch)
+    return TRACE_CSV_HEADER + "\n" + _fill(template, 1, values)

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .characteristics import _finite
 from .converter import FloatingConverter
 from .errors import (
@@ -101,22 +103,71 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class GraspTrace:
-    rows: tuple[TraceRow, ...]
+    """A grasp's rows as columns: tick 0, the positioning ticks, the
+    gripping ticks and a closing ``done`` row that repeats the last one.
+
+    The tick is the row index. Rows 0 to ``n_positioning`` are positioning
+    rows, the last row is ``done`` and the rows between are gripping. The
+    latch is engaged wherever it holds and the grip is positive.
+    """
+
+    jaw: np.ndarray        # m
+    grip: np.ndarray       # N
+    actuator: np.ndarray   # N
+    n_positioning: int
+    latch_holds: bool
+
+    def __post_init__(self):
+        n = np.shape(self.jaw)
+        for name in ("jaw", "grip", "actuator"):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.ndim != 1 or arr.shape != n:
+                raise ValidationError("trace columns must be 1-d and share one length")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        n_positioning = self.n_positioning
+        if not isinstance(n_positioning, (int, np.integer)) or not (
+            0 <= n_positioning <= self.jaw.size - 2
+        ):
+            raise ValidationError(
+                f"a {self.jaw.size}-row trace cannot hold {n_positioning!r} "
+                "positioning ticks besides tick 0 and the done row"
+            )
+
+    @property
+    def phase_counts(self) -> tuple[tuple[str, int], ...]:
+        """(phase, rows) in row order."""
+        n_gripping = self.jaw.size - self.n_positioning - 2
+        return (POSITIONING, self.n_positioning + 1), (GRIPPING, n_gripping), (DONE, 1)
+
+    @property
+    def latch(self) -> np.ndarray:
+        """Per row: the latch holds and grounds a positive grip reaction."""
+        return (self.grip > 0) & self.latch_holds
+
+    @property
+    def rows(self) -> tuple[TraceRow, ...]:
+        """The trace as row objects, built on each access."""
+        phases = [phase for phase, n in self.phase_counts for _ in range(n)]
+        columns = (self.jaw, self.grip, self.actuator, self.latch)
+        rows = zip(phases, *(column.tolist() for column in columns))
+        return tuple(TraceRow(tick, *row) for tick, row in enumerate(rows))
 
     @property
     def max_actuator(self) -> float:
-        return max(row.actuator_force for row in self.rows)
+        return float(np.max(self.actuator))
 
     @property
     def final_grip(self) -> float:
-        return self.rows[-1].grip_force
+        return float(self.grip[-1])
 
     @property
     def amplification(self) -> float:
         """Peak grip force per peak actuator force; inf for a free converter."""
-        if self.max_actuator == 0.0:
+        max_actuator = self.max_actuator
+        if max_actuator == 0.0:
             return math.inf
-        return max(row.grip_force for row in self.rows) / self.max_actuator
+        return float(np.max(self.grip)) / max_actuator
 
 
 def plan_grasp(model: GripperModel, target_grip: float) -> GraspPlan:
@@ -176,32 +227,39 @@ def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
     step = model.stage_step
     stage_stop = model.object_position - plan.gap_x
     n_position = round(stage_stop / step)
-    rows = [TraceRow(0, POSITIONING, 0.0, 0.0, 0.0, False)]
-    for i in range(1, n_position + 1):
-        jaw = min(i * step, stage_stop)
-        rows.append(TraceRow(i, POSITIONING, jaw, 0.0, 0.0, False))
-
-    tick = n_position
     n_grip = math.ceil(plan.converter_stroke / step - 1e-9)
-    for j in range(1, n_grip + 1):
-        tick += 1
-        u = min(j * step, plan.converter_stroke)
+    us = np.minimum(np.arange(1, n_grip + 1) * step, plan.converter_stroke)
+
+    cap = model.actuator_force_cap * (1 + 1e-12)
+    grip, actuator = [], []
+    for tick, u in enumerate(us.tolist(), start=n_position + 1):
         spring, counter = conv.force_components(u)
-        grip = spring
         effort = abs(spring - counter) + conv.friction_band(counter)
-        if grip > GRIP_FORCE_TOL and not model.latch_holds:
+        if spring > GRIP_FORCE_TOL and not model.latch_holds:
             raise BackdriveFault(
-                f"tick {tick}: grip reaction {grip:g} N back-drives the unlatched stage"
+                f"tick {tick}: grip reaction {spring:g} N back-drives the unlatched stage"
             )
-        if effort > model.actuator_force_cap * (1 + 1e-12):
+        if effort > cap:
             raise ActuatorStall(
                 f"tick {tick}: operating force {effort:g} N exceeds cap "
                 f"{model.actuator_force_cap:g} N"
             )
-        jaw = stage_stop + min(u, plan.gap_x)
-        rows.append(
-            TraceRow(tick, GRIPPING, jaw, grip, effort, model.latch_holds and grip > 0)
-        )
+        grip.append(spring)
+        actuator.append(effort)
 
-    rows.append(replace(rows[-1], tick=rows[-1].tick + 1, phase=DONE))
-    return GraspTrace(tuple(rows))
+    idle = np.zeros(n_position + 1)
+    jaw = np.concatenate((
+        [0.0],
+        np.minimum(np.arange(1, n_position + 1) * step, stage_stop),
+        stage_stop + np.minimum(us, plan.gap_x),
+    ))
+    grip = np.concatenate((idle, grip))
+    actuator = np.concatenate((idle, actuator))
+    # the done row repeats the last row
+    return GraspTrace(
+        np.append(jaw, jaw[-1]),
+        np.append(grip, grip[-1]),
+        np.append(actuator, actuator[-1]),
+        n_position,
+        model.latch_holds,
+    )

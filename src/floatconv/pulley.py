@@ -140,7 +140,7 @@ class PulleyProfile:
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "radii", radii)
 
-    @property
+    @cached_property
     def theta_max(self) -> float:
         return float(self.thetas[-1])
 
@@ -187,10 +187,14 @@ class PulleyProfile:
         cable length s.
         """
         th, scalar = clip_domain(theta, self.theta_max)
-        # a dead weight's tension needs no payout lookup
-        tension = counter.t0 if counter.k2 == 0 else counter.tension(self.payout(th))
-        val = self._radius.at(th) * tension / self.circular_radius
+        val = self._cable_force(counter, th)
         return float(val) if scalar else val
+
+    def _cable_force(self, counter: CounterElement, th):
+        """r(th) * T(s(th)) / R at a theta already clipped into [0, theta_max]."""
+        # a dead weight's tension needs no payout lookup
+        tension = counter.t0 if counter.k2 == 0 else counter.tension(self._radius.integral(th))
+        return self._radius.at(th) * tension / self.circular_radius
 
     def balance_residual(self, counter: CounterElement, target: ForceCharacteristic, theta):
         """Departure from perfect balance: target force minus realized force.
@@ -215,6 +219,9 @@ class PulleyProfile:
         return PulleyProfile(self.circular_radius, self.thetas, clamped, slope)
 
 
+# A huge law or a near-zero counter load overflows to inf or nan here. That
+# is no warning: the non-finite radii fail PulleyProfile's finite check.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _synthesize(
     target: ForceCharacteristic,
     R: float,

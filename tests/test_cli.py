@@ -521,3 +521,44 @@ def test_module_sweep_matches_golden(tmp_path):
     assert proc.returncode == code
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha
+
+
+# A fresh interpreter shows numpy's RuntimeWarnings on stderr, as a user sees
+# them; the ERR line must be all there is.
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        # the payout 2E / (t0 + sqrt(t0**2)) overflows for a subnormal load
+        ("counter", {"type": "weight", "load_n": 5e-324}),
+        # c / d**p overflows at x = 0, and the energy with it
+        ("spring", {"type": "power_law", "c": 1e300, "d_m": 1e-10, "p": 30,
+                    "max_extension_m": 0.12043}),
+    ],
+    ids=["subnormal_load", "overflowing_power_law"],
+)
+def test_synthesis_overflow_is_one_error_line(tmp_path, section, value):
+    cfg = gripper_config()
+    cfg[section] = value
+    out = tmp_path / "profile.csv"
+    proc = run_module("synthesize", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                      cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "ERR:ValidationError:profile samples must be finite\n"
+    assert not out.exists()
+
+
+def test_sweep_with_a_non_finite_summary_exits_2_before_writing(tmp_path):
+    # a 1e308 N friction offset over a spring force near 0 overflows ratio_point
+    cfg = gripper_config()
+    cfg["friction"] = {"offset_n": 1e308}
+    out = tmp_path / "sweep.csv"
+    proc = run_module("sweep", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                      cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("ERR:NumericalError:sweep summary is not finite: ")
+    assert proc.stderr.endswith(" ratio_point=inf\n") and proc.stderr.count("\n") == 1
+    assert not out.exists()

@@ -26,7 +26,7 @@ from floatconv import (
 )
 from floatconv.converter import SweepTable
 from floatconv.export import SVG_SCALE_MAX, fmt6, sweep_to_csv, trace_to_csv
-from floatconv.gripper import GraspTrace, GripperModel, TraceRow
+from floatconv.gripper import GraspTrace, GripperModel
 from floatconv.pulley import MAX_PROFILE_RADIUS
 
 THETA_MAX = math.radians(345.0)
@@ -394,17 +394,13 @@ def test_profile_writers_match_per_value_writers_on_synthesized_profile():
 
 @settings(deadline=None, max_examples=50)
 @given(
-    rows=st.lists(
-        st.tuples(
-            st.sampled_from(["positioning", "gripping", "done"]),
-            _VALUES, _VALUES, _VALUES, st.booleans(),
-        ),
-        min_size=1,
-        max_size=30,
-    )
+    columns=st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=2, max_size=30),
+    data=st.data(),
+    latch_holds=st.booleans(),
 )
-def test_trace_csv_matches_per_value_writer(rows):
-    trace = GraspTrace(tuple(TraceRow(i, *row) for i, row in enumerate(rows)))
+def test_trace_csv_matches_per_value_writer(columns, data, latch_holds):
+    n_positioning = data.draw(st.integers(0, len(columns) - 2))
+    trace = GraspTrace(*np.array(columns).T, n_positioning, latch_holds)
     assert trace_to_csv(trace).encode() == ref_trace_csv(trace).encode()
 
 

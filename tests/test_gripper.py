@@ -1,6 +1,7 @@
 """Grasp planning, tick simulation, latch and stall faults, amplification."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,17 +14,22 @@ from floatconv import (
     ActuatorStall,
     BackdriveFault,
     CounterElement,
+    FloatConvError,
     FloatingConverter,
     ForceCharacteristic,
     GraspPlan,
+    GraspTrace,
     GripperModel,
     UnreachableForce,
     UnreachableObject,
     ValidationError,
     plan_grasp,
     simulate_grasp,
+    synthesize_spring_counter,
     synthesize_weight_counter,
 )
+from floatconv.characteristics import clip_domain
+from floatconv.gripper import GRIP_FORCE_TOL, TraceRow
 
 THETA_MAX = math.radians(345.0)
 
@@ -287,3 +293,152 @@ def test_stroke_beyond_pulley_range_rejected():
     bad_plan = GraspPlan(gap_x=0.01, converter_stroke=0.1)
     with pytest.raises(DomainError):
         simulate_grasp(model, bad_plan)
+
+
+@pytest.mark.parametrize(
+    "columns, n_positioning, message",
+    [
+        (([0.0, 1.0], [0.0, 2.0], [0.0]), 0, "share one length"),
+        (([[0.0, 1.0]], [[0.0, 2.0]], [[0.0, 1.0]]), 0, "1-d"),
+        (([0.0, 1.0], [0.0, 2.0], [0.0, 1.0]), 1, "2-row trace cannot hold 1 positioning"),
+        (([0.0, 1.0], [0.0, 2.0], [0.0, 1.0]), -1, "cannot hold -1 positioning"),
+        (([0.0, 1.0, 2.0], [0.0, 2.0, 2.0], [0.0, 1.0, 1.0]), 0.5, "cannot hold 0.5 positioning"),
+    ],
+    ids=["ragged", "2-d", "too_many_positioning", "negative_positioning", "fractional"],
+)
+def test_grasp_trace_rejects_inconsistent_columns(columns, n_positioning, message):
+    with pytest.raises(ValidationError, match=message):
+        GraspTrace(*columns, n_positioning, True)
+
+
+# -- the columnar trace against the per-tick loop ---------------------------------
+
+
+def reference_simulate_grasp(model, plan):
+    """The per-tick loop that built one TraceRow per tick, kept as the oracle
+    of the columnar simulate_grasp. Its force chain is spelled out through
+    the public, clip-checked force_at and realized_force."""
+    conv = replace(model.converter, gap_x=plan.gap_x)
+    R = conv.profile.circular_radius
+    if plan.converter_stroke > plan.gap_x + R * conv.profile.theta_max * (1 + 1e-12):
+        raise DomainError(
+            f"stroke {plan.converter_stroke:g} m exceeds pulley range "
+            f"{plan.gap_x + R * conv.profile.theta_max:g} m"
+        )
+
+    step = model.stage_step
+    stage_stop = model.object_position - plan.gap_x
+    n_position = round(stage_stop / step)
+    rows = [TraceRow(0, "positioning", 0.0, 0.0, 0.0, False)]
+    for i in range(1, n_position + 1):
+        jaw = min(i * step, stage_stop)
+        rows.append(TraceRow(i, "positioning", jaw, 0.0, 0.0, False))
+
+    tick = n_position
+    n_grip = math.ceil(plan.converter_stroke / step - 1e-9)
+    for j in range(1, n_grip + 1):
+        tick += 1
+        u = min(j * step, plan.converter_stroke)
+        us, _ = clip_domain(u, conv.u_max)
+        spring = conv.left.force_at(us)
+        counter = conv.profile.realized_force(conv.counter, max(us - conv.gap_x, 0.0) / R)
+        if us < conv.gap_x:
+            counter = 0.0
+        grip = spring
+        effort = abs(spring - counter) + conv.friction_band(counter)
+        if grip > GRIP_FORCE_TOL and not model.latch_holds:
+            raise BackdriveFault(
+                f"tick {tick}: grip reaction {grip:g} N back-drives the unlatched stage"
+            )
+        if effort > model.actuator_force_cap * (1 + 1e-12):
+            raise ActuatorStall(
+                f"tick {tick}: operating force {effort:g} N exceeds cap "
+                f"{model.actuator_force_cap:g} N"
+            )
+        jaw = stage_stop + min(u, plan.gap_x)
+        rows.append(
+            TraceRow(tick, "gripping", jaw, grip, effort, model.latch_holds and grip > 0)
+        )
+
+    rows.append(replace(rows[-1], tick=rows[-1].tick + 1, phase="done"))
+    return tuple(rows)
+
+
+GRASP_LAWS = {
+    "linear": ForceCharacteristic.linear(k=100.0, x_max=0.12),
+    "tabulated": ForceCharacteristic.tabulated([(0.0, 0.0), (0.05, 2.0), (0.12, 10.0)]),
+    # falling: the grip starts high and the counter carries less as u grows
+    "power_law": ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12),
+}
+GRASP_COUNTERS = {
+    "weight": CounterElement.weight(10.0),
+    "spring": CounterElement.spring(t0=10.0, k2=40.0),
+}
+GRASP_CONVERTERS = {
+    (law_name, counter_name): FloatingConverter(
+        law,
+        synthesize_spring_counter(law, 0.02, counter),
+        counter,
+    )
+    for law_name, law in GRASP_LAWS.items()
+    for counter_name, counter in GRASP_COUNTERS.items()
+}
+
+
+def _outcome(simulate, model, plan):
+    """The trace rows, or the type and message of the fault."""
+    try:
+        return simulate(model, plan)
+    except FloatConvError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    key=st.sampled_from(sorted(GRASP_CONVERTERS)),
+    mu=st.sampled_from([0.0, 0.01, 0.3]),
+    f0=st.sampled_from([0.0, 0.02, 1.5]),
+    latch=st.booleans(),
+    step=st.floats(min_value=0.002, max_value=0.02),
+    n_position=st.sampled_from([0, 0, 1, 2, 7, 20]),
+    place=st.floats(min_value=0.05, max_value=1.0),
+    reach=st.one_of(st.sampled_from([0.0, 1.0, 1.01]), st.floats(0.0, 1.02)),
+    data=st.data(),
+)
+def test_columnar_trace_matches_per_tick_loop(
+    key, mu, f0, latch, step, n_position, place, reach, data
+):
+    conv = replace(GRASP_CONVERTERS[key], friction_mu=mu, friction_f0=f0)
+    obj = (n_position + place) * step
+    model = GripperModel(conv, obj + 0.01, step, latch, 1e9, obj)
+    # the planner's gap, or any gap a caller's own plan may leave: then the
+    # stage stop is off the step grid and the last positioning tick is clipped
+    gap_x = data.draw(st.one_of(st.just(plan_grasp(model, 0.0).gap_x), st.floats(1e-6, obj)))
+    # reach 0 is a zero stroke; past 1 the stroke leaves the converter's range
+    plan = GraspPlan(gap_x, reach * replace(conv, gap_x=gap_x).u_max)
+
+    reference = _outcome(reference_simulate_grasp, model, plan)
+    if isinstance(reference[0], TraceRow):
+        # cap the actuator at a drawn gripping tick's effort: it stalls at the
+        # first tick whose effort exceeds that cap, or never
+        efforts = [row.actuator_force for row in reference if row.phase == "gripping"]
+        if efforts:
+            cap = max(data.draw(st.sampled_from(efforts)), 1e-9)
+            model = replace(model, actuator_force_cap=cap)
+            reference = _outcome(reference_simulate_grasp, model, plan)
+
+    got = _outcome(lambda m, p: simulate_grasp(m, p).rows, model, plan)
+    assert got == reference
+    if isinstance(reference[0], type):
+        if reference[0] in (ActuatorStall, BackdriveFault):
+            tick = int(re.match(r"tick (\d+): ", reference[1]).group(1))
+            assert tick > round((obj - gap_x) / step)   # a gripping tick
+        return
+    trace = simulate_grasp(model, plan)
+    assert trace.max_actuator == max(row.actuator_force for row in reference)
+    assert trace.final_grip == reference[-1].grip_force
+    peak = max(row.grip_force for row in reference)
+    if trace.max_actuator > 0:
+        assert trace.amplification == peak / trace.max_actuator
+    else:
+        assert trace.amplification == math.inf

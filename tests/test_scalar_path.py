@@ -40,6 +40,13 @@ PROFILES = {
     "weight": synthesize_weight_counter(LAWS["tabulated"], R, 10.0),
     "spring": synthesize_spring_counter(LAWS["linear"], R, COUNTERS["spring"], n_steps=512),
 }
+# a pulley shorter than the laws, so GAP + R*theta_max (0.0814 m) sets u_max.
+# At u_max, (u_max - GAP) / R rounds an ulp past theta_max, where the
+# payout's last panel, extended, differs in the last bit: force_components
+# must clip the pulley angle as well as u.
+SHORT_PROFILE = synthesize_spring_counter(
+    LAWS["linear"], R, COUNTERS["spring"], n_steps=512, theta_max=3.57
+)
 
 
 def _cases():
@@ -60,6 +67,10 @@ def _cases():
                 (f"force_components[{k}-{c}]", conv.force_components, X_MAX),
                 (f"operating_force[{k}-{c}]", conv.operating_force, X_MAX),
             ]
+    for k, law in LAWS.items():
+        conv = FloatingConverter(law, SHORT_PROFILE, COUNTERS["spring"], gap_x=GAP)
+        assert conv.u_max == GAP + R * SHORT_PROFILE.theta_max < X_MAX
+        cases.append((f"force_components[{k}-short_pulley]", conv.force_components, conv.u_max))
     return cases
 
 
