@@ -147,6 +147,12 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+def _at_least(label: str, value, bound: float, strict: bool = False):
+    """Raise ValidationError unless value >= bound (> bound when strict); NaN fails."""
+    if not (value > bound if strict else value >= bound):
+        raise ValidationError(f"{label} must be {'>' if strict else '>='} {bound:g}, got {value}")
+
+
 @dataclass(frozen=True)
 class ForceCharacteristic:
     """A force-vs-displacement law on the closed domain [0, x_max].
@@ -167,25 +173,19 @@ class ForceCharacteristic:
 
     def __post_init__(self):
         _finite("x_max", self.x_max)
-        if self.x_max <= 0:
-            raise ValidationError(f"x_max must be > 0, got {self.x_max}")
+        _at_least("x_max", self.x_max, 0, strict=True)
         if self.kind == LINEAR:
             _finite("k", self.k)
-            if self.k <= 0:
-                raise ValidationError(f"linear stiffness k must be > 0, got {self.k}")
+            _at_least("linear stiffness k", self.k, 0, strict=True)
         elif self.kind == CONSTANT:
             _finite("f0", self.f0)
-            if self.f0 < 0:
-                raise ValidationError(f"constant force f0 must be >= 0, got {self.f0}")
+            _at_least("constant force f0", self.f0, 0)
         elif self.kind == POWER_LAW:
             for name in ("c", "d", "p"):
                 _finite(name, getattr(self, name))
-            if self.c < 0:
-                raise ValidationError(f"power-law c must be >= 0, got {self.c}")
-            if self.d <= 0:
-                raise ValidationError(f"power-law d must be > 0, got {self.d}")
-            if self.p < 1:
-                raise ValidationError(f"power-law p must be >= 1, got {self.p}")
+            _at_least("power-law c", self.c, 0)
+            _at_least("power-law d", self.d, 0, strict=True)
+            _at_least("power-law p", self.p, 1)
         elif self.kind == TABULATED:
             self._validate_points()
         else:

@@ -29,7 +29,7 @@ from .config import (
     verify_profile,
 )
 from .converter import FloatingConverter
-from .errors import FloatConvError, ValidationError
+from .errors import FloatConvError, NumericalError, ValidationError
 from .export import fmt6
 from .gripper import GripperModel, plan_grasp, simulate_grasp
 
@@ -99,13 +99,11 @@ def _cmd_verify(args) -> int:
         f"energy_error_rel={report.energy_error:.3e}{clamped}"
     )
     if not report.passed:
-        print(
-            f"ERR:NumericalError:verification tolerances exceeded "
+        raise NumericalError(
+            f"verification tolerances exceeded "
             f"(residual {report.max_residual:.3e} N vs {report.residual_tol:.3e} N, "
-            f"energy {report.energy_error:.3e} vs {VERIFY_ENERGY_RTOL:.0e})",
-            file=sys.stderr,
+            f"energy {report.energy_error:.3e} vs {VERIFY_ENERGY_RTOL:.0e})"
         )
-        return 2
     return 0
 
 

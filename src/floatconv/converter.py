@@ -25,7 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .characteristics import ForceCharacteristic, _finite, clip_domain
+from .characteristics import (
+    ForceCharacteristic, _at_least, _finite, clip_domain, cumulative_trapezoid,
+)
 from .errors import (
     DomainError,
     IndeterminateEquilibrium,
@@ -34,8 +36,6 @@ from .errors import (
     ValidationError,
 )
 from .pulley import CounterElement, PulleyProfile
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 # Operating force treated as constant / matching the applied force when
 # within this band (N).
@@ -63,12 +63,10 @@ class FloatingConverter:
     def __post_init__(self):
         _finite("gap_x", self.gap_x)
         _finite("friction_f0", self.friction_f0)
-        if self.gap_x < 0:
-            raise ValidationError(f"gap_x must be >= 0, got {self.gap_x}")
+        _at_least("gap_x", self.gap_x, 0)
         if not 0 <= self.friction_mu < 1:
             raise ValidationError(f"friction_mu must be in [0, 1), got {self.friction_mu}")
-        if self.friction_f0 < 0:
-            raise ValidationError(f"friction_f0 must be >= 0, got {self.friction_f0}")
+        _at_least("friction_f0", self.friction_f0, 0)
 
     @cached_property
     def u_max(self) -> float:
@@ -165,7 +163,7 @@ class FloatingConverter:
             us = np.sort(np.append(us, self.gap_x))
             if u1 < u0:
                 us = us[::-1]
-        work = float(_trapz(self.operating_force(us), us))
+        work = float(cumulative_trapezoid(self.operating_force(us), us)[-1])
         return EnergyLedger(delta_spring, delta_counter, work)
 
     # -- equilibrium -------------------------------------------------------

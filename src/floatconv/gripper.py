@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .characteristics import _finite
+from .characteristics import _at_least, _finite
 from .converter import FloatingConverter
 from .errors import (
     ActuatorStall,
@@ -62,14 +62,9 @@ class GripperModel:
     def __post_init__(self):
         for name in ("stage_travel", "stage_step", "actuator_force_cap", "object_position"):
             _finite(name, getattr(self, name))
-        if not self.stage_step > 0:
-            raise ValidationError(f"stage_step must be > 0, got {self.stage_step}")
-        if self.stage_travel < 0:
-            raise ValidationError(f"stage_travel must be >= 0, got {self.stage_travel}")
-        if not self.actuator_force_cap > 0:
-            raise ValidationError(
-                f"actuator_force_cap must be > 0, got {self.actuator_force_cap}"
-            )
+        _at_least("stage_step", self.stage_step, 0, strict=True)
+        _at_least("stage_travel", self.stage_travel, 0)
+        _at_least("actuator_force_cap", self.actuator_force_cap, 0, strict=True)
         reach = self.stage_travel + self.converter.left.x_max
         if not 0 < self.object_position <= reach:
             raise ValidationError(

@@ -29,6 +29,7 @@ from .characteristics import (
     LINEAR,
     ForceCharacteristic,
     PiecewiseLinear,
+    _at_least,
     _finite,
     clip_domain,
 )
@@ -61,18 +62,15 @@ class CounterElement:
     def __post_init__(self):
         _finite("t0", self.t0)
         _finite("k2", self.k2)
-        if self.t0 < 0:
-            raise ValidationError(f"counter spring pretension must be >= 0, got {self.t0}")
-        if self.k2 < 0:
-            raise ValidationError(f"counter spring stiffness must be >= 0, got {self.k2}")
+        _at_least("counter spring pretension", self.t0, 0)
+        _at_least("counter spring stiffness", self.k2, 0)
         if self.t0 == 0 and self.k2 == 0:
             raise ValidationError("counter with t0 = 0 and k2 = 0 has no tension at all")
 
     @classmethod
     def weight(cls, load: float) -> "CounterElement":
         load = _finite("load", load)
-        if not load > 0:
-            raise ValidationError(f"counter weight load must be > 0, got {load}")
+        _at_least("counter weight load", load, 0, strict=True)
         return cls(t0=load)
 
     @classmethod
@@ -117,10 +115,7 @@ class PulleyProfile:
             raise ValidationError("thetas and radii must be 1-d arrays of equal length")
         if thetas.size < 2:
             raise ValidationError(f"profile needs at least 2 samples, got {thetas.size}")
-        if not self.circular_radius > 0:
-            raise ValidationError(
-                f"circular-pulley radius must be > 0, got {self.circular_radius}"
-            )
+        _at_least("circular-pulley radius", self.circular_radius, 0, strict=True)
         if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(radii)):
             raise ValidationError("profile samples must be finite")
         if abs(thetas[0]) > 1e-15:
@@ -206,7 +201,7 @@ class PulleyProfile:
         resid = target.force_at(self.circular_radius * th) - self.realized_force(counter, th)
         return float(resid) if scalar else resid
 
-    def truncated(self, r_min: float, r_max: float = np.inf) -> "PulleyProfile":
+    def truncated(self, r_min: float, r_max: float) -> "PulleyProfile":
         """Clamp every sample radius into [r_min, r_max] (fabrication bounds).
 
         The theta grid is unchanged. The spiral ``slope`` tag survives only
@@ -236,11 +231,9 @@ def _synthesize(
     so s = counter.payout_for_energy(E). The profile must reproduce the
     target within SPRING_SYNTHESIS_RTOL of the peak force.
     """
-    if not R > 0:
-        raise ValidationError(f"circular radius must be > 0, got {R}")
+    _at_least("circular radius", R, 0, strict=True)
     theta_max = float(target.x_max / R if theta_max is None else theta_max)
-    if theta_max <= 0:
-        raise ValidationError(f"theta_max must be > 0, got {theta_max}")
+    _at_least("theta_max", theta_max, 0, strict=True)
     if R * theta_max > target.x_max * (1 + 1e-12):
         raise DomainError(
             f"target domain [0, {target.x_max:g}] m too short for "
