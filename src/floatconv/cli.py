@@ -100,7 +100,7 @@ def _cmd_verify(args) -> int:
     )
     if not report.passed:
         raise NumericalError(
-            f"verification tolerances exceeded "
+            "verification tolerances exceeded "
             f"(residual {report.max_residual:.3e} N vs {report.residual_tol:.3e} N, "
             f"energy {report.energy_error:.3e} vs {VERIFY_ENERGY_RTOL:.0e})"
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import ForceCharacteristic, cumulative_trapezoid
+from .characteristics import ForceCharacteristic, _at_least, cumulative_trapezoid
 from .errors import ValidationError
 from .export import CSV_ANGLE_QUANTUM, CSV_RADIUS_QUANTUM
 from .pulley import (
@@ -23,6 +23,7 @@ from .pulley import (
     SPRING_SYNTHESIS_RTOL,
     CounterElement,
     PulleyProfile,
+    _window,
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
@@ -35,6 +36,8 @@ VERIFY_ENERGY_RTOL = 1e-6
 # pulley.samples range; the cap keeps a config from requesting an
 # unbounded allocation
 MAX_PROFILE_SAMPLES = 2**20
+# pulley.circular_radius_m floor (m): a subnormal radius overflows every force
+MIN_CIRCULAR_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -142,11 +145,12 @@ def _counter(section, path: str) -> CounterElement:
 def _pulley(section, path: str) -> tuple:
     """(circular radius, theta_max rad, samples, truncation bounds)."""
     radius, theta_max, samples, r_min, r_max = _section(section, path, PULLEY)
+    _at_least(f"config: '{path}.circular_radius_m'", radius, MIN_CIRCULAR_RADIUS)
     if (r_min is None) != (r_max is None):
         raise ValidationError(
             f"config: '{path}.r_min_m' and '{path}.r_max_m' must be given together"
         )
-    return radius, theta_max, samples, None if r_min is None else (r_min, r_max)
+    return radius, theta_max, samples, None if r_min is None else _window(r_min, r_max)
 
 
 def _friction(section, path: str) -> list:
@@ -228,6 +232,8 @@ class VerifyReport:
         return self.max_residual <= self.residual_tol and self.energy_error <= VERIFY_ENERGY_RTOL
 
 
+# a huge radius overflows R*theta to inf, which force_at rejects: no warning
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def verify_profile(cfg: RunConfig, profile: PulleyProfile) -> VerifyReport:
     """Check a profile read back from its CSV against its config.
 

@@ -19,7 +19,6 @@ across workers and merged in deterministic row order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -47,6 +46,8 @@ OPERATOR_WORK_PANELS = 1024
 # Largest row count one sweep may allocate.
 MAX_SWEEP_ROWS = 2**20
 _EQUILIBRIUM_SCAN = 1024
+# Largest sweep summary magnitude; fmt6 prints it in 23 characters. Real ratios are < 1.
+MAX_SUMMARY_VALUE = 1e15
 
 
 @dataclass(frozen=True)
@@ -234,13 +235,14 @@ class SweepTable:
         if np.any(np.diff(self.u) <= 0):
             raise ValidationError("sweep displacements must be strictly increasing")
 
-    # an overflowing ratio is reported by the finite check, not as a warning
+    # an overflowing ratio is reported by the bound check, not as a warning
     @np.errstate(over="ignore", invalid="ignore")
     def summary(self) -> "SweepSummary":
         """Scalar summary: plateau force and both force-ratio normalizations.
 
-        Raises NumericalError when a value is not finite, as when a friction
-        band near the float range overflows a ratio.
+        Raises NumericalError when a value is not finite or exceeds
+        MAX_SUMMARY_VALUE in magnitude, as when a friction band dwarfs the
+        spring force.
         """
         peak = float(np.max(np.abs(self.spring_force)))
         op_const = float(np.max(np.abs(self.op_force_ideal)))
@@ -251,9 +253,10 @@ class SweepTable:
             ratio_point = float(np.max(banded[nonzero] / np.abs(self.spring_force[nonzero])))
         else:
             ratio_point = 0.0
-        if not all(map(math.isfinite, (op_const, ratio_peak, ratio_point))):
+        if not all(abs(v) <= MAX_SUMMARY_VALUE for v in (op_const, ratio_peak, ratio_point)):
             raise NumericalError(
-                f"sweep summary is not finite: op_force_const={op_const:g} N "
+                f"sweep summary is not finite or exceeds {MAX_SUMMARY_VALUE:g}: "
+                f"op_force_const={op_const:g} N "
                 f"ratio_peak={ratio_peak:g} ratio_point={ratio_point:g}"
             )
         return SweepSummary(op_const, ratio_peak, ratio_point)

@@ -35,7 +35,7 @@ class SingularityError(FloatConvError):
 
 
 class NumericalError(FloatConvError):
-    """A profile failed its forward verification, or a sweep summary is not finite."""
+    """A profile failed verification, or a sweep summary is not finite or too large."""
 
     exit_code = 2
 

@@ -207,11 +207,16 @@ class PulleyProfile:
         The theta grid is unchanged. The spiral ``slope`` tag survives only
         if no sample actually moved.
         """
-        if not (0 <= r_min < r_max):
-            raise ValidationError(f"need 0 <= r_min < r_max, got [{r_min}, {r_max}]")
-        clamped = np.clip(self.radii, r_min, r_max)
+        clamped = np.clip(self.radii, *_window(r_min, r_max))
         slope = self.slope if np.array_equal(clamped, self.radii) else None
         return PulleyProfile(self.circular_radius, self.thetas, clamped, slope)
+
+
+def _window(r_min: float, r_max: float) -> tuple[float, float]:
+    """The truncation window (r_min, r_max), checked: truncated() and configs share it."""
+    if not 0 <= r_min < r_max:
+        raise ValidationError(f"need 0 <= r_min < r_max, got [{r_min}, {r_max}]")
+    return r_min, r_max
 
 
 # A huge law or a near-zero counter load overflows to inf or nan here. That

@@ -338,3 +338,63 @@ def test_validation_errors():
         ForceCharacteristic.power_law(c=1.0, d=0.0, p=2.0, x_max=0.1)
     with pytest.raises(ValidationError):
         ForceCharacteristic.power_law(c=1.0, d=0.1, p=0.5, x_max=0.1)
+
+
+# -- one-sided bounds -----------------------------------------------------------
+
+
+def _bound_cases():
+    from floatconv import (
+        CounterElement, FloatingConverter, GripperModel, PulleyProfile, synthesize_weight_counter,
+    )
+
+    spring = ForceCharacteristic.linear(k=100.0, x_max=0.12)
+    profile = synthesize_weight_counter(spring, 0.02, 10.0)
+    counter = CounterElement.weight(10.0)
+    conv = FloatingConverter(spring, profile, counter)
+    thetas, radii = np.array([0.0, 1.0]), np.array([0.0, 0.01])
+
+    def gripper(**kw):
+        args = dict(stage_travel=0.1, stage_step=0.01, latch_holds=True,
+                    actuator_force_cap=2.0, object_position=0.05)
+        return GripperModel(conv, **{**args, **kw})
+
+    # an int argument prints as an int: the message shows the value as passed
+    return [
+        (lambda: ForceCharacteristic(kind="linear", x_max=0, k=1), "x_max must be > 0, got 0"),
+        (lambda: ForceCharacteristic(kind="linear", x_max=1, k=-2),
+         "linear stiffness k must be > 0, got -2"),
+        (lambda: ForceCharacteristic(kind="constant", x_max=1, f0=-1),
+         "constant force f0 must be >= 0, got -1"),
+        (lambda: ForceCharacteristic(kind="power_law", x_max=1, c=-1, d=1, p=2),
+         "power-law c must be >= 0, got -1"),
+        (lambda: ForceCharacteristic(kind="power_law", x_max=1, c=1, d=0, p=2),
+         "power-law d must be > 0, got 0"),
+        (lambda: ForceCharacteristic(kind="power_law", x_max=1, c=1, d=1, p=0),
+         "power-law p must be >= 1, got 0"),
+        (lambda: CounterElement(t0=-1), "counter spring pretension must be >= 0, got -1"),
+        (lambda: CounterElement(t0=1, k2=-3), "counter spring stiffness must be >= 0, got -3"),
+        (lambda: CounterElement.weight(0), "counter weight load must be > 0, got 0.0"),
+        (lambda: FloatingConverter(spring, profile, counter, gap_x=-1),
+         "gap_x must be >= 0, got -1"),
+        (lambda: FloatingConverter(spring, profile, counter, friction_f0=-2),
+         "friction_f0 must be >= 0, got -2"),
+        (lambda: gripper(stage_step=0), "stage_step must be > 0, got 0"),
+        (lambda: gripper(stage_travel=-1), "stage_travel must be >= 0, got -1"),
+        (lambda: gripper(actuator_force_cap=0), "actuator_force_cap must be > 0, got 0"),
+        (lambda: PulleyProfile(0, thetas, radii), "circular-pulley radius must be > 0, got 0"),
+        (lambda: PulleyProfile(math.nan, thetas, radii),
+         "circular-pulley radius must be > 0, got nan"),
+        (lambda: synthesize_weight_counter(spring, 0, 10.0), "circular radius must be > 0, got 0"),
+        (lambda: synthesize_weight_counter(spring, 0.02, 10.0, theta_max=-1),
+         "theta_max must be > 0, got -1.0"),
+        (lambda: synthesize_weight_counter(spring, 0.02, 10.0, theta_max=math.nan),
+         "theta_max must be > 0, got nan"),
+    ]
+
+
+def test_one_sided_bounds_name_the_value_as_passed():
+    for build, message in _bound_cases():
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message

@@ -559,6 +559,8 @@ def test_sweep_with_a_non_finite_summary_exits_2_before_writing(tmp_path):
                       cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("ERR:NumericalError:sweep summary is not finite: ")
+    assert proc.stderr.startswith(
+        "ERR:NumericalError:sweep summary is not finite or exceeds 1e+15: "
+    )
     assert proc.stderr.endswith(" ratio_point=inf\n") and proc.stderr.count("\n") == 1
     assert not out.exists()
