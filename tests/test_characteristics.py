@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floatconv import DomainError, ForceCharacteristic, UnreachableForce, ValidationError
+from floatconv import (
+    CounterElement,
+    DomainError,
+    FloatingConverter,
+    ForceCharacteristic,
+    GripperModel,
+    PulleyProfile,
+    UnreachableForce,
+    ValidationError,
+    synthesize_weight_counter,
+)
 from floatconv.characteristics import PiecewiseLinear
 
 stiffness = st.floats(min_value=1e-2, max_value=1e5, allow_nan=False)
@@ -343,11 +353,7 @@ def test_validation_errors():
 # -- one-sided bounds -----------------------------------------------------------
 
 
-def _bound_cases():
-    from floatconv import (
-        CounterElement, FloatingConverter, GripperModel, PulleyProfile, synthesize_weight_counter,
-    )
-
+def test_one_sided_bounds_name_the_value_as_passed():
     spring = ForceCharacteristic.linear(k=100.0, x_max=0.12)
     profile = synthesize_weight_counter(spring, 0.02, 10.0)
     counter = CounterElement.weight(10.0)
@@ -360,7 +366,7 @@ def _bound_cases():
         return GripperModel(conv, **{**args, **kw})
 
     # an int argument prints as an int: the message shows the value as passed
-    return [
+    cases = [
         (lambda: ForceCharacteristic(kind="linear", x_max=0, k=1), "x_max must be > 0, got 0"),
         (lambda: ForceCharacteristic(kind="linear", x_max=1, k=-2),
          "linear stiffness k must be > 0, got -2"),
@@ -391,10 +397,7 @@ def _bound_cases():
         (lambda: synthesize_weight_counter(spring, 0.02, 10.0, theta_max=math.nan),
          "theta_max must be > 0, got nan"),
     ]
-
-
-def test_one_sided_bounds_name_the_value_as_passed():
-    for build, message in _bound_cases():
+    for build, message in cases:
         with pytest.raises(ValidationError) as info:
             build()
         assert str(info.value) == message
