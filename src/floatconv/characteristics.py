@@ -46,6 +46,10 @@ CONSTANT = "constant"
 POWER_LAW = "power_law"
 TABULATED = "tabulated"
 
+# Largest law domain or stage travel (m). It keeps printed lengths short, and with
+# the config's 1e-6 m circular-radius floor every angle at or below 1e12 rad.
+MAX_LENGTH = 1e6
+
 
 def clip_domain(x, x_max: float):
     """Validate x against [0, x_max], clipping fp endpoint spill.
@@ -153,6 +157,21 @@ def _at_least(label: str, value, bound: float, strict: bool = False):
         raise ValidationError(f"{label} must be {'>' if strict else '>='} {bound:g}, got {value}")
 
 
+def _length(label: str, value):
+    """Raise ValidationError unless value <= MAX_LENGTH; NaN fails."""
+    if not value <= MAX_LENGTH:
+        raise ValidationError(f"{label} must be <= {MAX_LENGTH:g}, got {value}")
+
+
+def _count(label: str, n, lo: int, hi: int):
+    """Raise ValidationError unless n is an integer, not a bool, in [lo, hi]; return n."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"{label} must be an integer")
+    if not lo <= n <= hi:
+        raise ValidationError(f"{label} must be in [{lo}, {hi}], got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class ForceCharacteristic:
     """A force-vs-displacement law on the closed domain [0, x_max].
@@ -174,6 +193,7 @@ class ForceCharacteristic:
     def __post_init__(self):
         _finite("x_max", self.x_max)
         _at_least("x_max", self.x_max, 0, strict=True)
+        _length("x_max", self.x_max)
         if self.kind == LINEAR:
             _finite("k", self.k)
             _at_least("linear stiffness k", self.k, 0, strict=True)
@@ -306,7 +326,7 @@ class ForceCharacteristic:
         """
         force = float(force)
         if self.kind == LINEAR:
-            # the same 1e-12 endpoint slack the grasp planner grants
+            # a 1e-12 slack for a target rounded at the domain's end
             if not 0.0 <= force <= self.k * self.x_max * (1 + 1e-12):
                 raise UnreachableForce(f"{force:g} N outside characteristic range")
             return force / self.k

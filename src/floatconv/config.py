@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import ForceCharacteristic, _at_least, cumulative_trapezoid
+from .characteristics import ForceCharacteristic, _at_least, _count, cumulative_trapezoid
 from .errors import ValidationError
 from .export import CSV_ANGLE_QUANTUM, CSV_RADIUS_QUANTUM
 from .pulley import (
     DEFAULT_PROFILE_SAMPLES,
+    MAX_PROFILE_SAMPLES,
     SPRING_SYNTHESIS_RTOL,
     CounterElement,
     PulleyProfile,
@@ -33,9 +34,6 @@ from .pulley import (
 VERIFY_FORCE_RTOL = 1e-9
 VERIFY_ENERGY_RTOL = 1e-6
 
-# pulley.samples range; the cap keeps a config from requesting an
-# unbounded allocation
-MAX_PROFILE_SAMPLES = 2**20
 # pulley.circular_radius_m floor (m): a subnormal radius overflows every force
 MIN_CIRCULAR_RADIUS = 1e-6
 
@@ -113,12 +111,7 @@ def _radians(value, name: str) -> float:
 
 
 def _samples(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"config: '{name}' must be an integer")
-    if not 2 <= value <= MAX_PROFILE_SAMPLES:
-        bounds = f"[2, {MAX_PROFILE_SAMPLES}]"
-        raise ValidationError(f"config: '{name}' must be in {bounds}, got {value}")
-    return value
+    return _count(f"config: '{name}'", value, 2, MAX_PROFILE_SAMPLES)
 
 
 def _boolean(value, name: str) -> bool:

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .characteristics import (
-    ForceCharacteristic, _at_least, _finite, clip_domain, cumulative_trapezoid,
+    ForceCharacteristic, _at_least, _count, _finite, clip_domain, cumulative_trapezoid,
 )
 from .errors import (
     DomainError,
@@ -39,7 +39,7 @@ from .pulley import CounterElement, PulleyProfile
 # Operating force treated as constant / matching the applied force when
 # within this band (N).
 EQUILIBRIUM_FORCE_TOL = 1e-9
-# Bisection interval tolerance on the balance-point displacement (m).
+# Width of the final bracketing cell around the balance-point displacement (m).
 EQUILIBRIUM_U_TOL = 1e-9
 
 OPERATOR_WORK_PANELS = 1024
@@ -114,14 +114,7 @@ class FloatingConverter:
 
     def sweep(self, u_min: float, u_max: float, n: int) -> "SweepTable":
         """Uniform displacement sweep with ideal and friction-banded forces."""
-        if (
-            isinstance(n, bool)
-            or not isinstance(n, (int, np.integer))
-            or not 2 <= n <= MAX_SWEEP_ROWS
-        ):
-            raise ValidationError(
-                f"sweep rows must be an integer in [2, {MAX_SWEEP_ROWS}], got {n!r}"
-            )
+        _count("sweep rows", n, 2, MAX_SWEEP_ROWS)
         if not 0 <= u_min < u_max:
             raise ValidationError(f"need 0 <= u_min < u_max, got [{u_min}, {u_max}]")
         if u_max > self.u_max * (1 + 1e-12):
@@ -172,8 +165,9 @@ class FloatingConverter:
     def equilibrium_displacement(self, applied: float) -> float:
         """Balance-point displacement where the operating force equals ``applied``.
 
-        Searches the engaged region [gap_x, u_max] by scan plus bisection
-        (residuals may have kinks at truncation boundaries, so derivative
+        Scans the engaged region [gap_x, u_max], then rescans the first cell
+        where the residual changes sign until it is at most EQUILIBRIUM_U_TOL
+        wide (residuals may have kinks at truncation boundaries, so derivative
         methods are avoided). A perfectly balanced converter, where the
         operating force is constant and equal to the applied force, raises
         IndeterminateEquilibrium: every displacement is an equilibrium.
@@ -197,20 +191,15 @@ class FloatingConverter:
         if sign_change.size == 0:
             raise NoRootError(f"operating force never crosses {applied:g} N")
         i = int(sign_change[0])
-        a, b = float(us[i]), float(us[i + 1])
-        fa = float(resid[i])
-        if fa == 0.0:
-            return a
-        while b - a > EQUILIBRIUM_U_TOL:
-            mid = 0.5 * (a + b)
-            fm = float(self.operating_force(mid)) - applied
-            if fm == 0.0:
-                return mid
-            if fa * fm < 0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        return 0.5 * (a + b)
+        while resid[i] != 0.0 and us[i + 1] - us[i] > EQUILIBRIUM_U_TOL:
+            # carry the end residuals over, as bisection carries f(a): a law evaluated
+            # at another array position can move an ulp and lose the sign change
+            ends = resid[i], resid[i + 1]
+            us = np.linspace(us[i], us[i + 1], _EQUILIBRIUM_SCAN + 1)
+            resid = self.operating_force(us) - applied
+            resid[0], resid[-1] = ends
+            i = int(np.nonzero(resid[:-1] * resid[1:] <= 0)[0][0])
+        return float(us[i] if resid[i] == 0.0 else 0.5 * (us[i] + us[i + 1]))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .characteristics import _at_least, _finite
+from .characteristics import _at_least, _finite, _length
 from .converter import FloatingConverter
 from .errors import (
     ActuatorStall,
@@ -64,6 +64,7 @@ class GripperModel:
             _finite(name, getattr(self, name))
         _at_least("stage_step", self.stage_step, 0, strict=True)
         _at_least("stage_travel", self.stage_travel, 0)
+        _length("stage_travel", self.stage_travel)
         _at_least("actuator_force_cap", self.actuator_force_cap, 0, strict=True)
         reach = self.stage_travel + self.converter.left.x_max
         if not 0 < self.object_position <= reach:
@@ -173,18 +174,12 @@ def plan_grasp(model: GripperModel, target_grip: float) -> GraspPlan:
     geometry. The stroke is the inverse of the working characteristic at
     the target force.
     """
-    left = model.converter.left
     if not math.isfinite(target_grip):
         raise UnreachableForce(f"target grip must be finite, got {target_grip!r}")
     if target_grip < 0:
         raise UnreachableForce(f"target grip must be >= 0, got {target_grip}")
-    capacity = left.force_at(left.x_max)
-    if target_grip > capacity * (1 + 1e-12):
-        raise UnreachableForce(
-            f"target {target_grip:g} N exceeds spring capacity {capacity:g} N"
-        )
-    # a zero grip needs no stroke, whatever the law delivers at x = 0
-    stroke = 0.0 if target_grip == 0.0 else left.extension_at(target_grip)
+    # a zero grip needs no stroke; the law's inverse refuses what it cannot deliver
+    stroke = 0.0 if target_grip == 0.0 else model.converter.left.extension_at(target_grip)
 
     step = model.stage_step
     # one step short of the object; the 1e-9 guard keeps exact multiples

@@ -30,6 +30,7 @@ from .characteristics import (
     ForceCharacteristic,
     PiecewiseLinear,
     _at_least,
+    _count,
     _finite,
     clip_domain,
 )
@@ -42,6 +43,8 @@ from .errors import (
 
 DEFAULT_PROFILE_SAMPLES = 512
 DEFAULT_SPRING_STEPS = 2048
+# Largest profile sample count, so no caller can request an unbounded allocation.
+MAX_PROFILE_SAMPLES = 2**20
 
 # Forward-verification tolerance for spring-counter synthesis, relative to
 # the peak target force.
@@ -288,8 +291,7 @@ def synthesize_weight_counter(
     For a linear target the result is the exact spiral r = a*theta with
     a = k * R**2 / mg, recorded in the profile's ``slope``.
     """
-    if n_samples < 2:
-        raise ValidationError(f"need at least 2 samples, got {n_samples}")
+    _count("n_samples", n_samples, 2, MAX_PROFILE_SAMPLES)
     return _synthesize(target, circular_radius, CounterElement.weight(load), n_samples, theta_max)
 
 
@@ -305,6 +307,5 @@ def synthesize_spring_counter(
     The payout solves the energy balance t0*s + k2*s**2/2 = E(R*theta) on
     n_steps + 1 nodes; a counter with k2 = 0 gives the dead-weight profile.
     """
-    if n_steps < 1:
-        raise ValidationError(f"need at least 1 step, got {n_steps}")
+    _count("n_steps", n_steps, 1, MAX_PROFILE_SAMPLES - 1)
     return _synthesize(target, circular_radius, counter, n_steps + 1, theta_max)

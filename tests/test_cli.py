@@ -242,6 +242,45 @@ def test_grasp_non_finite_target_exit_2(tmp_path, capsys, target):
     assert not out.exists()
 
 
+# a magnet-like law: F falls from 96.2 N at x = 0 to 8.6 N at x_max
+MAGNET = {"type": "power_law", "c": 0.5, "d_m": 0.03, "p": 1.5, "max_extension_m": 0.12}
+
+
+def magnet_gripper_config(cap):
+    cfg = json.loads((CONFIGS / "gripper.json").read_text())
+    cfg["spring"] = MAGNET
+    cfg["gripper"].update(stage_step_m=0.001, actuator_cap_n=cap)
+    return cfg
+
+
+def test_grasp_reaches_a_target_inside_a_decreasing_law(tmp_path):
+    # 18.5 N lies between the magnet's end forces, above its force at x_max
+    cfg = write_config(tmp_path, magnet_gripper_config(cap=100.0))
+    proc = run_module("grasp", "--config", cfg, "--target-force-n", "18.5", "--out", "t.csv",
+                      cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "final_grip_n=18.500000 " in proc.stdout
+
+
+def test_grasp_on_a_decreasing_law_stalls_a_weak_actuator(tmp_path):
+    # the slack converter holds the whole magnet force while the jaw closes
+    cfg = write_config(tmp_path, magnet_gripper_config(cap=5.0))
+    proc = run_module("grasp", "--config", cfg, "--target-force-n", "18.5", "--out", "t.csv",
+                      cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("ERR:ActuatorStall:tick 50: ")
+
+
+def test_grasp_target_past_a_linear_law_is_unreachable(tmp_path):
+    # k * x_max = 100 N/m * 0.1205 m = 12.05 N
+    cfg = write_config(tmp_path, json.loads((CONFIGS / "gripper.json").read_text()))
+    proc = run_module("grasp", "--config", cfg, "--target-force-n", "12.1", "--out", "t.csv",
+                      cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "ERR:UnreachableForce:12.1 N outside characteristic range\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_grasp_requires_gripper_section(tmp_path, capsys):
     cfg = write_config(tmp_path, untruncated_config())
     code = main(["grasp", "--config", cfg, "--target-force-n", "10", "--out", "x.csv"])

@@ -27,6 +27,13 @@ BASE = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIGS.glob(
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 1e308)
 COMMANDS = ("synthesize", "verify", "sweep", "grasp", "export-svg")
 CONSTANT_LAW = {"type": "constant", "f0_n": 1e-200, "max_extension_m": 0.1205}
+# finite but huge lengths, which once printed numbers hundreds of digits long
+HUGE_DOMAIN = {"type": "constant", "f0_n": 1.0, "max_extension_m": 1e300}
+HUGE_STAGE = [("gripper.stage_step_m", 1e290), ("gripper.stage_travel_m", 1e300),
+              ("gripper.object_position_m", 1.5e290)]
+# the longest number a successful run may print or write
+MAX_TOKEN = 25
+NUMBER = re.compile(r"[-+]?\d[\d.]*(?:e[-+]?\d+)?")
 
 
 def numeric_leaves(node, prefix=""):
@@ -79,11 +86,13 @@ def argv_for(command, config, profile, out, flag):
     return argv
 
 
-def assert_contract(code, stderr, out: Path):
+def assert_contract(code, stdout, stderr, out: Path):
     if code == 0:
         assert stderr == ""
-        if out.exists():
-            assert not re.search(r"(?i)nan|inf", out.read_text()), out.read_text()[:400]
+        written = out.read_text() if out.exists() else ""
+        assert not re.search(r"(?i)nan|inf", written), written[:400]
+        longest = max(map(len, NUMBER.findall(stdout + written)), default=0)
+        assert longest <= MAX_TOKEN, (stdout + written)[:400]
     else:
         assert code in (1, 2)
         assert re.fullmatch(r"ERR:\w+:[^\n]*\n", stderr), stderr
@@ -118,10 +127,18 @@ def assert_contract(code, stderr, out: Path):
         ("gripper", "sweep", [("spring", CONSTANT_LAW), ("friction.offset_n", 0.01)], 2,
          "ERR:NumericalError:sweep summary is not finite or exceeds 1e+15: "
          "op_force_const=0 N ratio_peak=1e+198 ratio_point=0\n"),
+        # finite but huge lengths: a law's domain and a stage's travel are bounded
+        ("gripper", "synthesize", [("spring", HUGE_DOMAIN)], 1,
+         "ERR:ValidationError:x_max must be <= 1e+06, got 1e+300\n"),
+        ("gripper", "sweep", [("spring", HUGE_DOMAIN)], 1,
+         "ERR:ValidationError:x_max must be <= 1e+06, got 1e+300\n"),
+        ("gripper", "grasp", HUGE_STAGE, 1,
+         "ERR:ValidationError:stage_travel must be <= 1e+06, got 1e+300\n"),
     ],
     ids=[
         "inverted_window", "huge_r_min", "subnormal_radius_sweep", "subnormal_radius_verify",
         "huge_radius_verify", "huge_friction_offset", "tiny_constant_force",
+        "huge_domain_synthesize", "huge_domain_sweep", "huge_stage_grasp",
     ],
 )
 def test_refusal_is_one_error_line_and_no_file(tmp_path, name, command, edits, code, err):
@@ -169,13 +186,16 @@ def workdir(tmp_path_factory):
 @example(case=("gripper", [("friction.offset_n", 1e290)]), command="sweep", flag=None)
 @example(case=("gripper", [("spring", CONSTANT_LAW), ("friction.offset_n", 0.01)]),
          command="sweep", flag=None)
+@example(case=("gripper", [("spring", HUGE_DOMAIN)]), command="synthesize", flag=None)
+@example(case=("gripper", [("spring", HUGE_DOMAIN)]), command="sweep", flag=None)
+@example(case=("gripper", HUGE_STAGE), command="grasp", flag=None)
 def test_every_run_succeeds_cleanly_or_is_one_error_line(workdir, case, command, flag):
     name, edits = case
     profile = shipped_profile(workdir, name)
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
         config, out = Path(tmp) / "config.json", Path(tmp) / "out.file"
         config.write_text(json.dumps(edited(name, edits)))
-        stderr = StringIO()
-        with redirect_stdout(StringIO()), redirect_stderr(stderr):
+        stdout, stderr = StringIO(), StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
             code = main(argv_for(command, config, profile, out, flag))
-        assert_contract(code, stderr.getvalue(), out)
+        assert_contract(code, stdout.getvalue(), stderr.getvalue(), out)

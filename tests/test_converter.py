@@ -15,9 +15,10 @@ from floatconv import (
     IndeterminateEquilibrium,
     NoRootError,
     ValidationError,
+    synthesize_spring_counter,
     synthesize_weight_counter,
 )
-from floatconv.converter import MAX_SWEEP_ROWS
+from floatconv.converter import _EQUILIBRIUM_SCAN, EQUILIBRIUM_U_TOL, MAX_SWEEP_ROWS
 
 PROTO_THETA_MAX = math.radians(345.0)
 
@@ -129,7 +130,7 @@ def test_sweep_validation():
         conv.sweep(0.0, conv.u_max * 1.5, 16)
 
 
-@pytest.mark.parametrize("n", [MAX_SWEEP_ROWS + 1, 2.5, True, 1, 0])
+@pytest.mark.parametrize("n", [MAX_SWEEP_ROWS + 1, 2.5, True, 1, 0, "512", 2**40])
 def test_sweep_rows_rejected_before_allocation(monkeypatch, n):
     # validation only: a sweep at the limit is never run
     conv = matched_converter()
@@ -138,8 +139,14 @@ def test_sweep_rows_rejected_before_allocation(monkeypatch, n):
         raise AssertionError("sweep allocated its grid before validating n")
 
     monkeypatch.setattr(np, "linspace", no_grid)
-    with pytest.raises(ValidationError, match=r"integer in \[2, 1048576\]"):
+    rule = r"^sweep rows must be (an integer|in \[2, 1048576\], got)"
+    with pytest.raises(ValidationError, match=rule):
         conv.sweep(0.0, conv.u_max, n)
+
+
+def test_sweep_rows_accept_a_numpy_integer():
+    conv = matched_converter()
+    assert conv.sweep(0.0, conv.u_max, np.int64(512)).u.size == 512
 
 
 def test_sweep_summary_ratios():
@@ -239,6 +246,97 @@ def test_equilibrium_root_at_truncation_boundary():
     crossing = us[np.nonzero(ops[:-1] * ops[1:] <= 0)[0][0]]
     assert root == pytest.approx(0.04014, abs=5e-4)
     assert root == pytest.approx(crossing, abs=5e-4)
+
+
+@st.composite
+def mismatched_converters(draw):
+    """A linear pulley law against a working law whose operating force is
+    strictly monotone on the engaged range: a stiffer or softer linear law, a
+    tabulated law stiffer on every segment, or a decaying power law."""
+    k, R, x_max = draw(st.floats(50.0, 150.0)), 0.02, 0.12
+    kind = draw(st.sampled_from(["linear", "tabulated", "power_law"]))
+    if kind == "linear":
+        ratio = draw(st.one_of(st.floats(0.3, 0.9), st.floats(1.1, 2.0)))
+        left = ForceCharacteristic.linear(k * ratio, x_max)
+    elif kind == "tabulated":
+        slopes = draw(st.lists(st.floats(1.2 * k, 3.0 * k), min_size=2, max_size=7))
+        xs = np.linspace(0.0, x_max, len(slopes) + 1)
+        rises = np.concatenate(([0.0], np.cumsum(np.multiply(slopes, np.diff(xs)))))
+        fs = draw(st.floats(0.0, 5.0)) + rises
+        left = ForceCharacteristic.tabulated(zip(xs, fs))
+    else:
+        d, p = draw(st.floats(0.01, 0.05)), draw(st.floats(1.0, 3.0))
+        left = ForceCharacteristic.power_law(draw(st.floats(5.0, 50.0)) * d**p, d, p, x_max)
+    pulley_law = ForceCharacteristic.linear(k, draw(st.floats(0.06, 0.1)))
+    if draw(st.booleans()):
+        counter = CounterElement.weight(draw(st.floats(5.0, 15.0)))
+        profile = synthesize_weight_counter(pulley_law, R, counter.t0)
+    else:
+        counter = CounterElement.spring(draw(st.floats(5.0, 15.0)), draw(st.floats(10.0, 80.0)))
+        profile = synthesize_spring_counter(pulley_law, R, counter)
+    conv = FloatingConverter(left, profile, counter, gap_x=draw(st.floats(0.0, 0.02)))
+    u_star = conv.gap_x + draw(st.floats(0.02, 0.98)) * (conv.u_max - conv.gap_x)
+    return conv, float(conv.operating_force(u_star))
+
+
+def bisection_root(conv, applied):
+    """The one root of a monotone operating force, by scalar bisection to 1e-13 m."""
+    a, b = conv.gap_x, conv.u_max
+    fa = conv.operating_force(a) - applied
+    while b - a > 1e-13:
+        mid = 0.5 * (a + b)
+        fm = conv.operating_force(mid) - applied
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=mismatched_converters())
+def test_equilibrium_matches_an_independent_bisection(case):
+    conv, applied = case
+    root = conv.equilibrium_displacement(applied)
+    assert abs(root - bisection_root(conv, applied)) <= EQUILIBRIUM_U_TOL
+
+
+def stiffer_than_its_pulley(cls=FloatingConverter):
+    """A 120 N/m law against a pulley shaped for 100 N/m, engaged from 10 mm."""
+    profile = synthesize_weight_counter(ForceCharacteristic.linear(100.0, 0.1), 0.02, 10.0)
+    return cls(ForceCharacteristic.linear(120.0, 0.12), profile, CounterElement.weight(10.0),
+               gap_x=0.01)
+
+
+@pytest.mark.parametrize("node", [0, 1, 300, _EQUILIBRIUM_SCAN - 1, _EQUILIBRIUM_SCAN])
+def test_equilibrium_root_on_a_scan_node(node):
+    conv = stiffer_than_its_pulley()
+    us = np.linspace(conv.gap_x, conv.u_max, _EQUILIBRIUM_SCAN + 1)
+    applied = float(conv.operating_force(us)[node])
+    root = conv.equilibrium_displacement(applied)
+    assert abs(root - us[node]) <= EQUILIBRIUM_U_TOL
+    if node == 0:
+        assert root == conv.gap_x
+
+
+class LastPositionShifted(FloatingConverter):
+    """An operating force 1 mN lower at the last position of an array: a
+    stand-in for a law whose array evaluation differs by position."""
+
+    def operating_force(self, u):
+        force = super().operating_force(u)
+        if np.ndim(force):
+            force[-1] -= 1e-3
+        return force
+
+
+def test_equilibrium_rescan_keeps_the_bracket_end_residuals():
+    # the root sits on scan node 300; re-evaluated as the last position of a
+    # rescan, that end would lose the sign change
+    conv = stiffer_than_its_pulley(LastPositionShifted)
+    us = np.linspace(conv.gap_x, conv.u_max, _EQUILIBRIUM_SCAN + 1)
+    root = conv.equilibrium_displacement(float(conv.operating_force(us)[300]))
+    assert abs(root - us[300]) <= EQUILIBRIUM_U_TOL
 
 
 def test_gap_doubling_doubles_operating_force():

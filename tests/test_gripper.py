@@ -28,7 +28,7 @@ from floatconv import (
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
-from floatconv.characteristics import clip_domain
+from floatconv.characteristics import MAX_LENGTH, clip_domain
 from floatconv.gripper import GRIP_FORCE_TOL, TraceRow
 
 THETA_MAX = math.radians(345.0)
@@ -126,6 +126,15 @@ def test_plan_unreachable_force():
 def test_plan_rejects_non_finite_target(target):
     with pytest.raises(UnreachableForce, match="must be finite"):
         plan_grasp(make_model(), target)
+
+
+def test_lengths_are_bounded_by_max_length():
+    assert ForceCharacteristic.linear(1.0, MAX_LENGTH).x_max == MAX_LENGTH
+    with pytest.raises(ValidationError, match=r"^x_max must be <= 1e\+06, got 1000001.0$"):
+        ForceCharacteristic.linear(1.0, MAX_LENGTH + 1)
+    assert make_model(travel=MAX_LENGTH).stage_travel == MAX_LENGTH
+    with pytest.raises(ValidationError, match=r"^stage_travel must be <= 1e\+06, got 10000000.0$"):
+        make_model(travel=1e7)
 
 
 def test_plan_unreachable_object():

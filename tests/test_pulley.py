@@ -79,6 +79,30 @@ def test_synthesis_validation_errors():
         synthesize_weight_counter(dips_negative, 0.02, 10.0)
 
 
+SYNTHESIS_COUNTS = {
+    "n_samples": lambda n: synthesize_weight_counter(make_linear(), 0.02, 10.0, n_samples=n),
+    "n_steps": lambda n: synthesize_spring_counter(
+        make_linear(), 0.02, CounterElement.spring(10.0, 50.0), n_steps=n),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, True, "512", 2**40])
+@pytest.mark.parametrize("label", sorted(SYNTHESIS_COUNTS))
+def test_synthesis_counts_rejected_before_allocation(monkeypatch, label, n):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("synthesis allocated its grid before validating the count")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    rule = rf"^{label} must be (an integer|in \[[12], 104857[56]\], got {n})$"
+    with pytest.raises(ValidationError, match=rule):
+        SYNTHESIS_COUNTS[label](n)
+
+
+def test_synthesis_counts_accept_numpy_integers():
+    assert SYNTHESIS_COUNTS["n_samples"](np.int64(512)).n_samples == 512
+    assert SYNTHESIS_COUNTS["n_steps"](np.int64(512)).n_samples == 513
+
+
 # -- realized force and balance residual -----------------------------------
 
 
