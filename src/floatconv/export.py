@@ -5,6 +5,17 @@ workshop convention. All numbers are serialized with fixed 6-decimal
 formatting and a locale-independent '.' separator, and every writer is a
 pure text generator, so output is byte-for-byte deterministic and
 golden-file friendly. Line endings are LF.
+
+One codec serves every file. The encoder writes an (n, c) float matrix
+in a single pass: each value becomes its integer quantum round(v * 1e6),
+rounded half to even on the exact product as ``"%.6f"`` rounds, and the
+quanta become digits through a 4-digit lookup table. The bytes are those
+``"%.6f"`` writes, with "-0.000000" normalized to "0.000000"; a document
+holding a non-finite value or one of 2**52/1e6 or more in magnitude is
+%-formatted instead. The decoder reads a profile CSV whose every field is
+``-?\\d{1,9}\\.\\d{6}`` as integers over 1e6, which is float() of each
+field bit for bit; any other text goes to a row-by-row parse that names
+the first bad line.
 """
 
 from __future__ import annotations
@@ -33,6 +44,8 @@ SVG_STROKE_PX = 1.0
 # bottom 1 mm is still 0.001 px, not rounded to zero by the 6 decimals.
 SVG_SCALE_MIN = 1e-3
 SVG_SCALE_MAX = 1e6
+# Largest radius x scale: every SVG number then prints in 25 characters or fewer.
+SVG_MAX_PX = 1e15
 
 _F6 = "%.6f"   # the one number format of every export
 
@@ -48,44 +61,158 @@ def fmt6(value: float) -> str:
     return _unsigned_zero(_F6 % value)
 
 
-def _fill(template: str, n: int, values) -> str:
-    """``template`` repeated ``n`` times, filled from the flat ``values``
-    (row by row) in one %-format: the cost is the number formatting."""
-    return _unsigned_zero((template * n) % tuple(values))
+# -- encoder ----------------------------------------------------------------------
+
+_SPLIT = 134217729.0         # 2**27 + 1: splits a float64 into two 26-bit halves
+_FAST_MAX = 2.0**52 / 1e6    # below it a quantum and a half-quantum are exact floats
+_POW10 = 10 ** np.arange(1, 10, dtype=np.int64)   # a whole part has at most 10 digits
+_Q = np.arange(10**4, dtype=np.uint16)
+# "0000" .. "9999" and "\0.00" .. "\0.99" as native 4-byte words; a word
+# written back into a byte buffer keeps its byte order
+_QUADS = np.stack([_Q // 1000, _Q // 100 % 10, _Q // 10 % 10, _Q % 10], axis=-1).astype(np.uint8)
+_QUADS += ord("0")
+_POINT_PAIRS = _QUADS[:100].copy()
+_POINT_PAIRS[:, :2] = (0, ord("."))
+_QUADS = _QUADS.view(np.uint32).ravel()
+_POINT_PAIRS = _POINT_PAIRS.view(np.uint32).ravel()
+_MINUS_WORD = np.frombuffer(b"\0\0\0-", np.uint32)[0]
+# keep masks of a word: its last m bytes for m = 0 .. 4, and its sign byte
+_KEEP_LAST = np.frombuffer(bytes([0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1]),
+                           np.uint32)
+_KEEP_SIGN = _KEEP_LAST[1]
 
 
-def _interleave(*columns: np.ndarray) -> list[float]:
-    return np.column_stack(columns).ravel().tolist()
+def _quanta(values: np.ndarray, decimals: tuple[int, ...]) -> np.ndarray | None:
+    """round(v * 10**d) with column j's d = ``decimals[j]``, half to even on
+    the exact product, as int64; None when a value is non-finite or
+    |v| >= _FAST_MAX."""
+    if not np.all(np.abs(values) < _FAST_MAX):   # false for nan, too
+        return None
+    scale = np.array([10.0**d for d in decimals])   # 14 significant bits or fewer
+    p = values * scale
+    q = np.rint(p)
+    # p is v * scale rounded: only where p is itself a tie can the
+    # rounding error of p decide the quantum
+    tie = np.abs(p - q) == 0.5
+    if tie.any():
+        v, s, pt, qt = values[tie], np.broadcast_to(scale, p.shape)[tie], p[tie], q[tie]
+        # Dekker: hi and v - hi have 26 bits, so both products are exact
+        # and p + err == v * s exactly
+        t = v * _SPLIT
+        hi = t - (t - v)
+        err = (hi * s - pt) + (v - hi) * s
+        q[tie] = np.where(err * (pt - qt) > 0, 2 * pt - qt, qt)
+    return q.astype(np.int64)
+
+
+def _encode(values: np.ndarray, decimals: tuple[int, ...], seps: tuple[str, ...],
+            quanta: np.ndarray | None = None) -> str:
+    """An (n, c) float matrix as text, row by row: column j with
+    ``decimals[j]`` (6 or 0) decimals, then ``seps[j]``. ``quanta`` is
+    ``_quanta(values, decimals)`` when the caller has it.
+
+    Each value gets a slot of 4-byte words in one byte matrix: a sign,
+    its whole part zero-padded to a common width, the point and two
+    decimals, four decimals, its separator padded with zero bytes. A
+    boolean mask then keeps the sign of a negative quantum, the digits
+    from the first significant one and the real bytes in one copy.
+    """
+    q = _quanta(values, decimals) if quanta is None else quanta
+    if q is None:
+        row = "".join(f"%.{d}f{sep}" for d, sep in zip(decimals, seps))
+        return _unsigned_zero((row * len(values)) % tuple(values.ravel().tolist()))
+    n, c = q.shape
+    whole, frac = np.divmod(np.abs(q), np.array([10**d for d in decimals], dtype=np.int64))
+    digits = 1 + np.searchsorted(_POW10, whole, side="right")
+    k = -(-int(digits.max(initial=1)) // 4)     # words of whole digits
+    e = -(-max(map(len, seps)) // 4)            # words of separator
+    words = 1 + k + 2 + e
+
+    template = np.zeros((c, 4 * words), bool)   # the bytes every row keeps
+    sep_bytes = np.zeros((c, 4 * e), np.uint8)
+    for j, (d, sep) in enumerate(zip(decimals, seps)):
+        template[j, 4 * (1 + k) + 1:4 * (3 + k)] = d > 0
+        template[j, 4 * (3 + k):4 * (3 + k) + len(sep)] = True
+        sep_bytes[j, :len(sep)] = list(sep.encode("ascii"))
+
+    out = np.empty((n, c, words), np.uint32)
+    keep = np.empty((n, c, words), np.uint32)   # 4 bools per word
+    out[..., 0] = _MINUS_WORD
+    keep[:] = template.view(np.uint32)
+    keep[..., 0] = np.where(q < 0, _KEEP_SIGN, 0)
+    for i in range(k):
+        out[..., k - i] = _QUADS.take((whole // 10 ** (4 * i) % 10**4).astype(np.int32))
+        keep[..., k - i] = _KEEP_LAST.take(np.clip(digits - 4 * i, 0, 4))
+    frac = frac.astype(np.int32)
+    out[..., 1 + k] = _POINT_PAIRS.take(frac // 10**4)
+    out[..., 2 + k] = _QUADS.take(frac % 10**4)
+    out[..., 3 + k:] = sep_bytes.view(np.uint32)
+    return out.view(np.uint8)[keep.view(bool)].tobytes().decode("ascii")
 
 
 def profile_to_csv(profile: PulleyProfile) -> str:
-    values = _interleave(np.degrees(profile.thetas), profile.radii * 1000.0)
-    return PROFILE_CSV_HEADER + "\n" + _fill(f"{_F6},{_F6}\n", profile.n_samples, values)
+    """The profile as theta_deg,r_mm rows.
 
-
-def _parse_fast(text: str) -> np.ndarray | None:
-    """The fields (theta_deg, r_mm, theta_deg, ...) of a file the row loop
-    accepts, with the same values; None for any other text.
-
-    The separators in order must alternate ",\\n,\\n...,", one comma per
-    row: a count would pass a 3-field row next to a 1-field one. They are
-    ASCII, so the UTF-8 bytes keep their order.
+    Raises ValidationError when the thetas as written would not read back
+    strictly increasing, as when samples less than 1e-6 degrees apart
+    print alike: read_profile_csv would refuse the file.
     """
-    header, _, body = text.partition("\n")
-    if header != PROFILE_CSV_HEADER:
+    values = np.column_stack([np.degrees(profile.thetas), profile.radii * 1000.0])
+    q = _quanta(values, (6, 6))
+    read = q[:, 0] / 1e6 if q is not None else np.array([float(fmt6(v)) for v in values[:, 0]])
+    bad = np.flatnonzero(np.diff(np.radians(read)) <= 0)
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(
+            "profile thetas must be strictly increasing at 6 decimals of a degree: "
+            f"samples {i} and {i + 1} are written as {fmt6(read[i])} and {fmt6(read[i + 1])}"
+        )
+    return PROFILE_CSV_HEADER + "\n" + _encode(values, (6, 6), (",", "\n"), q)
+
+
+# -- decoder ----------------------------------------------------------------------
+
+
+def _decode(text: str) -> np.ndarray | None:
+    """The fields (theta_deg, r_mm, theta_deg, ...) of a profile CSV as
+    float() reads them, when every row ends in LF and every field is
+    ``-?\\d{1,9}\\.\\d{6}``; None for any other text.
+
+    Such a field is an integer N < 1e15 < 2**53 over 1e6, both exact in
+    float64, and IEEE division rounds correctly, so N / 1e6 is float(field)
+    bit for bit; "-0.000000" reads as -0.0.
+    """
+    head = PROFILE_CSV_HEADER + "\n"
+    if not (text.startswith(head) and text.endswith("\n") and text.isascii()):
         return None
-    body = body.removesuffix("\n")
-    # surrogatepass: a lone surrogate in a str must not raise here
-    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    seps = raw[(raw == ord(",")) | (raw == ord("\n"))].tobytes()
-    rows = (len(seps) + 1) // 2
-    if rows < 2 or seps != b",\n" * (rows - 1) + b",":
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)[len(head):]
+    ends = np.flatnonzero(raw < ord("-"))   # the separators, and any other byte below '-'
+    n = ends.size
+    # they must alternate ",\n,\n...", ending in the final LF: one comma per row
+    if n < 4 or np.any(raw[ends[0::2]] != ord(",")) or np.any(raw[ends[1::2]] != ord("\n")):
         return None
-    cells = body.replace("\n", ",").split(",")
-    try:
-        return np.fromiter(map(float, cells), dtype=float, count=2 * rows)
-    except ValueError:
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    neg = raw[starts] == ord("-")
+    whole = ends - starts - 7 - neg   # digits before the point
+    # a point 7 bytes before each end; besides it, the separator and a
+    # leading minus, every byte is a digit
+    if (
+        np.any(whole < 1)
+        or np.any(whole > 9)
+        or np.any(raw[ends - 7] != ord("."))
+        or np.count_nonzero(raw - np.uint8(ord("0")) < 10) != raw.size - 2 * n - neg.sum()
+    ):
         return None
+    # one take per digit column, counted back from each field's end
+    number = np.zeros(n, np.int64)
+    for place in range(6):
+        number += (raw[ends - 1 - place].astype(np.int64) - ord("0")) * 10**place
+    for place in range(int(whole.max())):
+        digit = raw.take(ends - 8 - place, mode="clip").astype(np.int64) - ord("0")
+        number += np.where(whole > place, digit, 0) * 10 ** (6 + place)
+    values = number / 1e6
+    values[neg] *= -1.0
+    return values
 
 
 def _parse_rows(text: str) -> np.ndarray:
@@ -118,7 +245,7 @@ def read_profile_csv(text: str, circular_radius_m: float = 1.0) -> PulleyProfile
     analysis needs it passed in; geometry-only consumers may keep the
     default.
     """
-    values = _parse_fast(text)
+    values = _decode(text)
     if values is None:
         values = _parse_rows(text)
     return PulleyProfile(
@@ -128,31 +255,39 @@ def read_profile_csv(text: str, circular_radius_m: float = 1.0) -> PulleyProfile
     )
 
 
+# -- writers ----------------------------------------------------------------------
+
+
 def profile_to_svg(profile: PulleyProfile, scale: float = 10.0) -> str:
     """Render the polar curve as a single SVG path plus an axis marker.
 
     Points are (r*cos(theta), r*sin(theta)) in mm, y flipped to screen
     convention, scaled by ``scale`` px per mm, which must lie in
-    [SVG_SCALE_MIN, SVG_SCALE_MAX]; the viewBox tightly bounds the curve
-    plus SVG_MARGIN_MM.
+    [SVG_SCALE_MIN, SVG_SCALE_MAX]; the largest radius times the scale
+    must not exceed SVG_MAX_PX. The viewBox tightly bounds the curve plus
+    SVG_MARGIN_MM.
     """
     sc = _finite("scale", scale)
     if not SVG_SCALE_MIN <= sc <= SVG_SCALE_MAX:
         raise ValidationError(
             f"scale must be in [{SVG_SCALE_MIN:g}, {SVG_SCALE_MAX:g}] px/mm, got {scale}"
         )
-    # PulleyProfile bounds the radii, so no coordinate can overflow
     r_mm = profile.radii * 1000.0
+    r_max_mm = float(np.max(r_mm))
+    if r_max_mm * sc > SVG_MAX_PX:
+        raise ValidationError(
+            f"largest radius x scale must be <= {SVG_MAX_PX:g} px, "
+            f"got {r_max_mm:g} mm x {sc:g} px/mm = {r_max_mm * sc:g} px"
+        )
     xs = r_mm * np.cos(profile.thetas)
     ys = -r_mm * np.sin(profile.thetas)  # screen y grows downward
-    px, py = xs * sc, ys * sc
 
     x0 = (float(np.min(xs)) - SVG_MARGIN_MM) * sc
     y0 = (float(np.min(ys)) - SVG_MARGIN_MM) * sc
     width = (float(np.max(xs)) - float(np.min(xs)) + 2 * SVG_MARGIN_MM) * sc
     height = (float(np.max(ys)) - float(np.min(ys)) + 2 * SVG_MARGIN_MM) * sc
 
-    path = "M " + _fill(f"{_F6} {_F6} L ", profile.n_samples, _interleave(px, py))[:-3]
+    path = "M " + _encode(np.column_stack([xs * sc, ys * sc]), (6, 6), (" ", " L "))[:-3]
     marker_r = 0.5 * sc  # 0.5 mm dot at the rotation axis
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -167,20 +302,25 @@ def profile_to_svg(profile: PulleyProfile, scale: float = 10.0) -> str:
 
 
 def sweep_to_csv(table: SweepTable) -> str:
-    values = _interleave(
+    values = np.column_stack([
         table.u * 1000.0,
         table.spring_force,
         table.counter_force,
         table.op_force_ideal,
         table.op_force_plus,
         table.op_force_minus,
-    )
-    return SWEEP_CSV_HEADER + "\n" + _fill(",".join([_F6] * 6) + "\n", len(table.u), values)
+    ])
+    return SWEEP_CSV_HEADER + "\n" + _encode(values, (6,) * 6, (",",) * 5 + ("\n",))
 
 
 def trace_to_csv(trace: GraspTrace) -> str:
-    row = f"%d,{{}},{_F6},{_F6},{_F6},%d\n"
-    template = "".join(row.format(phase) * n for phase, n in trace.phase_counts)
-    ticks = np.arange(trace.jaw.size)
-    values = _interleave(ticks, trace.jaw * 1000.0, trace.grip, trace.actuator, trace.latch)
-    return TRACE_CSV_HEADER + "\n" + _fill(template, 1, values)
+    """One encoded block per phase, whose name is the tick's separator."""
+    values = np.column_stack([
+        np.arange(trace.jaw.size), trace.jaw * 1000.0, trace.grip, trace.actuator, trace.latch
+    ])
+    blocks, at = [TRACE_CSV_HEADER + "\n"], 0
+    for phase, n in trace.phase_counts:
+        seps = (f",{phase},", ",", ",", ",", "\n")
+        blocks.append(_encode(values[at:at + n], (0, 6, 6, 6, 0), seps))
+        at += n
+    return "".join(blocks)

@@ -24,6 +24,8 @@ from floatconv.characteristics import PiecewiseLinear
 stiffness = st.floats(min_value=1e-2, max_value=1e5, allow_nan=False)
 extension_limit = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 
+_trapz = getattr(np, "trapezoid", None) or np.trapz  # np.trapezoid is numpy >= 2.0
+
 
 def test_linear_force_values():
     lin = ForceCharacteristic.linear(k=100.0, x_max=0.12)
@@ -63,14 +65,12 @@ def test_power_law_energy_against_fine_quadrature():
     # 1/0.1 - 1/0.2 = 5
     pw = ForceCharacteristic.power_law(c=1.0, d=0.1, p=2.0, x_max=0.1)
     xs = np.linspace(0.0, 0.1, 2**17 + 1)
-    oracle = np.trapezoid(1.0 / (xs + 0.1) ** 2, xs)
+    oracle = _trapz(1.0 / (xs + 0.1) ** 2, xs)
     assert oracle == pytest.approx(5.0, abs=5e-9)
     assert pw.stored_energy(0.1) == pytest.approx(oracle, abs=5e-6)
 
 
 # -- energy oracle ---------------------------------------------------------------
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 # knots off any uniform grid; x_max inside the last segment
 OFF_GRID = ForceCharacteristic.tabulated(

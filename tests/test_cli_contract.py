@@ -134,11 +134,16 @@ def assert_contract(code, stdout, stderr, out: Path):
          "ERR:ValidationError:x_max must be <= 1e+06, got 1e+300\n"),
         ("gripper", "grasp", HUGE_STAGE, 1,
          "ERR:ValidationError:stage_travel must be <= 1e+06, got 1e+300\n"),
+        # theta_max is 1.2e-11 rad: every theta would be written as 0.000000
+        ("gripper", "synthesize", [("pulley.circular_radius_m", 1e10)], 1,
+         "ERR:ValidationError:profile thetas must be strictly increasing at 6 decimals "
+         "of a degree: samples 0 and 1 are written as 0.000000 and 0.000000\n"),
     ],
     ids=[
         "inverted_window", "huge_r_min", "subnormal_radius_sweep", "subnormal_radius_verify",
         "huge_radius_verify", "huge_friction_offset", "tiny_constant_force",
         "huge_domain_synthesize", "huge_domain_sweep", "huge_stage_grasp",
+        "huge_radius_synthesize",
     ],
 )
 def test_refusal_is_one_error_line_and_no_file(tmp_path, name, command, edits, code, err):
@@ -189,6 +194,7 @@ def workdir(tmp_path_factory):
 @example(case=("gripper", [("spring", HUGE_DOMAIN)]), command="synthesize", flag=None)
 @example(case=("gripper", [("spring", HUGE_DOMAIN)]), command="sweep", flag=None)
 @example(case=("gripper", HUGE_STAGE), command="grasp", flag=None)
+@example(case=("gripper", [("pulley.circular_radius_m", 1e10)]), command="synthesize", flag=None)
 def test_every_run_succeeds_cleanly_or_is_one_error_line(workdir, case, command, flag):
     name, edits = case
     profile = shipped_profile(workdir, name)

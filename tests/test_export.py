@@ -25,7 +25,16 @@ from floatconv import (
     synthesize_weight_counter,
 )
 from floatconv.converter import SweepTable
-from floatconv.export import SVG_SCALE_MAX, fmt6, sweep_to_csv, trace_to_csv
+from floatconv.export import (
+    SVG_MAX_PX,
+    SVG_SCALE_MAX,
+    _decode,
+    _encode,
+    _quanta,
+    fmt6,
+    sweep_to_csv,
+    trace_to_csv,
+)
 from floatconv.gripper import GraspTrace, GripperModel
 from floatconv.pulley import MAX_PROFILE_RADIUS
 
@@ -326,6 +335,17 @@ HEADER = "theta_deg,r_mm\n"
         HEADER + "0.0,10.0\n1.0,\u0661\u0662\n",       # Arabic-Indic digits: float() accepts
         HEADER + "0.0,10.0\n1.0,\ud800\n",             # a lone surrogate
         HEADER + "0.0,10.0\n1.0,11.0\n0.5,12.0\n",      # thetas not increasing
+        # fixed-6 fields in the wrong places or between the wrong separators
+        HEADER + "0.000000\n10.000000\n1.000000\n11.000000\n",
+        HEADER + "0.000000,10.000000,1.000000\n11.000000\n",
+        HEADER + "0.000000,10.000000,1.000000,11.000000\n",
+        HEADER + "0.000000,10.000000\n",
+        HEADER + "0.000000,10.000000\n1.000000,11.000000\n2.000000,12",   # no final LF
+        HEADER + "0.000000 10.000000\n1.000000 11.000000\n",
+        HEADER + "0.000000\t10.000000\n1.000000\t11.000000\n",
+        HEADER + "0.000000;10.000000\n1.000000;11.000000\n",
+        HEADER + "0.000000,10.000000\n1.000000,.000000\n",
+        HEADER + "0.000000,10.000000\n1.000000,-.000000\n",
     ],
 )
 def test_read_profile_matches_row_loop(text):
@@ -342,7 +362,7 @@ _ROWS = st.none() | _CELLS | st.tuples(_CELLS, _CELLS).map(",".join)
 @settings(deadline=None, max_examples=200)
 @given(rows=st.lists(_ROWS, max_size=6), ending=st.sampled_from(["", "\n", "\r\n", "\n\n"]))
 def test_read_profile_matches_row_loop_on_generated_text(rows, ending):
-    body = "\n".join(f"{i}.5,10.0" if row is None else row for i, row in enumerate(rows))
+    body = "\n".join(f"{1.5 * i},10.0" if row is None else row for i, row in enumerate(rows))
     text = HEADER + body + ending
     assert read_outcome(read_profile_csv, text) == read_outcome(ref_read_profile_csv, text)
 
@@ -381,9 +401,21 @@ _RADII = st.sampled_from([0.0, -0.0, 4.9e-10, 5e-10, 1e12]) | st.floats(0.0, 1e3
 def test_profile_writers_match_per_value_writers(r0, samples, scale):
     steps, radii = zip(*samples)
     profile = PulleyProfile(0.02, np.cumsum((0.0,) + steps), np.array((r0,) + radii))
-    assert profile_to_csv(profile).encode() == ref_profile_csv(profile).encode()
-    svg = profile_to_svg(profile, scale=scale)
-    assert f'<path d="{ref_svg_path(profile, scale)}" ' in svg
+    text = ref_profile_csv(profile)
+    try:
+        ref_read_profile_csv(text)
+    except ValidationError:
+        # thetas less than 1e-6 degrees apart print alike: the file would not read back
+        with pytest.raises(ValidationError, match="strictly increasing at 6 decimals"):
+            profile_to_csv(profile)
+    else:
+        assert profile_to_csv(profile).encode() == text.encode()
+    if np.max(profile.radii) * 1000.0 * scale > SVG_MAX_PX:
+        with pytest.raises(ValidationError, match="largest radius x scale"):
+            profile_to_svg(profile, scale=scale)
+    else:
+        svg = profile_to_svg(profile, scale=scale)
+        assert f'<path d="{ref_svg_path(profile, scale)}" ' in svg
 
 
 def test_profile_writers_match_per_value_writers_on_synthesized_profile():
@@ -415,7 +447,116 @@ def test_svg_numbers_stay_short_at_the_radius_bound():
     with pytest.raises(ValidationError, match=r"profile radii must be <= 1e\+12 m, got 1e\+305 m"):
         PulleyProfile(0.02, np.array([0.0, 1.0]), np.array([1e305, 1e305]))
     profile = PulleyProfile(0.02, np.array([0.0, 1.0]), np.full(2, MAX_PROFILE_RADIUS))
+    with pytest.raises(
+        ValidationError,
+        match=r"^largest radius x scale must be <= 1e\+15 px, "
+        r"got 1e\+15 mm x 1e\+06 px/mm = 1e\+21 px$",
+    ):
+        profile_to_svg(profile, scale=SVG_SCALE_MAX)
+
+
+@pytest.mark.parametrize("radius, scale", [(MAX_PROFILE_RADIUS, 1.0), (1e6, SVG_SCALE_MAX)])
+def test_svg_numbers_stay_short_at_the_largest_accepted_product(radius, scale):
+    profile = PulleyProfile(0.02, np.array([0.0, 1.0, 4.0]), np.full(3, radius))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        svg = profile_to_svg(profile, scale=SVG_SCALE_MAX)
-    assert max(len(token) for token in re.findall(r"[-0-9.]+", svg)) <= 32
+        svg = profile_to_svg(profile, scale=scale)
+    assert max(len(token) for token in re.findall(r"[-0-9.]+", svg)) <= 25
+
+
+def test_profile_csv_refuses_thetas_that_print_alike():
+    profile = PulleyProfile(0.02, np.array([0.0, 1e-9, 1.0]), np.array([0.01, 0.02, 0.03]))
+    with pytest.raises(
+        ValidationError,
+        match=r"^profile thetas must be strictly increasing at 6 decimals of a degree: "
+        r"samples 0 and 1 are written as 0\.000000 and 0\.000000$",
+    ):
+        profile_to_csv(profile)
+
+
+# -- the codec at its edges --------------------------------------------------------
+
+FAST_MAX = 2.0**52 / 1e6   # from here on the encoder leaves a document to %-format
+# exact ties of the 6th decimal: the odd multiples of 2**-7 are k * 7812.5e-6
+_TIES = [k * 2.0**-7 for k in (1, 3, 5, 127, 129, 2**20 + 1, 2**38 + 1)]
+# each half-quantum (k + 0.5) * 1e-6 as a float and the floats on either side
+_HALVES = [(k + 0.5) * 1e-6 for k in (0, 1, 2, 7, 12344, 999999, 123456789, 2**40 + 3)]
+_NEAR_HALVES = [x for h in _HALVES for x in (np.nextafter(h, -1.0), h, np.nextafter(h, 2 * h))]
+_CODEC_EDGES = _TIES + _NEAR_HALVES + [
+    0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 4.999999999999999e-7,
+    np.nextafter(FAST_MAX, 0.0), FAST_MAX, np.nextafter(FAST_MAX, math.inf),
+    math.inf, math.nan,
+]
+
+
+@pytest.mark.parametrize("value", [float(s * x) for x in _CODEC_EDGES for s in (1.0, -1.0)])
+def test_encoder_matches_percent_format_at_edges(value):
+    fast = _quanta(np.array([[value]]), (6,)) is not None
+    assert fast == (abs(value) < FAST_MAX)
+    assert _encode(np.array([[value]]), (6,), ("\n",)) == ref_fmt6(value) + "\n"
+
+
+_WIDE = st.floats(-2 * FAST_MAX, 2 * FAST_MAX) | st.floats(-1e3, 1e3) | st.sampled_from(
+    [float(s * x) for x in _CODEC_EDGES[:-2] for s in (1.0, -1.0)]
+)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(_WIDE, _WIDE, st.integers(0, 2**20)), max_size=12))
+def test_encoder_matches_percent_format_on_matrices(rows):
+    values = np.array(rows, dtype=float).reshape(-1, 3)
+    want = "".join(f"{ref_fmt6(a)} L {ref_fmt6(b)},{tick}\n" for a, b, tick in rows)
+    assert _encode(values, (6, 6, 0), (" L ", ",", "\n")) == want
+
+
+_WHOLE = st.from_regex(r"[0-9]{1,10}", fullmatch=True)
+_FIXED6 = st.tuples(st.sampled_from(["", "-"]), _WHOLE, st.from_regex(r"[0-9]{6}", fullmatch=True))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(_FIXED6, _FIXED6), min_size=2, max_size=8))
+def test_decoder_reads_fixed6_fields_as_float_does(rows):
+    fields = [f"{sign}{whole}.{frac}" for row in rows for sign, whole, frac in row]
+    text = HEADER + "".join(f"{a},{b}\n" for a, b in zip(fields[0::2], fields[1::2]))
+    got = _decode(text)
+    if max(len(whole) for row in rows for _, whole, _ in row) > 9:
+        assert got is None   # a 10-digit whole part goes to the row loop
+    else:
+        assert got.tobytes() == np.array([float(f) for f in fields]).tobytes()
+
+
+def test_decoder_reads_leading_zeros_and_negative_zero():
+    text = HEADER + "-0.000000,0007.250000\n000000000.000001,-000123.456789\n"
+    assert _decode(text).tobytes() == np.array([-0.0, 7.25, 1e-6, -123.456789]).tobytes()
+    assert math.copysign(1.0, _decode(text)[0]) == -1.0
+
+
+# fields one edit away from fixed-6, and fixed-6 ones at the limits
+NEAR_FIXED6 = [
+    "0.000000", "-0.000000", "0001.500000", "999999999.999999", "1234567890.000000",
+    "1.00000", "1.0000000", "+1.000000", "1..000000", "-.000000", ".000000", "1.",
+    "1/000000", "1:000000", "1.00000a", "--1.000000", "1.000000-", "1-000000",
+    "1.-00000", " 1.000000", "1.000000 ", "1.000000\r", "1\x00000000", "\u0661.000000", "",
+]
+
+
+@pytest.mark.parametrize("field", NEAR_FIXED6)
+@pytest.mark.parametrize("row", ["{},10.000000", "1.000000,{}"])
+def test_read_profile_matches_row_loop_on_one_near_fixed6_field(field, row):
+    text = HEADER + "0.000000,10.000000\n" + row.format(field) + "\n2.000000,12.000000\n"
+    assert read_outcome(read_profile_csv, text) == read_outcome(ref_read_profile_csv, text)
+
+
+# None stands for a fixed-6 row whose theta keeps increasing from 0
+_NEAR_FIXED6 = st.sampled_from(NEAR_FIXED6)
+_NEAR_ROWS = st.none() | st.tuples(_NEAR_FIXED6, _NEAR_FIXED6).map(",".join) | _NEAR_FIXED6
+
+
+@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@given(rows=st.lists(_NEAR_ROWS, max_size=6), ending=st.sampled_from(["", "\n", "\n\n"]))
+def test_read_profile_matches_row_loop_on_near_fixed6_text(rows, ending):
+    body = "\n".join(
+        f"{i}.000000,1{i}.000000" if row is None else row for i, row in enumerate(rows)
+    )
+    text = HEADER + body + ending
+    assert read_outcome(read_profile_csv, text) == read_outcome(ref_read_profile_csv, text)
