@@ -172,6 +172,17 @@ def _count(label: str, n, lo: int, hi: int):
     return n
 
 
+def _columns(record, names, label: str) -> list:
+    """Make the named fields of a frozen record read-only float copies, 1-d and one length."""
+    columns = [np.array(getattr(record, name), dtype=float) for name in names]
+    if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
+        raise ValidationError(f"{label} must be 1-d and share one length")
+    for name, column in zip(names, columns):
+        column.flags.writeable = False
+        object.__setattr__(record, name, column)
+    return columns
+
+
 @dataclass(frozen=True)
 class ForceCharacteristic:
     """A force-vs-displacement law on the closed domain [0, x_max].

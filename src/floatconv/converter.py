@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .characteristics import (
-    ForceCharacteristic, _at_least, _count, _finite, clip_domain, cumulative_trapezoid,
+    ForceCharacteristic, _at_least, _columns, _count, _finite, clip_domain, cumulative_trapezoid,
 )
 from .errors import (
     DomainError,
@@ -135,17 +135,18 @@ class FloatingConverter:
         delta_spring is the change of energy stored in the working element,
         delta_counter the (negative of the) energy the counter element
         releases, operator_work the integral of the operating force. The
-        three close: operator_work = delta_spring + delta_counter.
+        three close: operator_work = delta_spring + delta_counter. It evaluates
+        the ends as force_components does: clipped, each angle at most theta_max.
         """
-        clip_domain(u0, self.u_max)
-        clip_domain(u1, self.u_max)
+        u0, _ = clip_domain(u0, self.u_max)
+        u1, _ = clip_domain(u1, self.u_max)
         if u0 == u1:
             return EnergyLedger(0.0, 0.0, 0.0)
         delta_spring = self.left.stored_energy(u1) - self.left.stored_energy(u0)
 
-        R = self.profile.circular_radius
-        theta0 = max(u0 - self.gap_x, 0.0) / R
-        theta1 = max(u1 - self.gap_x, 0.0) / R
+        R, theta_max = self.profile.circular_radius, self.profile.theta_max
+        theta0 = min(max(u0 - self.gap_x, 0.0) / R, theta_max)
+        theta1 = min(max(u1 - self.gap_x, 0.0) / R, theta_max)
         s0 = self.profile.payout(theta0)
         s1 = self.profile.payout(theta1)
         delta_counter = self.counter.released_energy(s0) - self.counter.released_energy(s1)
@@ -214,14 +215,8 @@ class SweepTable:
     op_force_minus: np.ndarray
 
     def __post_init__(self):
-        n = np.shape(self.u)
-        for field in fields(self):
-            arr = np.array(getattr(self, field.name), dtype=float)
-            if arr.shape != n:
-                raise ValidationError("sweep columns must share one length")
-            arr.flags.writeable = False
-            object.__setattr__(self, field.name, arr)
-        if np.any(np.diff(self.u) <= 0):
+        u = _columns(self, [field.name for field in fields(self)], "sweep columns")[0]
+        if np.any(np.diff(u) <= 0):
             raise ValidationError("sweep displacements must be strictly increasing")
 
     # an overflowing ratio is reported by the bound check, not as a warning

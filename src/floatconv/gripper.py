@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .characteristics import _at_least, _finite, _length
+from .characteristics import _at_least, _columns, _count, _finite, _length
 from .converter import FloatingConverter
 from .errors import (
     ActuatorStall,
@@ -114,21 +114,8 @@ class GraspTrace:
     latch_holds: bool
 
     def __post_init__(self):
-        n = np.shape(self.jaw)
-        for name in ("jaw", "grip", "actuator"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.ndim != 1 or arr.shape != n:
-                raise ValidationError("trace columns must be 1-d and share one length")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        n_positioning = self.n_positioning
-        if not isinstance(n_positioning, (int, np.integer)) or not (
-            0 <= n_positioning <= self.jaw.size - 2
-        ):
-            raise ValidationError(
-                f"a {self.jaw.size}-row trace cannot hold {n_positioning!r} "
-                "positioning ticks besides tick 0 and the done row"
-            )
+        jaw = _columns(self, ("jaw", "grip", "actuator"), "trace columns")[0]
+        _count("n_positioning", self.n_positioning, 0, jaw.size - 2)
 
     @property
     def phase_counts(self) -> tuple[tuple[str, int], ...]:

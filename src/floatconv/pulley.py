@@ -30,6 +30,7 @@ from .characteristics import (
     ForceCharacteristic,
     PiecewiseLinear,
     _at_least,
+    _columns,
     _count,
     _finite,
     clip_domain,
@@ -112,10 +113,7 @@ class PulleyProfile:
     slope: float | None = None
 
     def __post_init__(self):
-        thetas = np.asarray(self.thetas, dtype=float)
-        radii = np.asarray(self.radii, dtype=float)
-        if thetas.ndim != 1 or radii.shape != thetas.shape:
-            raise ValidationError("thetas and radii must be 1-d arrays of equal length")
+        thetas, radii = _columns(self, ("thetas", "radii"), "profile columns")
         if thetas.size < 2:
             raise ValidationError(f"profile needs at least 2 samples, got {thetas.size}")
         _at_least("circular-pulley radius", self.circular_radius, 0, strict=True)
@@ -131,12 +129,6 @@ class PulleyProfile:
             raise ValidationError(
                 f"profile radii must be <= {MAX_PROFILE_RADIUS:g} m, got {np.max(radii):g} m"
             )
-        thetas = thetas.copy()
-        radii = radii.copy()
-        thetas.flags.writeable = False
-        radii.flags.writeable = False
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "radii", radii)
 
     @cached_property
     def theta_max(self) -> float:

@@ -13,8 +13,10 @@ from floatconv import (
     DomainError,
     FloatingConverter,
     ForceCharacteristic,
+    GraspTrace,
     GripperModel,
     PulleyProfile,
+    SweepTable,
     UnreachableForce,
     ValidationError,
     synthesize_weight_counter,
@@ -401,3 +403,43 @@ def test_one_sided_bounds_name_the_value_as_passed():
         with pytest.raises(ValidationError) as info:
             build()
         assert str(info.value) == message
+
+
+# -- array records ----------------------------------------------------------------
+
+# each record with the number of columns it takes, its column-contract label
+# and a builder from those columns; [0, 1, 2] is a valid value for every column
+RECORDS = {
+    "profile": (2, "profile columns", lambda cols: PulleyProfile(0.02, *cols)),
+    "sweep": (6, "sweep columns", lambda cols: SweepTable(*cols)),
+    "trace": (3, "trace columns", lambda cols: GraspTrace(*cols, 0, True)),
+}
+SHAPES = {
+    "ragged": lambda cols: [*cols[:-1], cols[-1][:-1]],
+    "2-d": lambda cols: [[col] for col in cols],
+    "0-d": lambda cols: [col[0] for col in cols],
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("record", RECORDS)
+def test_array_records_need_1d_columns_of_one_length(record, shape):
+    n, label, build = RECORDS[record]
+    build([[0.0, 1.0, 2.0]] * n)
+    columns = SHAPES[shape]([[0.0, 1.0, 2.0]] * n)
+    with pytest.raises(ValidationError, match=f"^{label} must be 1-d and share one length$"):
+        build(columns)
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_array_records_hold_read_only_copies(record):
+    n, _, build = RECORDS[record]
+    columns = [np.array([0.0, 1.0, 2.0]) for _ in range(n)]
+    built = build(columns)
+    for column in columns:
+        column[1] = 5.0
+    held = [value for value in vars(built).values() if isinstance(value, np.ndarray)]
+    assert len(held) == n
+    for value in held:
+        assert value.tolist() == [0.0, 1.0, 2.0]
+        assert not value.flags.writeable

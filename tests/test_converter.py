@@ -205,6 +205,18 @@ def test_ledger_reversed_interval_flips_signs():
     assert rev.operator_work == pytest.approx(-fwd.operator_work, rel=1e-9)
 
 
+@pytest.mark.parametrize("gap_x", [0.0, 0.01])
+@pytest.mark.parametrize("end", ["low", "high"])
+def test_ledger_evaluates_its_clipped_ends(gap_x, end):
+    # clip_domain admits an end up to 1e-12 past the domain and clips it; the
+    # ledger must evaluate that clipped end, as force_components does
+    conv = matched_converter(gap_x=gap_x, x_max=0.12)
+    u0, u1 = (-0.9e-12, conv.u_max) if end == "low" else (0.0, conv.u_max + 0.9e-12)
+    conv.force_components(u0)
+    conv.force_components(u1)
+    assert conv.energy_ledger(u0, u1) == conv.energy_ledger(0.0, conv.u_max)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     lo=st.floats(min_value=0.0, max_value=1.0),

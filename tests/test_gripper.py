@@ -304,20 +304,30 @@ def test_stroke_beyond_pulley_range_rejected():
         simulate_grasp(model, bad_plan)
 
 
+TWO_ROWS = ([0.0, 1.0], [0.0, 2.0], [0.0, 1.0])
+THREE_ROWS = ([0.0, 1.0, 2.0], [0.0, 2.0, 2.0], [0.0, 1.0, 1.0])
+
+
 @pytest.mark.parametrize(
     "columns, n_positioning, message",
     [
         (([0.0, 1.0], [0.0, 2.0], [0.0]), 0, "share one length"),
         (([[0.0, 1.0]], [[0.0, 2.0]], [[0.0, 1.0]]), 0, "1-d"),
-        (([0.0, 1.0], [0.0, 2.0], [0.0, 1.0]), 1, "2-row trace cannot hold 1 positioning"),
-        (([0.0, 1.0], [0.0, 2.0], [0.0, 1.0]), -1, "cannot hold -1 positioning"),
-        (([0.0, 1.0, 2.0], [0.0, 2.0, 2.0], [0.0, 1.0, 1.0]), 0.5, "cannot hold 0.5 positioning"),
+        (TWO_ROWS, 1, r"^n_positioning must be in \[0, 0\], got 1$"),
+        (TWO_ROWS, -1, r"^n_positioning must be in \[0, 0\], got -1$"),
+        (THREE_ROWS, 0.5, "^n_positioning must be an integer$"),
+        (THREE_ROWS, True, "^n_positioning must be an integer$"),
     ],
-    ids=["ragged", "2-d", "too_many_positioning", "negative_positioning", "fractional"],
+    ids=["ragged", "2-d", "too_many_positioning", "negative_positioning", "fractional", "bool"],
 )
 def test_grasp_trace_rejects_inconsistent_columns(columns, n_positioning, message):
     with pytest.raises(ValidationError, match=message):
         GraspTrace(*columns, n_positioning, True)
+
+
+def test_grasp_trace_accepts_a_numpy_integer_count():
+    trace = GraspTrace(*THREE_ROWS, np.int64(1), True)
+    assert trace.phase_counts == (("positioning", 2), ("gripping", 0), ("done", 1))
 
 
 # -- the columnar trace against the per-tick loop ---------------------------------
