@@ -172,11 +172,17 @@ def _count(label: str, n, lo: int, hi: int):
     return n
 
 
-def _columns(record, names, label: str) -> list:
-    """Make the named fields of a frozen record read-only float copies, 1-d and one length."""
-    columns = [np.array(getattr(record, name), dtype=float) for name in names]
-    if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
-        raise ValidationError(f"{label} must be 1-d and share one length")
+def _columns(record, names, label: str, rows: int) -> list:
+    """Make the named fields of a frozen record read-only float copies:
+    numeric, 1-d, one length and at least ``rows`` long."""
+    try:
+        columns = [np.array(getattr(record, name), dtype=float) for name in names]
+        if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
+            raise ValueError
+    except (TypeError, ValueError):   # text and ragged nesting fail the conversion
+        raise ValidationError(f"{label} must be numeric, 1-d and share one length") from None
+    if columns[0].size < rows:
+        raise ValidationError(f"{label} need {rows} or more rows, got {columns[0].size}")
     for name, column in zip(names, columns):
         column.flags.writeable = False
         object.__setattr__(record, name, column)

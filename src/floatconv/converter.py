@@ -215,7 +215,7 @@ class SweepTable:
     op_force_minus: np.ndarray
 
     def __post_init__(self):
-        u = _columns(self, [field.name for field in fields(self)], "sweep columns")[0]
+        u = _columns(self, [field.name for field in fields(self)], "sweep columns", 1)[0]
         if np.any(np.diff(u) <= 0):
             raise ValidationError("sweep displacements must be strictly increasing")
 

@@ -6,16 +6,18 @@ formatting and a locale-independent '.' separator, and every writer is a
 pure text generator, so output is byte-for-byte deterministic and
 golden-file friendly. Line endings are LF.
 
-One codec serves every file. The encoder writes an (n, c) float matrix
-in a single pass: each value becomes its integer quantum round(v * 1e6),
-rounded half to even on the exact product as ``"%.6f"`` rounds, and the
-quanta become digits through a 4-digit lookup table. The bytes are those
-``"%.6f"`` writes, with "-0.000000" normalized to "0.000000"; a document
-holding a non-finite value or one of 2**52/1e6 or more in magnitude is
-%-formatted instead. The decoder reads a profile CSV whose every field is
-``-?\\d{1,9}\\.\\d{6}`` as integers over 1e6, which is float() of each
-field bit for bit; any other text goes to a row-by-row parse that names
-the first bad line.
+One codec serves every file. The encoder turns each value into its
+integer quantum round(v * 1e6), rounded half to even on the exact product
+as ``"%.6f"`` rounds, and splits it into whole part and decimals by a
+scalar divisor. Each block of rows becomes one matrix of NUL-padded
+4-byte words from lookup tables, as many words per column as that
+column's widest number needs, and one ``bytes.translate`` deletes the
+NULs. The bytes are those ``"%.6f"`` writes, with "-0.000000" normalized
+to "0.000000"; a document holding a non-finite value or one of 2**52/1e6
+or more in magnitude is %-formatted instead. The decoder reads a profile
+CSV whose every field is ``-?\\d{1,9}\\.\\d{6}`` as integers over 1e6,
+which is float() of each field bit for bit; any other text goes to a
+row-by-row parse that names the first bad line.
 """
 
 from __future__ import annotations
@@ -65,21 +67,26 @@ def fmt6(value: float) -> str:
 
 _SPLIT = 134217729.0         # 2**27 + 1: splits a float64 into two 26-bit halves
 _FAST_MAX = 2.0**52 / 1e6    # below it a quantum and a half-quantum are exact floats
-_POW10 = 10 ** np.arange(1, 10, dtype=np.int64)   # a whole part has at most 10 digits
 _Q = np.arange(10**4, dtype=np.uint16)
-# "0000" .. "9999" and "\0.00" .. "\0.99" as native 4-byte words; a word
-# written back into a byte buffer keeps its byte order
-_QUADS = np.stack([_Q // 1000, _Q // 100 % 10, _Q // 10 % 10, _Q % 10], axis=-1).astype(np.uint8)
-_QUADS += ord("0")
-_POINT_PAIRS = _QUADS[:100].copy()
-_POINT_PAIRS[:, :2] = (0, ord("."))
-_QUADS = _QUADS.view(np.uint32).ravel()
-_POINT_PAIRS = _POINT_PAIRS.view(np.uint32).ravel()
+_DIGITS = np.stack([_Q // 1000, _Q // 100 % 10, _Q // 10 % 10, _Q % 10], axis=-1) + ord("0")
+_SHOWN = np.cumsum(_DIGITS != ord("0"), axis=1) > 0   # from the first nonzero digit on
+_POINT = np.arange(4) == 0
+# Tables of native 4-byte words; a word written back into a byte buffer
+# keeps its byte order. "0000" .. "9999"; a whole part's leading word, its
+# leading zeros NUL, as the units word and above it; ".000" .. ".999" and
+# "000\0" .. "999\0", whose NUL takes the separator's first byte.
+_QUADS, _LEADS_UNITS, _LEADS, _POINT_TRIPLES, _TRIPLES = (
+    np.ascontiguousarray(table, np.uint8).view(np.uint32).ravel()
+    for table in (
+        _DIGITS,
+        np.where(_SHOWN | (np.arange(4) == 3), _DIGITS, 0),   # the units digit shows
+        np.where(_SHOWN, _DIGITS, 0),
+        np.where(_POINT, ord("."), _DIGITS[:1000]),
+        np.roll(np.where(_POINT, 0, _DIGITS[:1000]), -1, axis=1),
+    )
+)
 _MINUS_WORD = np.frombuffer(b"\0\0\0-", np.uint32)[0]
-# keep masks of a word: its last m bytes for m = 0 .. 4, and its sign byte
-_KEEP_LAST = np.frombuffer(bytes([0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1]),
-                           np.uint32)
-_KEEP_SIGN = _KEEP_LAST[1]
+_BLOCK = 2**14   # rows a block: its int64 temporaries are 128 KiB a column
 
 
 def _quanta(values: np.ndarray, decimals: tuple[int, ...]) -> np.ndarray | None:
@@ -111,43 +118,47 @@ def _encode(values: np.ndarray, decimals: tuple[int, ...], seps: tuple[str, ...]
     ``decimals[j]`` (6 or 0) decimals, then ``seps[j]``. ``quanta`` is
     ``_quanta(values, decimals)`` when the caller has it.
 
-    Each value gets a slot of 4-byte words in one byte matrix: a sign,
-    its whole part zero-padded to a common width, the point and two
-    decimals, four decimals, its separator padded with zero bytes. A
-    boolean mask then keeps the sign of a negative quantum, the digits
-    from the first significant one and the real bytes in one copy.
+    Up to _BLOCK rows are one matrix of NUL-padded 4-byte words, sized
+    column by column: a sign word if the column holds a negative quantum;
+    the words of whole digits its largest whole part needs; for 6
+    decimals ".ddd" and "ddd" plus the separator's first byte; the rest of
+    the separator. Whole part and decimals split by a scalar divisor,
+    which numpy vectorises. One ``bytes.translate`` deletes the NULs.
     """
     q = _quanta(values, decimals) if quanta is None else quanta
     if q is None:
         row = "".join(f"%.{d}f{sep}" for d, sep in zip(decimals, seps))
         return _unsigned_zero((row * len(values)) % tuple(values.ravel().tolist()))
-    n, c = q.shape
-    whole, frac = np.divmod(np.abs(q), np.array([10**d for d in decimals], dtype=np.int64))
-    digits = 1 + np.searchsorted(_POW10, whole, side="right")
-    k = -(-int(digits.max(initial=1)) // 4)     # words of whole digits
-    e = -(-max(map(len, seps)) // 4)            # words of separator
-    words = 1 + k + 2 + e
-
-    template = np.zeros((c, 4 * words), bool)   # the bytes every row keeps
-    sep_bytes = np.zeros((c, 4 * e), np.uint8)
-    for j, (d, sep) in enumerate(zip(decimals, seps)):
-        template[j, 4 * (1 + k) + 1:4 * (3 + k)] = d > 0
-        template[j, 4 * (3 + k):4 * (3 + k) + len(sep)] = True
-        sep_bytes[j, :len(sep)] = list(sep.encode("ascii"))
-
-    out = np.empty((n, c, words), np.uint32)
-    keep = np.empty((n, c, words), np.uint32)   # 4 bools per word
-    out[..., 0] = _MINUS_WORD
-    keep[:] = template.view(np.uint32)
-    keep[..., 0] = np.where(q < 0, _KEEP_SIGN, 0)
-    for i in range(k):
-        out[..., k - i] = _QUADS.take((whole // 10 ** (4 * i) % 10**4).astype(np.int32))
-        keep[..., k - i] = _KEEP_LAST.take(np.clip(digits - 4 * i, 0, 4))
-    frac = frac.astype(np.int32)
-    out[..., 1 + k] = _POINT_PAIRS.take(frac // 10**4)
-    out[..., 2 + k] = _QUADS.take(frac % 10**4)
-    out[..., 3 + k:] = sep_bytes.view(np.uint32)
-    return out.view(np.uint8)[keep.view(bool)].tobytes().decode("ascii")
+    if len(q) > _BLOCK:
+        return "".join(_encode(values[i:i + _BLOCK], decimals, seps, q[i:i + _BLOCK])
+                       for i in range(0, len(q), _BLOCK))
+    words = []   # in row order: an array of one word per row, or one word for all rows
+    for column, d, sep in zip(q.T, decimals, seps):
+        frac = np.abs(column)
+        whole = frac // 10**d
+        frac -= whole * 10**d
+        if column.min(initial=0) < 0:
+            words.append(np.where(column < 0, _MINUS_WORD, 0))
+        rest, digits = whole, []   # the words below the leading one, units first
+        for i in range(-(-len(str(whole.max(initial=0))) // 4) - 1):
+            higher = rest // 10**4
+            part = rest - higher * 10**4
+            lead = (_LEADS if i else _LEADS_UNITS).take(part)
+            digits.append(np.where(higher > 0, _QUADS.take(part), lead))
+            rest = higher
+        words += [(_LEADS if digits else _LEADS_UNITS).take(rest), *digits[::-1]]
+        sep = sep.encode("ascii")
+        if d:
+            high = frac // 1000
+            frac -= high * 1000
+            first = np.frombuffer(sep[:1].rjust(4, b"\0"), np.uint32)
+            words += [_POINT_TRIPLES.take(high), (_TRIPLES | first).take(frac)]
+            sep = sep[1:]
+        words += np.frombuffer(sep.rjust(-(-len(sep) // 4) * 4, b"\0"), np.uint32).tolist()
+    out = np.empty((len(q), len(words)), np.uint32)
+    for i, word in enumerate(words):
+        out[:, i] = word
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def profile_to_csv(profile: PulleyProfile) -> str:

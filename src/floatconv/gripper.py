@@ -114,7 +114,7 @@ class GraspTrace:
     latch_holds: bool
 
     def __post_init__(self):
-        jaw = _columns(self, ("jaw", "grip", "actuator"), "trace columns")[0]
+        jaw = _columns(self, ("jaw", "grip", "actuator"), "trace columns", 2)[0]
         _count("n_positioning", self.n_positioning, 0, jaw.size - 2)
 
     @property

@@ -113,9 +113,7 @@ class PulleyProfile:
     slope: float | None = None
 
     def __post_init__(self):
-        thetas, radii = _columns(self, ("thetas", "radii"), "profile columns")
-        if thetas.size < 2:
-            raise ValidationError(f"profile needs at least 2 samples, got {thetas.size}")
+        thetas, radii = _columns(self, ("thetas", "radii"), "profile columns", 2)
         _at_least("circular-pulley radius", self.circular_radius, 0, strict=True)
         if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(radii)):
             raise ValidationError("profile samples must be finite")

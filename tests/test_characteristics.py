@@ -407,33 +407,46 @@ def test_one_sided_bounds_name_the_value_as_passed():
 
 # -- array records ----------------------------------------------------------------
 
-# each record with the number of columns it takes, its column-contract label
-# and a builder from those columns; [0, 1, 2] is a valid value for every column
+# each record with the number of columns it takes, its column-contract label,
+# its fewest rows and a builder from those columns; [0, 1, 2] is a valid value
+# for every column
 RECORDS = {
-    "profile": (2, "profile columns", lambda cols: PulleyProfile(0.02, *cols)),
-    "sweep": (6, "sweep columns", lambda cols: SweepTable(*cols)),
-    "trace": (3, "trace columns", lambda cols: GraspTrace(*cols, 0, True)),
+    "profile": (2, "profile columns", 2, lambda cols: PulleyProfile(0.02, *cols)),
+    "sweep": (6, "sweep columns", 1, lambda cols: SweepTable(*cols)),
+    "trace": (3, "trace columns", 2, lambda cols: GraspTrace(*cols, 0, True)),
 }
 SHAPES = {
     "ragged": lambda cols: [*cols[:-1], cols[-1][:-1]],
     "2-d": lambda cols: [[col] for col in cols],
     "0-d": lambda cols: [col[0] for col in cols],
+    "nested": lambda cols: [[col[:2], col[2:]] for col in cols],
+    "text": lambda cols: [["a"] * len(col) for col in cols],
 }
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("record", RECORDS)
 def test_array_records_need_1d_columns_of_one_length(record, shape):
-    n, label, build = RECORDS[record]
+    n, label, _, build = RECORDS[record]
     build([[0.0, 1.0, 2.0]] * n)
     columns = SHAPES[shape]([[0.0, 1.0, 2.0]] * n)
-    with pytest.raises(ValidationError, match=f"^{label} must be 1-d and share one length$"):
+    message = f"^{label} must be numeric, 1-d and share one length$"
+    with pytest.raises(ValidationError, match=message):
         build(columns)
 
 
 @pytest.mark.parametrize("record", RECORDS)
+def test_array_records_refuse_too_few_rows(record):
+    n, label, rows, build = RECORDS[record]
+    build([[0.0, 1.0, 2.0][:rows]] * n)
+    message = f"^{label} need {rows} or more rows, got {rows - 1}$"
+    with pytest.raises(ValidationError, match=message):
+        build([[0.0, 1.0, 2.0][:rows - 1]] * n)
+
+
+@pytest.mark.parametrize("record", RECORDS)
 def test_array_records_hold_read_only_copies(record):
-    n, _, build = RECORDS[record]
+    n, _, _, build = RECORDS[record]
     columns = [np.array([0.0, 1.0, 2.0]) for _ in range(n)]
     built = build(columns)
     for column in columns:

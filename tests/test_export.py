@@ -436,6 +436,24 @@ def test_trace_csv_matches_per_value_writer(columns, data, latch_holds):
     assert trace_to_csv(trace).encode() == ref_trace_csv(trace).encode()
 
 
+# forces of both signs, both zeros and rounding edges, in a cycle of prime length
+_FORCES = [-2.5, 0.0, -0.0, 3.125, -4.9e-7, 5e-7, 1234.5678915, -1e6, 7.0, -0.25, 1e-6]
+
+
+@pytest.mark.parametrize("latch_holds", [True, False])
+def test_trace_csv_matches_per_value_writer_on_a_long_trace(latch_holds):
+    # the positioning ticks run past 9,999 and past 2**14 rows, so the tick
+    # column gains a word inside a phase block
+    n = 20_002
+    trace = GraspTrace(
+        np.linspace(0.0, 0.05, n), np.resize(_FORCES, n), np.resize(_FORCES[::-1], n), 16_500,
+        latch_holds,
+    )
+    assert [count for _, count in trace.phase_counts] == [16_501, 3_500, 1]
+    assert trace.latch.any() == latch_holds and not trace.latch.all()
+    assert trace_to_csv(trace).encode() == ref_trace_csv(trace).encode()
+
+
 def test_fmt6_matches_reference_at_edges():
     for value in _EDGE + [math.inf, -math.inf, math.nan, 1e300]:
         assert fmt6(value) == ref_fmt6(value)
