@@ -39,7 +39,6 @@ from .gripper import (
     GraspPlan,
     GraspTrace,
     GripperModel,
-    TraceRow,
     plan_grasp,
     simulate_grasp,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "GripperModel",
     "GraspPlan",
     "GraspTrace",
-    "TraceRow",
     "synthesize_weight_counter",
     "synthesize_spring_counter",
     "plan_grasp",

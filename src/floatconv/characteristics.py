@@ -172,6 +172,13 @@ def _count(label: str, n, lo: int, hi: int):
     return n
 
 
+def _flag(label: str, value):
+    """Raise ValidationError unless value is a bool or a numpy bool; return value."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{label} must be true or false")
+    return value
+
+
 def _columns(record, names, label: str, rows: int) -> list:
     """Make the named fields of a frozen record read-only float copies:
     numeric, 1-d, one length and at least ``rows`` long."""

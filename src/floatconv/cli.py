@@ -36,12 +36,29 @@ from .gripper import GripperModel, plan_grasp, simulate_grasp
 SWEEP_ROWS = 256
 
 
-def _load_config(path: str) -> RunConfig:
+def _read(path: str) -> str:
+    """The one reader of every file the CLI opens: UTF-8 text."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def _object(pairs: list) -> dict:
+    """A decoded JSON object, at any depth; a key given twice is refused."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"config: duplicate key '{key}'")
+        obj[key] = value
+    return obj
+
+
+def _load_config(path: str) -> RunConfig:
+    text = _read(path)
+    try:
+        data = json.loads(text, object_pairs_hook=_object)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data)
 
@@ -52,13 +69,6 @@ def _write(path: str, text: str):
             fh.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def _converter(cfg: RunConfig, gap_x: float) -> FloatingConverter:

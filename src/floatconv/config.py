@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import ForceCharacteristic, _at_least, _count, cumulative_trapezoid
+from .characteristics import ForceCharacteristic, _at_least, _count, _flag, cumulative_trapezoid
 from .errors import ValidationError
 from .export import CSV_ANGLE_QUANTUM, CSV_RADIUS_QUANTUM
 from .pulley import (
@@ -115,9 +115,7 @@ def _samples(value, name: str) -> int:
 
 
 def _boolean(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValidationError(f"config: '{name}' must be true or false")
-    return value
+    return _flag(f"config: '{name}'", value)
 
 
 def _points(value, name: str) -> list:

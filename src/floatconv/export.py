@@ -8,16 +8,18 @@ golden-file friendly. Line endings are LF.
 
 One codec serves every file. The encoder turns each value into its
 integer quantum round(v * 1e6), rounded half to even on the exact product
-as ``"%.6f"`` rounds, and splits it into whole part and decimals by a
-scalar divisor. Each block of rows becomes one matrix of NUL-padded
-4-byte words from lookup tables, as many words per column as that
-column's widest number needs, and one ``bytes.translate`` deletes the
-NULs. The bytes are those ``"%.6f"`` writes, with "-0.000000" normalized
-to "0.000000"; a document holding a non-finite value or one of 2**52/1e6
-or more in magnitude is %-formatted instead. The decoder reads a profile
-CSV whose every field is ``-?\\d{1,9}\\.\\d{6}`` as integers over 1e6,
-which is float() of each field bit for bit; any other text goes to a
-row-by-row parse that names the first bad line.
+as ``"%.6f"`` rounds, and splits it into whole part and decimals by
+10**6; a 0-decimal column (the trace's tick and latch) holds whole
+numbers and writes its whole part alone. Each block of rows becomes one
+matrix of NUL-padded 4-byte words from lookup tables, as many words per
+column as that column's widest number needs, and one ``bytes.translate``
+deletes the NULs. The bytes are those ``"%.6f"`` writes, with
+"-0.000000" normalized to "0.000000"; a document holding a non-finite
+value or one of 2**52/1e6 or more in magnitude is %-formatted instead.
+The decoder reads a profile CSV whose every field is
+``-?\\d{1,9}\\.\\d{6}`` as integers over 1e6, which is float() of each
+field bit for bit; any other text goes to a row-by-row parse that names
+the first bad line.
 """
 
 from __future__ import annotations
@@ -89,25 +91,23 @@ _MINUS_WORD = np.frombuffer(b"\0\0\0-", np.uint32)[0]
 _BLOCK = 2**14   # rows a block: its int64 temporaries are 128 KiB a column
 
 
-def _quanta(values: np.ndarray, decimals: tuple[int, ...]) -> np.ndarray | None:
-    """round(v * 10**d) with column j's d = ``decimals[j]``, half to even on
-    the exact product, as int64; None when a value is non-finite or
-    |v| >= _FAST_MAX."""
+def _quanta(values: np.ndarray) -> np.ndarray | None:
+    """round(v * 1e6), half to even on the exact product, as int64; None
+    when a value is non-finite or |v| >= _FAST_MAX."""
     if not np.all(np.abs(values) < _FAST_MAX):   # false for nan, too
         return None
-    scale = np.array([10.0**d for d in decimals])   # 14 significant bits or fewer
-    p = values * scale
+    p = values * 1e6
     q = np.rint(p)
-    # p is v * scale rounded: only where p is itself a tie can the
+    # p is v * 1e6 rounded: only where p is itself a tie can the
     # rounding error of p decide the quantum
     tie = np.abs(p - q) == 0.5
     if tie.any():
-        v, s, pt, qt = values[tie], np.broadcast_to(scale, p.shape)[tie], p[tie], q[tie]
-        # Dekker: hi and v - hi have 26 bits, so both products are exact
-        # and p + err == v * s exactly
+        v, pt, qt = values[tie], p[tie], q[tie]
+        # Dekker: hi and v - hi have 26 bits and 1e6 has 14, so both
+        # products are exact and p + err == v * 1e6 exactly
         t = v * _SPLIT
         hi = t - (t - v)
-        err = (hi * s - pt) + (v - hi) * s
+        err = (hi * 1e6 - pt) + (v - hi) * 1e6
         q[tie] = np.where(err * (pt - qt) > 0, 2 * pt - qt, qt)
     return q.astype(np.int64)
 
@@ -115,17 +115,18 @@ def _quanta(values: np.ndarray, decimals: tuple[int, ...]) -> np.ndarray | None:
 def _encode(values: np.ndarray, decimals: tuple[int, ...], seps: tuple[str, ...],
             quanta: np.ndarray | None = None) -> str:
     """An (n, c) float matrix as text, row by row: column j with
-    ``decimals[j]`` (6 or 0) decimals, then ``seps[j]``. ``quanta`` is
-    ``_quanta(values, decimals)`` when the caller has it.
+    ``decimals[j]`` (6 or 0) decimals, then ``seps[j]``; a 0-decimal
+    column holds whole numbers. ``quanta`` is ``_quanta(values)`` when
+    the caller has it.
 
     Up to _BLOCK rows are one matrix of NUL-padded 4-byte words, sized
     column by column: a sign word if the column holds a negative quantum;
     the words of whole digits its largest whole part needs; for 6
     decimals ".ddd" and "ddd" plus the separator's first byte; the rest of
-    the separator. Whole part and decimals split by a scalar divisor,
-    which numpy vectorises. One ``bytes.translate`` deletes the NULs.
+    the separator. Every quantum splits by the scalar 10**6, which numpy
+    vectorises. One ``bytes.translate`` deletes the NULs.
     """
-    q = _quanta(values, decimals) if quanta is None else quanta
+    q = _quanta(values) if quanta is None else quanta
     if q is None:
         row = "".join(f"%.{d}f{sep}" for d, sep in zip(decimals, seps))
         return _unsigned_zero((row * len(values)) % tuple(values.ravel().tolist()))
@@ -135,8 +136,8 @@ def _encode(values: np.ndarray, decimals: tuple[int, ...], seps: tuple[str, ...]
     words = []   # in row order: an array of one word per row, or one word for all rows
     for column, d, sep in zip(q.T, decimals, seps):
         frac = np.abs(column)
-        whole = frac // 10**d
-        frac -= whole * 10**d
+        whole = frac // 10**6
+        frac -= whole * 10**6
         if column.min(initial=0) < 0:
             words.append(np.where(column < 0, _MINUS_WORD, 0))
         rest, digits = whole, []   # the words below the leading one, units first
@@ -169,7 +170,7 @@ def profile_to_csv(profile: PulleyProfile) -> str:
     print alike: read_profile_csv would refuse the file.
     """
     values = np.column_stack([np.degrees(profile.thetas), profile.radii * 1000.0])
-    q = _quanta(values, (6, 6))
+    q = _quanta(values)
     read = q[:, 0] / 1e6 if q is not None else np.array([float(fmt6(v)) for v in values[:, 0]])
     bad = np.flatnonzero(np.diff(np.radians(read)) <= 0)
     if bad.size:

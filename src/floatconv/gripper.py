@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .characteristics import _at_least, _columns, _count, _finite, _length
+from .characteristics import _at_least, _columns, _count, _finite, _flag, _length
 from .converter import FloatingConverter
 from .errors import (
     ActuatorStall,
@@ -62,6 +62,7 @@ class GripperModel:
     def __post_init__(self):
         for name in ("stage_travel", "stage_step", "actuator_force_cap", "object_position"):
             _finite(name, getattr(self, name))
+        _flag("latch_holds", self.latch_holds)
         _at_least("stage_step", self.stage_step, 0, strict=True)
         _at_least("stage_travel", self.stage_travel, 0)
         _length("stage_travel", self.stage_travel)
@@ -88,16 +89,6 @@ class GraspPlan:
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    tick: int
-    phase: str
-    jaw_position: float    # m
-    grip_force: float      # N
-    actuator_force: float  # N
-    latch_engaged: bool
-
-
-@dataclass(frozen=True)
 class GraspTrace:
     """A grasp's rows as columns: tick 0, the positioning ticks, the
     gripping ticks and a closing ``done`` row that repeats the last one.
@@ -116,6 +107,7 @@ class GraspTrace:
     def __post_init__(self):
         jaw = _columns(self, ("jaw", "grip", "actuator"), "trace columns", 2)[0]
         _count("n_positioning", self.n_positioning, 0, jaw.size - 2)
+        _flag("latch_holds", self.latch_holds)
 
     @property
     def phase_counts(self) -> tuple[tuple[str, int], ...]:
@@ -129,12 +121,11 @@ class GraspTrace:
         return (self.grip > 0) & self.latch_holds
 
     @property
-    def rows(self) -> tuple[TraceRow, ...]:
-        """The trace as row objects, built on each access."""
+    def rows(self) -> tuple[tuple, ...]:
+        """(tick, phase, jaw_m, grip_n, actuator_n, latch) per row, built on each access."""
         phases = [phase for phase, n in self.phase_counts for _ in range(n)]
         columns = (self.jaw, self.grip, self.actuator, self.latch)
-        rows = zip(phases, *(column.tolist() for column in columns))
-        return tuple(TraceRow(tick, *row) for tick, row in enumerate(rows))
+        return tuple(zip(range(self.jaw.size), phases, *(column.tolist() for column in columns)))
 
     @property
     def max_actuator(self) -> float:
@@ -230,13 +221,7 @@ def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
         np.minimum(np.arange(1, n_position + 1) * step, stage_stop),
         stage_stop + np.minimum(us, plan.gap_x),
     ))
-    grip = np.concatenate((idle, grip))
-    actuator = np.concatenate((idle, actuator))
+    grip, actuator = (np.append(idle, column) for column in (grip, actuator))
     # the done row repeats the last row
-    return GraspTrace(
-        np.append(jaw, jaw[-1]),
-        np.append(grip, grip[-1]),
-        np.append(actuator, actuator[-1]),
-        n_position,
-        model.latch_holds,
-    )
+    columns = [np.append(column, column[-1]) for column in (jaw, grip, actuator)]
+    return GraspTrace(*columns, n_position, model.latch_holds)

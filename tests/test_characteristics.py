@@ -272,6 +272,17 @@ def test_linear_and_tabulated_extension_formulas():
 
 
 @pytest.mark.parametrize(
+    "points",
+    [[(0.0, 2.0), (0.05, 2.0), (0.12, 10.0)], [(0.0, 10.0), (0.05, 10.0), (0.12, 2.0)]],
+    ids=["increasing", "decreasing"],
+)
+def test_flat_first_segment_inverts_to_its_first_x(points):
+    # every later flat segment is reached through the segment before it
+    char = ForceCharacteristic.tabulated(points)
+    assert char.extension_at(points[0][1]) == 0.0
+
+
+@pytest.mark.parametrize(
     "char",
     [
         ForceCharacteristic.tabulated([(0.0, 0.0), (0.04, 6.0), (0.08, 3.0), (0.12, 9.0)]),

@@ -603,3 +603,61 @@ def test_sweep_with_a_non_finite_summary_exits_2_before_writing(tmp_path):
     )
     assert proc.stderr.endswith(" ratio_point=inf\n") and proc.stderr.count("\n") == 1
     assert not out.exists()
+
+
+# -- every file the CLI opens goes through one reader ----------------------------
+
+# bytes that are not UTF-8: a UTF-16 byte-order mark before a JSON object
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+def assert_one_error_line_from_module(tmp_path, argv, start, out=None):
+    proc = run_module(*argv, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("ERR:ValidationError:" + start)
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert out is None or not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "verify", "export-svg"])
+def test_non_utf8_file_is_one_error_line(tmp_path, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(NOT_UTF8)
+    out = tmp_path / "out.txt"
+    argv = {
+        "synthesize": ["synthesize", "--config", str(bad), "--out", str(out)],
+        "verify": ["verify", "--config", GRIPPER, "--profile", str(bad)],
+        "export-svg": ["export-svg", "--profile", str(bad), "--out", str(out)],
+    }[command]
+    assert_one_error_line_from_module(tmp_path, argv, f"cannot read {bad}: 'utf-8' codec", out)
+
+
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a": ', "}")], ids=["array", "object"])
+def test_deeply_nested_config_is_one_error_line(tmp_path, opener, closer):
+    path = tmp_path / "deep.json"
+    path.write_text(opener * 1000 + "0" + closer * 1000)
+    out = tmp_path / "profile.csv"
+    argv = ["synthesize", "--config", str(path), "--out", str(out)]
+    assert_one_error_line_from_module(tmp_path, argv, f"config {path} is not valid JSON: ", out)
+
+
+def test_duplicate_top_level_key_is_refused(tmp_path, capsys):
+    text = Path(GRIPPER).read_text(encoding="utf-8").rstrip().removesuffix("}")
+    path = tmp_path / "config.json"
+    path.write_text(text + ',\n  "counter": {"type": "weight", "load_n": 5.0}\n}\n')
+    out = tmp_path / "profile.csv"
+    assert main(["synthesize", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "ERR:ValidationError:config: duplicate key 'counter'\n"
+    assert not out.exists()
+
+
+def test_duplicate_nested_key_is_refused(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(gripper_config()).replace(
+        '"stage_step_m": 0.01', '"stage_step_m": 0.01, "stage_step_m": 0.02'
+    ))
+    out = tmp_path / "trace.csv"
+    assert main(["grasp", "--config", str(path), "--target-force-n", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "ERR:ValidationError:config: duplicate key 'stage_step_m'\n"
+    assert not out.exists()

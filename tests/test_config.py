@@ -323,6 +323,7 @@ SCHEMA_CASES = [
     ([("gripper.stage_step_m", "0.01")], must("gripper.stage_step_m", "a number")),
     ([("gripper.latch", 1)], must("gripper.latch", "true or false")),
     ([("gripper.latch", "true")], must("gripper.latch", "true or false")),
+    ([("gripper.latch", None)], must("gripper.latch", "true or false")),
     ([("gripper.actuator_cap_n", math.inf)], must("gripper.actuator_cap_n", "finite")),
     ([("gripper.object_position_m", -math.inf)], must("gripper.object_position_m", "finite")),
 ]

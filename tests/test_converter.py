@@ -18,7 +18,9 @@ from floatconv import (
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
-from floatconv.converter import _EQUILIBRIUM_SCAN, EQUILIBRIUM_U_TOL, MAX_SWEEP_ROWS
+from floatconv.converter import (
+    _EQUILIBRIUM_SCAN, EQUILIBRIUM_U_TOL, MAX_SWEEP_ROWS, SweepTable,
+)
 
 PROTO_THETA_MAX = math.radians(345.0)
 
@@ -144,6 +146,12 @@ def test_sweep_rows_rejected_before_allocation(monkeypatch, n):
         conv.sweep(0.0, conv.u_max, n)
 
 
+def test_sweep_table_refuses_a_repeated_displacement():
+    columns = [[0.0, 0.01, 0.01]] * 6
+    with pytest.raises(ValidationError, match="^sweep displacements must be strictly increasing$"):
+        SweepTable(*columns)
+
+
 def test_sweep_rows_accept_a_numpy_integer():
     conv = matched_converter()
     assert conv.sweep(0.0, conv.u_max, np.int64(512)).u.size == 512
@@ -205,6 +213,16 @@ def test_ledger_reversed_interval_flips_signs():
     assert rev.operator_work == pytest.approx(-fwd.operator_work, rel=1e-9)
 
 
+def test_ledger_reversed_across_the_gap_is_equal_and_opposite():
+    # the grid carries the gap as a knot and runs from u1 back to u0
+    conv = matched_converter(gap_x=0.01, x_max=0.12)
+    fwd = conv.energy_ledger(0.005, 0.015)
+    rev = conv.energy_ledger(0.015, 0.005)
+    assert rev.delta_spring == -fwd.delta_spring
+    assert rev.delta_counter == -fwd.delta_counter
+    assert rev.operator_work == pytest.approx(-fwd.operator_work, rel=1e-12)
+
+
 @pytest.mark.parametrize("gap_x", [0.0, 0.01])
 @pytest.mark.parametrize("end", ["low", "high"])
 def test_ledger_evaluates_its_clipped_ends(gap_x, end):
@@ -246,6 +264,23 @@ def test_equilibrium_no_root_for_constant_offset():
     conv = matched_converter(gap_x=0.01)
     with pytest.raises(NoRootError):
         conv.equilibrium_displacement(0.5)  # plateau sits at 1.0 N
+
+
+@pytest.mark.parametrize("gap_x", [0.12, 0.2])
+def test_equilibrium_needs_an_engaged_range(gap_x):
+    conv = matched_converter(gap_x=gap_x, x_max=0.12)   # u_max = 0.12 <= gap_x
+    with pytest.raises(ValidationError, match="^converter has no engaged displacement range$"):
+        conv.equilibrium_displacement(0.0)
+
+
+def test_equilibrium_no_root_for_a_residual_that_moves_without_crossing():
+    # a pulley cut for half the stiffness leaves 50 N/m * u, from 0 to 6 N
+    spring = ForceCharacteristic.linear(k=100.0, x_max=0.12)
+    half = ForceCharacteristic.linear(k=50.0, x_max=0.12)
+    counter = CounterElement.weight(10.0)
+    conv = FloatingConverter(spring, synthesize_weight_counter(half, 0.02, 10.0), counter)
+    with pytest.raises(NoRootError, match="^operating force never crosses -1 N$"):
+        conv.equilibrium_displacement(-1.0)
 
 
 def test_equilibrium_root_at_truncation_boundary():

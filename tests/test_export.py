@@ -250,11 +250,10 @@ def ref_sweep_csv(table):
 
 def ref_trace_csv(trace):
     lines = ["tick,phase,jaw_mm,grip_n,actuator_n,latch"]
-    for row in trace.rows:
+    for tick, phase, jaw, grip, actuator, latch in trace.rows:
         lines.append(
-            f"{row.tick},{row.phase},{ref_fmt6(row.jaw_position * 1000.0)},"
-            f"{ref_fmt6(row.grip_force)},{ref_fmt6(row.actuator_force)},"
-            f"{1 if row.latch_engaged else 0}"
+            f"{tick},{phase},{ref_fmt6(jaw * 1000.0)},"
+            f"{ref_fmt6(grip)},{ref_fmt6(actuator)},{1 if latch else 0}"
         )
     return "\n".join(lines) + "\n"
 
@@ -509,7 +508,7 @@ _CODEC_EDGES = _TIES + _NEAR_HALVES + [
 
 @pytest.mark.parametrize("value", [float(s * x) for x in _CODEC_EDGES for s in (1.0, -1.0)])
 def test_encoder_matches_percent_format_at_edges(value):
-    fast = _quanta(np.array([[value]]), (6,)) is not None
+    fast = _quanta(np.array([[value]])) is not None
     assert fast == (abs(value) < FAST_MAX)
     assert _encode(np.array([[value]]), (6,), ("\n",)) == ref_fmt6(value) + "\n"
 

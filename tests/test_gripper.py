@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import floatconv
 from floatconv import (
     DomainError,
     ActuatorStall,
@@ -29,7 +30,7 @@ from floatconv import (
     synthesize_weight_counter,
 )
 from floatconv.characteristics import MAX_LENGTH, clip_domain
-from floatconv.gripper import GRIP_FORCE_TOL, TraceRow
+from floatconv.gripper import GRIP_FORCE_TOL
 
 THETA_MAX = math.radians(345.0)
 
@@ -153,7 +154,7 @@ def test_grasp_completes_with_amplification():
     assert trace.max_actuator == pytest.approx(1.0, rel=1e-9)
     assert trace.final_grip == pytest.approx(10.0, abs=1e-6)
     assert trace.amplification == pytest.approx(10.0, rel=1e-9)
-    phases = [row.phase for row in trace.rows]
+    phases = [phase for _, phase, *_ in trace.rows]
     assert phases[0] == "positioning" and phases[-1] == "done"
     assert "gripping" in phases
     # phases appear in order
@@ -165,19 +166,36 @@ def test_grasp_completes_with_amplification():
 def test_grip_force_zero_while_positioning_and_monotone_while_gripping():
     model = make_model()
     trace = simulate_grasp(model, plan_grasp(model, 10.0))
-    grip = {phase: [] for phase in ("positioning", "gripping", "done")}
-    for row in trace.rows:
-        grip[row.phase].append(row.grip_force)
-    assert all(g == 0.0 for g in grip["positioning"])
-    assert np.all(np.diff(grip["gripping"]) > 0)
+    (_, positioning), (_, gripping), _ = trace.phase_counts
+    assert np.all(trace.grip[:positioning] == 0.0)
+    assert np.all(np.diff(trace.grip[positioning:positioning + gripping]) > 0)
 
 
 def test_jaw_position_non_decreasing_with_latch():
     model = make_model()
     trace = simulate_grasp(model, plan_grasp(model, 10.0))
-    jaw = [row.jaw_position for row in trace.rows]
+    jaw = trace.jaw
     assert np.all(np.diff(jaw) >= 0)
     assert jaw[-1] == pytest.approx(model.object_position, rel=1e-12)
+
+
+def test_trace_rows_are_plain_tuples_zipped_from_the_columns():
+    model = make_model()
+    trace = simulate_grasp(model, plan_grasp(model, 10.0))
+    assert len(trace.rows) == trace.jaw.size
+    assert all(type(row) is tuple for row in trace.rows)
+    ticks, phases, jaw, grip, actuator, latch = map(list, zip(*trace.rows))
+    assert ticks == list(range(trace.jaw.size))
+    assert phases == [phase for phase, n in trace.phase_counts for _ in range(n)]
+    assert [jaw, grip, actuator] == [trace.jaw.tolist(), trace.grip.tolist(),
+                                     trace.actuator.tolist()]
+    assert latch == trace.latch.tolist()
+
+
+def test_trace_row_record_is_gone():
+    with pytest.raises(ImportError):
+        from floatconv import TraceRow  # noqa: F401
+    assert "TraceRow" not in floatconv.__all__
 
 
 def test_weak_actuator_stalls_at_first_gripping_tick():
@@ -197,11 +215,8 @@ def test_no_latch_faults_on_first_grip_reaction():
 def test_latch_column_set_only_during_grip():
     model = make_model()
     trace = simulate_grasp(model, plan_grasp(model, 10.0))
-    for row in trace.rows:
-        if row.phase == "positioning":
-            assert not row.latch_engaged
-        else:
-            assert row.latch_engaged
+    for _, phase, _, _, _, latch in trace.rows:
+        assert latch is (phase != "positioning")
 
 
 def test_actuator_force_adds_the_friction_band():
@@ -211,11 +226,11 @@ def test_actuator_force_adds_the_friction_band():
     conv = replace(model.converter, friction_mu=0.004, friction_f0=0.02)
     model = replace(model, converter=conv)
     plan = plan_grasp(model, 10.0)
-    rows = [row for row in simulate_grasp(model, plan).rows if row.phase == "gripping"]
-    us = np.minimum(0.01 * np.arange(1, len(rows) + 1), plan.converter_stroke)
+    efforts = [row[4] for row in simulate_grasp(model, plan).rows if row[1] == "gripping"]
+    us = np.minimum(0.01 * np.arange(1, len(efforts) + 1), plan.converter_stroke)
     spring, counter = replace(model.converter, gap_x=plan.gap_x).force_components(us)
     expected = np.abs(spring - counter) + 0.004 * np.abs(counter) + 0.02
-    assert [row.actuator_force for row in rows] == pytest.approx(expected, rel=1e-12)
+    assert efforts == pytest.approx(expected, rel=1e-12)
 
 
 def test_smaller_gap_needs_less_actuator_force():
@@ -279,6 +294,13 @@ def test_grasp_tick_count_capped_at_construction(step, obj, ticks):
     assert str(info.value).endswith(f"needs {ticks} ticks, more than MAX_GRASP_TICKS = 1048576")
 
 
+def test_grasp_tick_cap_is_inclusive():
+    # a 2**-20 m step to an object 1 m out is exactly MAX_GRASP_TICKS ticks
+    assert make_model(step=2.0**-20, obj=1.0, travel=1.0).stage_step == 2.0**-20
+    with pytest.raises(ValidationError, match=r"needs 1\.05e\+06 ticks, more than MAX_GRASP_TICKS"):
+        make_model(step=2.0**-20, obj=1.0 + 2.0**-20, travel=1.0)
+
+
 def test_grasp_tick_cap_admits_a_fine_step():
     model = make_model(step=2e-7, obj=0.2)   # 1e6 and 6e5 ticks
     assert model.stage_step == 2e-7
@@ -325,6 +347,30 @@ def test_grasp_trace_rejects_inconsistent_columns(columns, n_positioning, messag
         GraspTrace(*columns, n_positioning, True)
 
 
+@pytest.mark.parametrize(
+    "latch",
+    ["yes", 1, 0, 1.0, None, np.int64(1), np.array([True])],
+    ids=["text", "one", "zero", "float", "none", "numpy_integer", "array"],
+)
+@pytest.mark.parametrize(
+    "build",
+    [lambda latch: replace(make_model(), latch_holds=latch),
+     lambda latch: GraspTrace(*THREE_ROWS, 1, latch)],
+    ids=["model", "trace"],
+)
+def test_latch_that_is_not_a_flag_is_refused(build, latch):
+    with pytest.raises(ValidationError, match="^latch_holds must be true or false$"):
+        build(latch)
+
+
+@pytest.mark.parametrize("latch", [True, False, np.True_, np.False_])
+def test_latch_accepts_a_bool_or_a_numpy_bool(latch):
+    model = replace(make_model(), latch_holds=latch)
+    assert GraspTrace(*THREE_ROWS, 1, latch).latch.tolist() == [False, latch, latch]
+    if latch:
+        assert simulate_grasp(model, plan_grasp(model, 10.0)).final_grip == pytest.approx(10.0)
+
+
 def test_grasp_trace_accepts_a_numpy_integer_count():
     trace = GraspTrace(*THREE_ROWS, np.int64(1), True)
     assert trace.phase_counts == (("positioning", 2), ("gripping", 0), ("done", 1))
@@ -334,9 +380,10 @@ def test_grasp_trace_accepts_a_numpy_integer_count():
 
 
 def reference_simulate_grasp(model, plan):
-    """The per-tick loop that built one TraceRow per tick, kept as the oracle
-    of the columnar simulate_grasp. Its force chain is spelled out through
-    the public, clip-checked force_at and realized_force."""
+    """The per-tick loop that built one row per tick, kept as the oracle of
+    the columnar simulate_grasp: it yields (tick, phase, jaw_m, grip_n,
+    actuator_n, latch) tuples. Its force chain is spelled out through the
+    public, clip-checked force_at and realized_force."""
     conv = replace(model.converter, gap_x=plan.gap_x)
     R = conv.profile.circular_radius
     if plan.converter_stroke > plan.gap_x + R * conv.profile.theta_max * (1 + 1e-12):
@@ -348,10 +395,10 @@ def reference_simulate_grasp(model, plan):
     step = model.stage_step
     stage_stop = model.object_position - plan.gap_x
     n_position = round(stage_stop / step)
-    rows = [TraceRow(0, "positioning", 0.0, 0.0, 0.0, False)]
+    rows = [(0, "positioning", 0.0, 0.0, 0.0, False)]
     for i in range(1, n_position + 1):
         jaw = min(i * step, stage_stop)
-        rows.append(TraceRow(i, "positioning", jaw, 0.0, 0.0, False))
+        rows.append((i, "positioning", jaw, 0.0, 0.0, False))
 
     tick = n_position
     n_grip = math.ceil(plan.converter_stroke / step - 1e-9)
@@ -375,11 +422,10 @@ def reference_simulate_grasp(model, plan):
                 f"{model.actuator_force_cap:g} N"
             )
         jaw = stage_stop + min(u, plan.gap_x)
-        rows.append(
-            TraceRow(tick, "gripping", jaw, grip, effort, model.latch_holds and grip > 0)
-        )
+        rows.append((tick, "gripping", jaw, grip, effort, model.latch_holds and grip > 0))
 
-    rows.append(replace(rows[-1], tick=rows[-1].tick + 1, phase="done"))
+    last_tick, _, *last = rows[-1]
+    rows.append((last_tick + 1, "done", *last))
     return tuple(rows)
 
 
@@ -437,10 +483,10 @@ def test_columnar_trace_matches_per_tick_loop(
     plan = GraspPlan(gap_x, reach * replace(conv, gap_x=gap_x).u_max)
 
     reference = _outcome(reference_simulate_grasp, model, plan)
-    if isinstance(reference[0], TraceRow):
+    if isinstance(reference[0], tuple):
         # cap the actuator at a drawn gripping tick's effort: it stalls at the
         # first tick whose effort exceeds that cap, or never
-        efforts = [row.actuator_force for row in reference if row.phase == "gripping"]
+        efforts = [row[4] for row in reference if row[1] == "gripping"]
         if efforts:
             cap = max(data.draw(st.sampled_from(efforts)), 1e-9)
             model = replace(model, actuator_force_cap=cap)
@@ -454,9 +500,9 @@ def test_columnar_trace_matches_per_tick_loop(
             assert tick > round((obj - gap_x) / step)   # a gripping tick
         return
     trace = simulate_grasp(model, plan)
-    assert trace.max_actuator == max(row.actuator_force for row in reference)
-    assert trace.final_grip == reference[-1].grip_force
-    peak = max(row.grip_force for row in reference)
+    assert trace.max_actuator == max(row[4] for row in reference)
+    assert trace.final_grip == reference[-1][3]
+    peak = max(row[3] for row in reference)
     if trace.max_actuator > 0:
         assert trace.amplification == peak / trace.max_actuator
     else:
