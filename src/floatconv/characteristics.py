@@ -33,6 +33,7 @@ callers without coordination.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,7 +59,9 @@ def clip_domain(x, x_max: float):
     land an ulp outside the domain; a 1e-12 relative slack absorbs that
     without admitting genuinely out-of-range queries.
 
-    Returns (clipped value, was_scalar). A Python ``float`` or ``int``
+    Returns (clipped value, was_scalar). An array already inside the
+    domain comes back as it is, uncopied: no evaluator writes into the
+    value it is given. A Python ``float`` or ``int``
     (``np.float64`` subclasses ``float``) takes the scalar path: the same
     checks, messages and clip in plain float arithmetic, returning a
     Python float, so single-point callers skip numpy's per-call array
@@ -79,14 +82,15 @@ def clip_domain(x, x_max: float):
             raise DomainError(f"value range [{v:g}, {v:g}] outside domain [0, {x_max:g}]")
         return min(max(v, 0.0), x_max), True
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("displacement must be finite")
-    if np.any(arr < -slack) or np.any(arr > x_max + slack):
-        lo, hi = float(np.min(arr)), float(np.max(arr))
-        raise DomainError(
-            f"value range [{lo:g}, {hi:g}] outside domain [0, {x_max:g}]"
-        )
-    return np.clip(arr, 0.0, x_max), arr.ndim == 0
+    if arr.size:
+        lo, hi = float(arr.min()), float(arr.max())   # a NaN or an inf shows in these
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError("displacement must be finite")
+        if lo < -slack or hi > x_max + slack:
+            raise DomainError(f"value range [{lo:g}, {hi:g}] outside domain [0, {x_max:g}]")
+        if lo < 0.0 or hi > x_max:
+            arr = np.clip(arr, 0.0, x_max)
+    return arr, arr.ndim == 0
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -144,7 +148,10 @@ class PiecewiseLinear:
         return cum[i] + 0.5 * (fp[i] + self.at(x)) * (x - xp[i])
 
 
-def _finite(name: str, value: float) -> float:
+def _finite(name: str, value) -> float:
+    """value as a float; ValidationError unless it is a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
@@ -261,27 +268,30 @@ class ForceCharacteristic:
     @classmethod
     def linear(cls, k: float, x_max: float) -> "ForceCharacteristic":
         """Linear spring, F = k*x."""
-        return cls(kind=LINEAR, x_max=float(x_max), k=float(k))
+        return cls(kind=LINEAR, x_max=_finite("x_max", x_max), k=_finite("k", k))
 
     @classmethod
     def constant(cls, f0: float, x_max: float) -> "ForceCharacteristic":
         """Constant-force element, F = f0 at any extension."""
-        return cls(kind=CONSTANT, x_max=float(x_max), f0=float(f0))
+        return cls(kind=CONSTANT, x_max=_finite("x_max", x_max), f0=_finite("f0", f0))
 
     @classmethod
     def power_law(cls, c: float, d: float, p: float, x_max: float) -> "ForceCharacteristic":
         """Decaying attraction F = c / (x + d)**p, the magnet-like stand-in."""
-        return cls(kind=POWER_LAW, x_max=float(x_max), c=float(c), d=float(d), p=float(p))
+        return cls(
+            kind=POWER_LAW, x_max=_finite("x_max", x_max),
+            c=_finite("c", c), d=_finite("d", d), p=_finite("p", p),
+        )
 
     @classmethod
     def tabulated(cls, points, x_max: float | None = None) -> "ForceCharacteristic":
         """Piecewise-linear law through (x m, F N) knots; first x must be 0."""
-        pts = tuple((float(x), float(f)) for x, f in points)
+        pts = tuple((_finite("tabulated x", x), _finite("tabulated F", f)) for x, f in points)
         if x_max is None:
             if not pts:
                 raise ValidationError("tabulated characteristic needs at least 2 points")
             x_max = pts[-1][0]
-        return cls(kind=TABULATED, x_max=float(x_max), points=pts)
+        return cls(kind=TABULATED, x_max=_finite("x_max", x_max), points=pts)
 
     # -- evaluation --------------------------------------------------------
 

@@ -237,14 +237,17 @@ def verify_profile(cfg: RunConfig, profile: PulleyProfile) -> VerifyReport:
     """
     R, target, counter = cfg.circular_radius_m, cfg.spring, cfg.counter
     thetas = profile.thetas
-    # the CSV's 6-decimal degrees can round theta_max a hair past the
-    # spring's range; pull samples inside that quantum back onto it
+    realized, payout = profile._at_samples(counter)
+    # the CSV's 6-decimal degrees can round theta_max a hair past the spring's
+    # range; pull samples inside that quantum back onto it and interpolate there
     theta_end = target.x_max / R
-    if thetas[-1] - theta_end <= CSV_ANGLE_QUANTUM:
+    if 0 < thetas[-1] - theta_end <= CSV_ANGLE_QUANTUM:
+        k = int(np.searchsorted(thetas, theta_end, side="right"))
         thetas = np.minimum(thetas, theta_end)
+        realized = np.append(realized[:k], profile._cable_force(counter, thetas[k:]))
+        payout = np.append(payout[:k], profile.payout(thetas[k:]))
     xs = R * thetas
     force = target.force_at(xs)
-    payout = profile.payout(thetas)
     tension = counter.tension(payout)
 
     withheld = np.zeros_like(force)   # force the truncation clamp withholds
@@ -253,11 +256,11 @@ def verify_profile(cfg: RunConfig, profile: PulleyProfile) -> VerifyReport:
         expected = np.clip(ideal, *cfg.truncation_bounds)
         withheld = np.where(expected != ideal, force - expected * tension / R, 0.0)
     clamped = np.nonzero(withheld)[0]
-    residual = profile.balance_residual(counter, target, thetas) - withheld
+    residual = force - realized - withheld
 
     stored = target.stored_energy(xs)
     e_scale = max(float(stored[-1]), 1e-300)
-    release = stored - cumulative_trapezoid(withheld, xs)
+    release = stored - cumulative_trapezoid(withheld, xs) if clamped.size else stored
     energy_error = float(np.max(np.abs(counter.released_energy(payout) - release))) / e_scale
 
     peak = max(float(np.max(np.abs(force))), 1e-300)

@@ -62,8 +62,8 @@ class FloatingConverter:
     friction_f0: float = 0.0   # N, constant friction offset
 
     def __post_init__(self):
-        _finite("gap_x", self.gap_x)
-        _finite("friction_f0", self.friction_f0)
+        for name in ("gap_x", "friction_mu", "friction_f0"):
+            _finite(name, getattr(self, name))
         _at_least("gap_x", self.gap_x, 0)
         if not 0 <= self.friction_mu < 1:
             raise ValidationError(f"friction_mu must be in [0, 1), got {self.friction_mu}")

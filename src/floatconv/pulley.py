@@ -79,7 +79,7 @@ class CounterElement:
 
     @classmethod
     def spring(cls, t0: float, k2: float) -> "CounterElement":
-        return cls(t0=float(t0), k2=float(k2))
+        return cls(t0=_finite("t0", t0), k2=_finite("k2", k2))
 
     def tension(self, s):
         """Tension (N) after paying out s (m); scalar or array."""
@@ -114,6 +114,7 @@ class PulleyProfile:
 
     def __post_init__(self):
         thetas, radii = _columns(self, ("thetas", "radii"), "profile columns", 2)
+        _finite("circular_radius", self.circular_radius)
         _at_least("circular-pulley radius", self.circular_radius, 0, strict=True)
         if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(radii)):
             raise ValidationError("profile samples must be finite")
@@ -178,6 +179,12 @@ class PulleyProfile:
         val = self._cable_force(counter, th)
         return float(val) if scalar else val
 
+    def _at_samples(self, counter: CounterElement):
+        """(r*T(s)/R, s) at the own samples: the sample radii and the cached payout sum."""
+        payout = self._radius.cumulative
+        tension = counter.t0 if counter.k2 == 0 else counter.tension(payout)
+        return self.radii * tension / self.circular_radius, payout
+
     def _cable_force(self, counter: CounterElement, th):
         """r(th) * T(s(th)) / R at a theta already clipped into [0, theta_max]."""
         # a dead weight's tension needs no payout lookup
@@ -229,8 +236,9 @@ def _synthesize(
     so s = counter.payout_for_energy(E). The profile must reproduce the
     target within SPRING_SYNTHESIS_RTOL of the peak force.
     """
+    _finite("circular_radius", R)
     _at_least("circular radius", R, 0, strict=True)
-    theta_max = float(target.x_max / R if theta_max is None else theta_max)
+    theta_max = float(target.x_max / R if theta_max is None else _finite("theta_max", theta_max))
     _at_least("theta_max", theta_max, 0, strict=True)
     if R * theta_max > target.x_max * (1 + 1e-12):
         raise DomainError(
@@ -257,7 +265,7 @@ def _synthesize(
     slope = target.k * (R * R) / counter.t0 if target.kind == LINEAR and counter.k2 == 0 else None
     profile = PulleyProfile(R, thetas, radii, slope)
 
-    realized = profile.realized_force(counter, thetas)
+    realized, _ = profile._at_samples(counter)
     peak = max(float(np.max(np.abs(forces))), 1e-300)
     residual = float(np.max(np.abs(realized - forces))) / peak
     if residual > SPRING_SYNTHESIS_RTOL:

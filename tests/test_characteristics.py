@@ -1,6 +1,7 @@
 """Force-law evaluation, energy integrals and inverses."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -19,9 +20,11 @@ from floatconv import (
     SweepTable,
     UnreachableForce,
     ValidationError,
+    profile_to_svg,
+    synthesize_spring_counter,
     synthesize_weight_counter,
 )
-from floatconv.characteristics import PiecewiseLinear
+from floatconv.characteristics import PiecewiseLinear, clip_domain
 
 stiffness = st.floats(min_value=1e-2, max_value=1e5, allow_nan=False)
 extension_limit = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
@@ -363,6 +366,151 @@ def test_validation_errors():
         ForceCharacteristic.power_law(c=1.0, d=0.1, p=0.5, x_max=0.1)
 
 
+# -- the array domain check ------------------------------------------------------
+
+
+def test_clip_domain_returns_an_empty_array_for_an_empty_array():
+    clipped, scalar = clip_domain(np.array([]), 1.0)
+    assert clipped.shape == (0,) and not scalar
+    assert ForceCharacteristic.linear(k=1.0, x_max=1.0).force_at(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("at", [0, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("other", [0.5, -5.0, 6.0])
+def test_clip_domain_reports_a_non_finite_value_first(bad, at, other):
+    x = np.array([other, other, other])
+    x[at] = bad
+    with pytest.raises(DomainError, match="^displacement must be finite$"):
+        clip_domain(x, 1.0)
+
+
+def test_clip_domain_clips_slack_spill_onto_the_ends():
+    x_max = 0.12
+    x = np.array([-1e-13, 0.05, x_max * (1 + 1e-13)])
+    x.flags.writeable = False   # the clip is a new array, not a write into the caller's
+    clipped, _ = clip_domain(x, x_max)
+    assert clipped.tolist() == [0.0, 0.05, x_max] and math.copysign(1.0, clipped[0]) == 1.0
+    assert x[0] == -1e-13
+    with pytest.raises(DomainError, match=r"^value range \[-1e-11, 0.05\] outside domain"):
+        clip_domain(np.array([-1e-11, 0.05]), x_max)
+
+
+def test_clip_domain_keeps_negative_zero():
+    clipped, _ = clip_domain(np.array([-0.0, 0.5]), 1.0)
+    assert math.copysign(1.0, clipped[0]) == -1.0
+
+
+def _evaluators():
+    """(id, array evaluator, upper end of its domain) for every public evaluator."""
+    law = ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12)
+    counter = CounterElement.spring(t0=10.0, k2=40.0)
+    linear = ForceCharacteristic.linear(k=100.0, x_max=0.12)
+    profile = synthesize_weight_counter(linear, 0.02, 10.0)
+    conv = FloatingConverter(law, profile, counter, gap_x=0.01)
+    hi = profile.theta_max
+    return [
+        ("force_at", law.force_at, 0.12),
+        ("stored_energy", law.stored_energy, 0.12),
+        ("payout", profile.payout, hi),
+        ("arc_length", profile.arc_length, hi),
+        ("realized_force", lambda th: profile.realized_force(counter, th), hi),
+        ("balance_residual", lambda th: profile.balance_residual(counter, law, th), hi),
+        ("force_components", conv.force_components, conv.u_max),
+        ("operating_force", conv.operating_force, conv.u_max),
+    ]
+
+
+EVALUATORS = _evaluators()
+
+
+@pytest.mark.parametrize("name, fn, hi", EVALUATORS, ids=[e[0] for e in EVALUATORS])
+def test_evaluators_leave_a_read_only_input_alone(name, fn, hi):
+    x = np.linspace(0.0, hi, 9)
+    x.flags.writeable = False
+    out = fn(x)
+    assert np.array_equal(x, np.linspace(0.0, hi, 9))
+    for value in out if isinstance(out, tuple) else (out,):
+        assert value.shape == x.shape and not np.shares_memory(value, x)
+
+
+# -- real numbers ---------------------------------------------------------------
+
+
+def _real_number_arguments():
+    """(id, argument name, a function of that argument's value that builds the
+    object, a value it accepts) for every public numeric argument."""
+    law = ForceCharacteristic.linear(k=100.0, x_max=0.12)
+    profile = synthesize_weight_counter(law, 0.02, 10.0)
+    counter = CounterElement.weight(10.0)
+    conv = FloatingConverter(law, profile, counter)
+    grip = {"stage_travel": 0.1, "stage_step": 0.01, "actuator_force_cap": 2.0,
+            "object_position": 0.05}
+    cases = [
+        ("linear.k", "k", lambda v: ForceCharacteristic.linear(k=v, x_max=0.12), 1.0),
+        ("linear.x_max", "x_max", lambda v: ForceCharacteristic.linear(k=1.0, x_max=v), 0.1),
+        ("constant.f0", "f0", lambda v: ForceCharacteristic.constant(f0=v, x_max=0.12), 1.0),
+        ("constant.x_max", "x_max", lambda v: ForceCharacteristic.constant(f0=1.0, x_max=v), 0.1),
+        ("power_law.c", "c", lambda v: ForceCharacteristic.power_law(v, 0.1, 1.0, 0.1), 1.0),
+        ("power_law.d", "d", lambda v: ForceCharacteristic.power_law(1.0, v, 1.0, 0.1), 0.1),
+        ("power_law.p", "p", lambda v: ForceCharacteristic.power_law(1.0, 0.1, v, 0.1), 1.0),
+        ("power_law.x_max", "x_max",
+         lambda v: ForceCharacteristic.power_law(1.0, 0.1, 1.0, v), 0.1),
+        ("tabulated.x", "tabulated x",
+         lambda v: ForceCharacteristic.tabulated([(0, 0), (v, 1)]), 1.0),
+        ("tabulated.F", "tabulated F",
+         lambda v: ForceCharacteristic.tabulated([(0, 0), (1, v)]), 1.0),
+        ("tabulated.x_max", "x_max",
+         lambda v: ForceCharacteristic.tabulated([(0, 0), (1, 1)], x_max=v), 0.5),
+        ("ForceCharacteristic.x_max", "x_max",
+         lambda v: ForceCharacteristic(kind="linear", x_max=v, k=1.0), 0.1),
+        ("CounterElement.t0", "t0", lambda v: CounterElement(v, 0.0), 1.0),
+        ("CounterElement.k2", "k2", lambda v: CounterElement(1.0, v), 1.0),
+        ("weight.load", "load", CounterElement.weight, 1.0),
+        ("spring.t0", "t0", lambda v: CounterElement.spring(v, 1.0), 1.0),
+        ("spring.k2", "k2", lambda v: CounterElement.spring(1.0, v), 1.0),
+        ("PulleyProfile.circular_radius", "circular_radius",
+         lambda v: PulleyProfile(v, profile.thetas, profile.radii), 0.02),
+        ("synthesize_weight_counter.circular_radius", "circular_radius",
+         lambda v: synthesize_weight_counter(law, v, 10.0, 8), 0.02),
+        ("synthesize_weight_counter.load", "load",
+         lambda v: synthesize_weight_counter(law, 0.02, v, 8), 10.0),
+        ("synthesize_weight_counter.theta_max", "theta_max",
+         lambda v: synthesize_weight_counter(law, 0.02, 10.0, 8, v), 1.0),
+        ("synthesize_spring_counter.circular_radius", "circular_radius",
+         lambda v: synthesize_spring_counter(law, v, counter, 8), 0.02),
+        ("synthesize_spring_counter.theta_max", "theta_max",
+         lambda v: synthesize_spring_counter(law, 0.02, counter, 8, v), 1.0),
+        ("profile_to_svg.scale", "scale", lambda v: profile_to_svg(profile, v), 10.0),
+    ]
+    cases += [(f"FloatingConverter.{name}", name,
+               lambda v, name=name: FloatingConverter(law, profile, counter, **{name: v}), 0.1)
+              for name in ("gap_x", "friction_mu", "friction_f0")]
+    cases += [(f"GripperModel.{name}", name,
+               lambda v, name=name: GripperModel(conv, **{**grip, name: v}, latch_holds=True),
+               grip[name])
+              for name in grip]
+    return cases
+
+
+# None is the default of a tabulated law's x_max and of theta_max, so it is no error there
+NOT_REAL = {"bool": True, "numpy_bool": np.True_, "str": "0.5", "None": None, "complex": 0.5j}
+REAL_NUMBER_CASES = [
+    pytest.param(name, build, good, value, id=f"{case}-{kind}")
+    for case, name, build, good in _real_number_arguments()
+    for kind, value in NOT_REAL.items()
+    if not (value is None and case.endswith(("tabulated.x_max", "theta_max")))
+]
+
+
+@pytest.mark.parametrize("name, build, good, value", REAL_NUMBER_CASES)
+def test_numeric_arguments_must_be_real_numbers(name, build, good, value):
+    build(good)
+    build(np.float32(good))   # a numpy scalar is a real number
+    with pytest.raises(ValidationError, match=f"^{re.escape(name)} must be a real number, got "):
+        build(value)
+
+
 # -- one-sided bounds -----------------------------------------------------------
 
 
@@ -403,12 +551,12 @@ def test_one_sided_bounds_name_the_value_as_passed():
         (lambda: gripper(actuator_force_cap=0), "actuator_force_cap must be > 0, got 0"),
         (lambda: PulleyProfile(0, thetas, radii), "circular-pulley radius must be > 0, got 0"),
         (lambda: PulleyProfile(math.nan, thetas, radii),
-         "circular-pulley radius must be > 0, got nan"),
+         "circular_radius must be finite, got nan"),
         (lambda: synthesize_weight_counter(spring, 0, 10.0), "circular radius must be > 0, got 0"),
         (lambda: synthesize_weight_counter(spring, 0.02, 10.0, theta_max=-1),
          "theta_max must be > 0, got -1.0"),
         (lambda: synthesize_weight_counter(spring, 0.02, 10.0, theta_max=math.nan),
-         "theta_max must be > 0, got nan"),
+         "theta_max must be finite, got nan"),
     ]
     for build, message in cases:
         with pytest.raises(ValidationError) as info:

@@ -5,11 +5,13 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from floatconv import PulleyProfile, ValidationError
+from floatconv import FloatConvError, PulleyProfile, ValidationError
+from floatconv.characteristics import cumulative_trapezoid
 from floatconv.config import (
     CONFIG,
     COUNTERS,
@@ -17,11 +19,17 @@ from floatconv.config import (
     GRIPPER,
     LAWS,
     PULLEY,
+    SPRING_SYNTHESIS_RTOL,
+    VERIFY_FORCE_RTOL,
     RunConfig,
+    VerifyReport,
     parse_characteristic,
     parse_config,
     synthesize_from_config,
     verify_profile,
+)
+from floatconv.export import (
+    CSV_ANGLE_QUANTUM, CSV_RADIUS_QUANTUM, profile_to_csv, read_profile_csv,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -143,6 +151,130 @@ def test_verify_profile_credits_the_clamp_and_catches_a_bump():
         radii[i] += 1e-6
         bumped = PulleyProfile(profile.circular_radius, profile.thetas, radii)
         assert not verify_profile(cfg, bumped).passed
+
+
+def parent_verify_profile(cfg, profile):
+    """verify_profile as it was before it read the profile's own samples: every
+    value through the interpolating payout and balance_residual. The oracle of
+    the own-sample evaluation."""
+    R, target, counter = cfg.circular_radius_m, cfg.spring, cfg.counter
+    thetas = profile.thetas
+    theta_end = target.x_max / R
+    if thetas[-1] - theta_end <= CSV_ANGLE_QUANTUM:
+        thetas = np.minimum(thetas, theta_end)
+    xs = R * thetas
+    force = target.force_at(xs)
+    payout = profile.payout(thetas)
+    tension = counter.tension(payout)
+    withheld = np.zeros_like(force)
+    if cfg.truncation_bounds is not None:
+        ideal = R * force / tension
+        expected = np.clip(ideal, *cfg.truncation_bounds)
+        withheld = np.where(expected != ideal, force - expected * tension / R, 0.0)
+    clamped = np.nonzero(withheld)[0]
+    residual = profile.balance_residual(counter, target, thetas) - withheld
+    stored = target.stored_energy(xs)
+    e_scale = max(float(stored[-1]), 1e-300)
+    release = stored - cumulative_trapezoid(withheld, xs)
+    energy_error = float(np.max(np.abs(counter.released_energy(payout) - release))) / e_scale
+    peak = max(float(np.max(np.abs(force))), 1e-300)
+    slope_bound = float(np.max(np.abs(np.diff(force) / np.diff(xs))))
+    quantization = (
+        CSV_RADIUS_QUANTUM * float(tension[-1]) / R + slope_bound * R * CSV_ANGLE_QUANTUM
+    )
+    rtol = VERIFY_FORCE_RTOL if counter.k2 == 0 else SPRING_SYNTHESIS_RTOL
+    return VerifyReport(
+        max_residual=float(np.max(np.abs(residual))),
+        residual_tol=rtol * peak + quantization,
+        energy_error=energy_error,
+        clamped_to=float(thetas[clamped[-1]]) if clamped.size else None,
+    )
+
+
+X_MAX = st.floats(0.01, 0.2)
+LAW_SECTIONS = st.one_of(
+    st.builds(lambda k, x: {"type": "linear", "k_n_per_m": k, "max_extension_m": x},
+              st.floats(1.0, 1000.0), X_MAX),
+    st.builds(lambda f0, x: {"type": "constant", "f0_n": f0, "max_extension_m": x},
+              st.floats(0.5, 50.0), X_MAX),
+    st.builds(lambda c, d, p, x: {"type": "power_law", "c": c, "d_m": d, "p": p,
+                                  "max_extension_m": x},
+              st.floats(1e-3, 1.0), st.floats(5e-3, 0.05), st.floats(1.0, 3.0), X_MAX),
+    st.builds(lambda xs, fs: {"type": "tabulated",
+                              "points_m_n": [[x, f] for x, f in zip([0.0, *xs], fs)]},
+              st.lists(st.floats(0.001, 0.2), min_size=1, max_size=5, unique=True).map(sorted),
+              st.lists(st.floats(0.0, 50.0), min_size=6, max_size=6)),
+)
+COUNTER_SECTIONS = st.one_of(
+    st.builds(lambda load: {"type": "weight", "load_n": load}, st.floats(1.0, 50.0)),
+    st.builds(lambda t0, k2: {"type": "spring", "t0_n": t0, "k2_n_per_m": k2},
+              st.floats(5.0, 50.0), st.floats(0.1, 50.0)),
+)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True, database=None)
+@given(
+    spring=LAW_SECTIONS,
+    counter=COUNTER_SECTIONS,
+    radius=st.floats(0.005, 0.05),
+    samples=st.integers(2, 4097),
+    window=st.one_of(st.none(), st.tuples(st.floats(0.0, 0.9), st.floats(0.1, 1.0))),
+    round_trip=st.booleans(),
+)
+def test_own_sample_evaluation_equals_the_interpolating_formula(
+    spring, counter, radius, samples, window, round_trip
+):
+    data = {"spring": spring, "counter": counter,
+            "pulley": {"circular_radius_m": radius, "samples": samples}}
+    try:
+        profile = synthesize_from_config(parse_config(data))
+    except FloatConvError:   # a coarse grid fails the forward check; nothing to verify
+        assume(False)
+    if window is not None:   # truncation bounds that clamp part of this profile
+        lo, hi = sorted(window)
+        assume(lo < hi)
+        top = float(np.max(profile.radii))
+        data["pulley"].update(r_min_m=lo * top, r_max_m=hi * top)
+    cfg = parse_config(data)
+    profile = synthesize_from_config(cfg)
+    if round_trip:   # 6-decimal degrees, which can round the last theta past the law's end
+        profile = read_profile_csv(profile_to_csv(profile), radius)
+    assert verify_profile(cfg, profile) == parent_verify_profile(cfg, profile)
+    # the forward check's force and payout are the interpolating ones
+    realized, payout = profile._at_samples(cfg.counter)
+    assert np.array_equal(realized, profile.realized_force(cfg.counter, profile.thetas))
+    assert np.array_equal(payout, profile.payout(profile.thetas))
+
+
+def _count_interpolating_calls(monkeypatch):
+    calls = []
+    for name in ("payout", "realized_force", "balance_residual"):
+        original = getattr(PulleyProfile, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(PulleyProfile, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("counter", [{"type": "weight", "load_n": 10.0},
+                                     {"type": "spring", "t0_n": 10.0, "k2_n_per_m": 50.0}])
+def test_verify_reads_own_samples_without_interpolating(monkeypatch, counter):
+    data = base_config()
+    data["counter"] = counter
+    cfg = parse_config(data)
+    profile = synthesize_from_config(cfg)
+    calls = _count_interpolating_calls(monkeypatch)
+    assert verify_profile(cfg, profile).passed
+    assert calls == []
+    # a last theta a hair past the law's end goes through the interpolant
+    thetas = profile.thetas.copy()
+    thetas[-1] += 0.5 * CSV_ANGLE_QUANTUM
+    past_the_end = PulleyProfile(profile.circular_radius, thetas, profile.radii)
+    assert verify_profile(cfg, past_the_end).passed
+    assert calls == ["payout"]
 
 
 # -- the schema, key by key ---------------------------------------------------------
