@@ -59,38 +59,34 @@ def clip_domain(x, x_max: float):
     land an ulp outside the domain; a 1e-12 relative slack absorbs that
     without admitting genuinely out-of-range queries.
 
-    Returns (clipped value, was_scalar). An array already inside the
-    domain comes back as it is, uncopied: no evaluator writes into the
-    value it is given. A Python ``float`` or ``int``
-    (``np.float64`` subclasses ``float``) takes the scalar path: the same
-    checks, messages and clip in plain float arithmetic, returning a
-    Python float, so single-point callers skip numpy's per-call array
-    overhead. Everything else, 0-d arrays and other numpy scalars
-    included, goes through numpy and returns a clipped ndarray, or an
-    ``np.float64`` for 0-d input; evaluators therefore detect the scalar
-    path with ``type(value) is float``. Scalar results equal the 0-d array
-    results bit for bit. Never route a scalar through a 1-element array
-    to share the array code: numpy's vectorized ``power`` loop differs
-    from its scalar one in the last ulp on some inputs.
+    Returns any real scalar (a Python or numpy number, a 0-d array) as a
+    Python float, which every evaluator computes in plain float arithmetic,
+    and input of 1-d or more as a float ndarray, uncopied when already
+    inside the domain: no evaluator writes into the value it is given. A
+    bool, text, None, a complex or an object dtype raises ValidationError.
+    A scalar never goes through a 1-element array: numpy's vectorized
+    ``power`` loop differs from its scalar one in the last ulp on some inputs.
     """
     slack = 1e-12 * max(abs(x_max), 1.0)
-    if isinstance(x, (float, int)):
-        v = float(x)
-        if not math.isfinite(v):
-            raise DomainError("displacement must be finite")
-        if v < -slack or v > x_max + slack:
-            raise DomainError(f"value range [{v:g}, {v:g}] outside domain [0, {x_max:g}]")
-        return min(max(v, 0.0), x_max), True
-    arr = np.asarray(x, dtype=float)
-    if arr.size:
-        lo, hi = float(arr.min()), float(arr.max())   # a NaN or an inf shows in these
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError("displacement must be finite")
-        if lo < -slack or hi > x_max + slack:
-            raise DomainError(f"value range [{lo:g}, {hi:g}] outside domain [0, {x_max:g}]")
-        if lo < 0.0 or hi > x_max:
-            arr = np.clip(arr, 0.0, x_max)
-    return arr, arr.ndim == 0
+    if isinstance(x, float) or isinstance(x, numbers.Real) and not isinstance(x, bool):
+        x = lo = hi = float(x)
+    else:
+        arr = np.asarray(x)
+        if arr.dtype.kind not in "iuf":   # a bool, text, complex or object dtype
+            raise ValidationError(f"displacement must be real, got {x!r:.80}")
+        if arr.ndim == 0:
+            x = lo = hi = float(arr)
+        else:
+            x = arr.astype(float, copy=False)
+            # a NaN or an inf shows in these
+            lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("displacement must be finite")
+    if lo < -slack or hi > x_max + slack:
+        raise DomainError(f"value range [{lo:g}, {hi:g}] outside domain [0, {x_max:g}]")
+    if lo < 0.0 or hi > x_max:
+        return min(max(x, 0.0), x_max) if type(x) is float else np.clip(x, 0.0, x_max)
+    return x
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -103,8 +99,8 @@ class PiecewiseLinear:
     """A sampled curve y(x), linear between knots: its value and running integral.
 
     ``xs`` must be strictly increasing. Both methods take a Python float
-    (the scalar path of :func:`clip_domain`: plain float arithmetic over
-    cached lists) or numpy values, and the two paths agree bit for bit.
+    (plain float arithmetic over cached lists) or numpy values, and the two
+    paths agree bit for bit.
     """
 
     xs: np.ndarray
@@ -148,11 +144,16 @@ class PiecewiseLinear:
         return cum[i] + 0.5 * (fp[i] + self.at(x)) * (x - xp[i])
 
 
-def _finite(name: str, value) -> float:
-    """value as a float; ValidationError unless it is a finite real number, not a bool."""
+def _real(name: str, value):
+    """Raise ValidationError unless value is a real number, not a bool; return value."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    return value
+
+
+def _finite(name: str, value) -> float:
+    """value as a float; ValidationError unless it is a finite real number, not a bool."""
+    value = float(_real(name, value))
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
@@ -303,27 +304,26 @@ class ForceCharacteristic:
         return PiecewiseLinear(xs, fs)
 
     def _eval(self, xs):
-        """The law at xs: a Python float (scalar path) or numpy values."""
+        """The law at xs: a Python float for a float, else numpy values."""
         scalar = type(xs) is float
         if self.kind == LINEAR:
             return self.k * xs
         if self.kind == CONSTANT:
-            return self.f0 if scalar else np.full_like(xs, self.f0)
+            return float(self.f0) if scalar else np.full_like(xs, self.f0)
         if self.kind == POWER_LAW:
-            # np.float64 keeps numpy's overflow to inf on a scalar, where a
-            # Python float ** would raise OverflowError
-            base = np.float64(xs + self.d) if scalar else xs + self.d
-            return self.c / base**self.p
+            if scalar:
+                # np.float64 keeps numpy's overflow to inf, where a Python
+                # float ** would raise OverflowError
+                return float(self.c / np.float64(xs + self.d) ** self.p)
+            return self.c / (xs + self.d) ** self.p
         return self._curve.at(xs)
 
     def force_at(self, x):
-        """Force (N) at extension x (m); accepts a scalar or an ndarray.
+        """Force (N) at extension x (m): a float for a real scalar, else an ndarray.
 
         Raises DomainError outside [0, x_max].
         """
-        xs, scalar = clip_domain(x, self.x_max)
-        vals = self._eval(xs)
-        return float(vals) if scalar else vals
+        return self._eval(clip_domain(x, self.x_max))
 
     def _energy(self, xs):
         """The integral of the law from 0 to xs, on the same paths as _eval."""
@@ -335,10 +335,12 @@ class ForceCharacteristic:
             # log1p/expm1 keep full precision near x = 0
             t = np.log1p(xs / self.d)
             if self.p == 1.0:
-                return self.c * t
-            # np.float64 overflows to inf where a Python float ** would raise
-            scale = self.c * np.float64(self.d) ** (1.0 - self.p) / (self.p - 1.0)
-            return scale * -np.expm1((1.0 - self.p) * t)
+                e = self.c * t
+            else:
+                # np.float64 overflows to inf where a Python float ** would raise
+                scale = self.c * np.float64(self.d) ** (1.0 - self.p) / (self.p - 1.0)
+                e = scale * -np.expm1((1.0 - self.p) * t)
+            return float(e) if type(xs) is float else e
         return self._curve.integral(xs)
 
     def stored_energy(self, x):
@@ -347,9 +349,7 @@ class ForceCharacteristic:
         Exact closed form for every law; accepts a scalar or an ndarray
         like :meth:`force_at`. Raises DomainError outside [0, x_max].
         """
-        xs, scalar = clip_domain(x, self.x_max)
-        vals = self._energy(xs)
-        return float(vals) if scalar else vals
+        return self._energy(clip_domain(x, self.x_max))
 
     def extension_at(self, force: float) -> float:
         """Extension (m) at which the law delivers ``force`` (N).

@@ -237,7 +237,7 @@ def verify_profile(cfg: RunConfig, profile: PulleyProfile) -> VerifyReport:
     """
     R, target, counter = cfg.circular_radius_m, cfg.spring, cfg.counter
     thetas = profile.thetas
-    realized, payout = profile._at_samples(counter)
+    realized, payout = profile._at_samples(counter), profile._radius.cumulative
     # the CSV's 6-decimal degrees can round theta_max a hair past the spring's
     # range; pull samples inside that quantum back onto it and interpolate there
     theta_end = target.x_max / R

@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .characteristics import (
-    ForceCharacteristic, _at_least, _columns, _count, _finite, clip_domain, cumulative_trapezoid,
+    ForceCharacteristic, _at_least, _columns, _count, _finite, _real, clip_domain,
+    cumulative_trapezoid,
 )
 from .errors import (
     DomainError,
@@ -90,19 +91,17 @@ class FloatingConverter:
         object yet) and contributes zero force there. u is checked once,
         against u_max, which lies inside both the law's and the pulley's range.
         """
-        us, scalar = clip_domain(u, self.u_max)
+        us = clip_domain(u, self.u_max)
         spring = self.left._eval(us)
         profile = self.profile
         R = profile.circular_radius
         if type(us) is float:
             if us < self.gap_x:
-                return float(spring), 0.0
+                return spring, 0.0
             theta = min((us - self.gap_x) / R, profile.theta_max)
-            return float(spring), profile._cable_force(self.counter, theta)
+            return spring, profile._cable_force(self.counter, theta)
         theta = np.minimum(np.maximum(us - self.gap_x, 0.0) / R, profile.theta_max)
         counter = np.where(us >= self.gap_x, profile._cable_force(self.counter, theta), 0.0)
-        if scalar:
-            return float(spring), float(counter)
         return spring, counter
 
     def operating_force(self, u):
@@ -115,6 +114,7 @@ class FloatingConverter:
     def sweep(self, u_min: float, u_max: float, n: int) -> "SweepTable":
         """Uniform displacement sweep with ideal and friction-banded forces."""
         _count("sweep rows", n, 2, MAX_SWEEP_ROWS)
+        u_min, u_max = _real("u_min", u_min), _real("u_max", u_max)
         if not 0 <= u_min < u_max:
             raise ValidationError(f"need 0 <= u_min < u_max, got [{u_min}, {u_max}]")
         if u_max > self.u_max * (1 + 1e-12):
@@ -138,8 +138,7 @@ class FloatingConverter:
         three close: operator_work = delta_spring + delta_counter. It evaluates
         the ends as force_components does: clipped, each angle at most theta_max.
         """
-        u0, _ = clip_domain(u0, self.u_max)
-        u1, _ = clip_domain(u1, self.u_max)
+        u0, u1 = clip_domain(u0, self.u_max), clip_domain(u1, self.u_max)
         if u0 == u1:
             return EnergyLedger(0.0, 0.0, 0.0)
         delta_spring = self.left.stored_energy(u1) - self.left.stored_energy(u0)
@@ -173,6 +172,7 @@ class FloatingConverter:
         operating force is constant and equal to the applied force, raises
         IndeterminateEquilibrium: every displacement is an equilibrium.
         """
+        applied = _real("applied", applied)
         lo, hi = self.gap_x, self.u_max
         if not lo < hi:
             raise ValidationError("converter has no engaged displacement range")

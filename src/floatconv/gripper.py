@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .characteristics import _at_least, _columns, _count, _finite, _flag, _length
+from .characteristics import _at_least, _columns, _count, _finite, _flag, _length, _real
 from .converter import FloatingConverter
 from .errors import (
     ActuatorStall,
@@ -152,6 +152,7 @@ def plan_grasp(model: GripperModel, target_grip: float) -> GraspPlan:
     geometry. The stroke is the inverse of the working characteristic at
     the target force.
     """
+    target_grip = _real("target_grip", target_grip)
     if not math.isfinite(target_grip):
         raise UnreachableForce(f"target grip must be finite, got {target_grip!r}")
     if target_grip < 0:

@@ -33,6 +33,7 @@ from .characteristics import (
     _columns,
     _count,
     _finite,
+    _real,
     clip_domain,
 )
 from .errors import (
@@ -157,15 +158,11 @@ class PulleyProfile:
         exact for the piecewise-linear interpolant, hence for spiral
         profiles.
         """
-        th, scalar = clip_domain(theta, self.theta_max)
-        val = self._radius.integral(th)
-        return float(val) if scalar else val
+        return self._radius.integral(clip_domain(theta, self.theta_max))
 
     def arc_length(self, theta):
         """Curve length integral of sqrt(r**2 + (dr/dtheta)**2) up to theta."""
-        th, scalar = clip_domain(theta, self.theta_max)
-        val = self._arc.integral(th)
-        return float(val) if scalar else val
+        return self._arc.integral(clip_domain(theta, self.theta_max))
 
     # -- force analysis ----------------------------------------------------
 
@@ -175,15 +172,13 @@ class PulleyProfile:
         r(theta) * T(s) / R with T the counter tension at the paid-out
         cable length s.
         """
-        th, scalar = clip_domain(theta, self.theta_max)
-        val = self._cable_force(counter, th)
-        return float(val) if scalar else val
+        return self._cable_force(counter, clip_domain(theta, self.theta_max))
 
     def _at_samples(self, counter: CounterElement):
-        """(r*T(s)/R, s) at the own samples: the sample radii and the cached payout sum."""
-        payout = self._radius.cumulative
-        tension = counter.t0 if counter.k2 == 0 else counter.tension(payout)
-        return self.radii * tension / self.circular_radius, payout
+        """r*T(s)/R at the own samples: the sample radii and, under a spring,
+        the cached payout sum, which a dead weight's force never computes."""
+        tension = counter.t0 if counter.k2 == 0 else counter.tension(self._radius.cumulative)
+        return self.radii * tension / self.circular_radius
 
     def _cable_force(self, counter: CounterElement, th):
         """r(th) * T(s(th)) / R at a theta already clipped into [0, theta_max]."""
@@ -197,9 +192,8 @@ class PulleyProfile:
         Zero everywhere (to rounding) for an untruncated synthesized
         profile; truncation shows up as a nonzero offset near theta = 0.
         """
-        th, scalar = clip_domain(theta, self.theta_max)
-        resid = target.force_at(self.circular_radius * th) - self.realized_force(counter, th)
-        return float(resid) if scalar else resid
+        th = clip_domain(theta, self.theta_max)
+        return target.force_at(self.circular_radius * th) - self.realized_force(counter, th)
 
     def truncated(self, r_min: float, r_max: float) -> "PulleyProfile":
         """Clamp every sample radius into [r_min, r_max] (fabrication bounds).
@@ -214,6 +208,7 @@ class PulleyProfile:
 
 def _window(r_min: float, r_max: float) -> tuple[float, float]:
     """The truncation window (r_min, r_max), checked: truncated() and configs share it."""
+    r_min, r_max = _real("r_min", r_min), _real("r_max", r_max)
     if not 0 <= r_min < r_max:
         raise ValidationError(f"need 0 <= r_min < r_max, got [{r_min}, {r_max}]")
     return r_min, r_max
@@ -265,7 +260,7 @@ def _synthesize(
     slope = target.k * (R * R) / counter.t0 if target.kind == LINEAR and counter.k2 == 0 else None
     profile = PulleyProfile(R, thetas, radii, slope)
 
-    realized, _ = profile._at_samples(counter)
+    realized = profile._at_samples(counter)
     peak = max(float(np.max(np.abs(forces))), 1e-300)
     residual = float(np.max(np.abs(realized - forces))) / peak
     if residual > SPRING_SYNTHESIS_RTOL:

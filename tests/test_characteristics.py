@@ -20,6 +20,7 @@ from floatconv import (
     SweepTable,
     UnreachableForce,
     ValidationError,
+    plan_grasp,
     profile_to_svg,
     synthesize_spring_counter,
     synthesize_weight_counter,
@@ -370,8 +371,8 @@ def test_validation_errors():
 
 
 def test_clip_domain_returns_an_empty_array_for_an_empty_array():
-    clipped, scalar = clip_domain(np.array([]), 1.0)
-    assert clipped.shape == (0,) and not scalar
+    clipped = clip_domain(np.array([]), 1.0)
+    assert isinstance(clipped, np.ndarray) and clipped.shape == (0,)
     assert ForceCharacteristic.linear(k=1.0, x_max=1.0).force_at(np.array([])).shape == (0,)
 
 
@@ -389,7 +390,7 @@ def test_clip_domain_clips_slack_spill_onto_the_ends():
     x_max = 0.12
     x = np.array([-1e-13, 0.05, x_max * (1 + 1e-13)])
     x.flags.writeable = False   # the clip is a new array, not a write into the caller's
-    clipped, _ = clip_domain(x, x_max)
+    clipped = clip_domain(x, x_max)
     assert clipped.tolist() == [0.0, 0.05, x_max] and math.copysign(1.0, clipped[0]) == 1.0
     assert x[0] == -1e-13
     with pytest.raises(DomainError, match=r"^value range \[-1e-11, 0.05\] outside domain"):
@@ -397,7 +398,7 @@ def test_clip_domain_clips_slack_spill_onto_the_ends():
 
 
 def test_clip_domain_keeps_negative_zero():
-    clipped, _ = clip_domain(np.array([-0.0, 0.5]), 1.0)
+    clipped = clip_domain(np.array([-0.0, 0.5]), 1.0)
     assert math.copysign(1.0, clipped[0]) == -1.0
 
 
@@ -432,6 +433,40 @@ def test_evaluators_leave_a_read_only_input_alone(name, fn, hi):
     assert np.array_equal(x, np.linspace(0.0, hi, 9))
     for value in out if isinstance(out, tuple) else (out,):
         assert value.shape == x.shape and not np.shares_memory(value, x)
+
+
+def _one_argument_calls():
+    """(id, a call of one argument) for every evaluator and for each argument
+    that sweep, truncated, equilibrium_displacement and plan_grasp compare."""
+    law = ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12)
+    profile = synthesize_weight_counter(ForceCharacteristic.linear(100.0, 0.12), 0.02, 10.0)
+    conv = FloatingConverter(law, profile, CounterElement.spring(t0=10.0, k2=40.0), gap_x=0.01)
+    model = GripperModel(conv, stage_travel=0.1, stage_step=0.01, latch_holds=True,
+                         actuator_force_cap=2.0, object_position=0.05)
+    return [(name, fn) for name, fn, _ in EVALUATORS] + [
+        ("energy_ledger.u0", lambda v: conv.energy_ledger(v, 0.05)),
+        ("energy_ledger.u1", lambda v: conv.energy_ledger(0.05, v)),
+        ("sweep.u_min", lambda v: conv.sweep(v, 0.05, 8)),
+        ("sweep.u_max", lambda v: conv.sweep(0.0, v, 8)),
+        ("truncated.r_min", lambda v: profile.truncated(v, 0.04)),
+        ("truncated.r_max", lambda v: profile.truncated(0.001, v)),
+        ("equilibrium_displacement", conv.equilibrium_displacement),
+        ("plan_grasp", lambda v: plan_grasp(model, v)),
+    ]
+
+
+ONE_ARGUMENT_CALLS = _one_argument_calls()
+NON_REAL_INPUT = {"bool": True, "numpy_bool": np.True_, "str": "0.05", "None": None,
+                  "complex": 0.05j, "object": np.array(0.05, dtype=object)}
+
+
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+@pytest.mark.parametrize("kind", NON_REAL_INPUT)
+@pytest.mark.parametrize("name, call", ONE_ARGUMENT_CALLS, ids=[c[0] for c in ONE_ARGUMENT_CALLS])
+def test_non_real_input_is_refused(name, call, kind, shape):
+    value = NON_REAL_INPUT[kind]
+    with pytest.raises(ValidationError, match=r"must be (real|a real number), got "):
+        call(value if shape == "scalar" else np.array([value, value]))
 
 
 # -- real numbers ---------------------------------------------------------------

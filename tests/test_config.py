@@ -240,10 +240,10 @@ def test_own_sample_evaluation_equals_the_interpolating_formula(
     if round_trip:   # 6-decimal degrees, which can round the last theta past the law's end
         profile = read_profile_csv(profile_to_csv(profile), radius)
     assert verify_profile(cfg, profile) == parent_verify_profile(cfg, profile)
-    # the forward check's force and payout are the interpolating ones
-    realized, payout = profile._at_samples(cfg.counter)
+    # the own-sample force and payout are the interpolating ones
+    realized = profile._at_samples(cfg.counter)
     assert np.array_equal(realized, profile.realized_force(cfg.counter, profile.thetas))
-    assert np.array_equal(payout, profile.payout(profile.thetas))
+    assert np.array_equal(profile._radius.cumulative, profile.payout(profile.thetas))
 
 
 def _count_interpolating_calls(monkeypatch):

@@ -405,7 +405,7 @@ def reference_simulate_grasp(model, plan):
     for j in range(1, n_grip + 1):
         tick += 1
         u = min(j * step, plan.converter_stroke)
-        us, _ = clip_domain(u, conv.u_max)
+        us = clip_domain(u, conv.u_max)
         spring = conv.left.force_at(us)
         counter = conv.profile.realized_force(conv.counter, max(us - conv.gap_x, 0.0) / R)
         if us < conv.gap_x:

@@ -450,3 +450,12 @@ def test_profile_domain_checks():
         profile.realized_force(CounterElement.weight(10.0), -0.5)
     with pytest.raises(DomainError):
         profile.arc_length(-1.0)
+
+
+def test_weight_synthesis_computes_no_payout():
+    # a dead weight's radius R*F/mg needs no payout; only a spring's reads the running sum
+    law = ForceCharacteristic.linear(k=100.0, x_max=0.12)
+    profile = synthesize_weight_counter(law, 0.02, 10.0, 65536)
+    assert "cumulative" not in profile._radius.__dict__
+    spring = synthesize_spring_counter(law, 0.02, CounterElement.spring(10.0, 40.0), 512)
+    assert "cumulative" in spring._radius.__dict__

@@ -1,4 +1,6 @@
-"""Single-point calls: the scalar path matches the 0-d array path bit for bit."""
+"""Single-point calls: any real scalar gives a Python float, the value an array call
+gives at that point: bit for bit, or within a few ulps where numpy's vectorized
+``power`` loop differs from its scalar one."""
 
 import functools
 import math
@@ -50,27 +52,38 @@ SHORT_PROFILE = synthesize_spring_counter(
 
 
 def _cases():
-    """(id, single-point function, upper end of its domain) for every evaluator."""
-    cases = [(f"force_at[{k}]", law.force_at, X_MAX) for k, law in LAWS.items()]
-    cases += [(f"stored_energy[{k}]", law.stored_energy, X_MAX) for k, law in LAWS.items()]
+    """(id, single-point function, upper end of its domain, ulps) for every evaluator.
+
+    ulps is 0 where the scalar must equal the array element bit for bit. A
+    power law's force may differ by a few ulps (numpy's vectorized ``power``
+    loop is not its scalar one): 4 ulps of the force, and of the larger of
+    the two forces an operating force subtracts.
+    """
+    def ulps(k):
+        return 4 if k == "power_law" else 0
+
+    cases = [(f"force_at[{k}]", law.force_at, X_MAX, ulps(k)) for k, law in LAWS.items()]
+    cases += [(f"stored_energy[{k}]", law.stored_energy, X_MAX, 0) for k, law in LAWS.items()]
     for c, counter in COUNTERS.items():
         profile = PROFILES[c]
         hi = profile.theta_max
         cases += [
-            (f"payout[{c}]", profile.payout, hi),
-            (f"arc_length[{c}]", profile.arc_length, hi),
-            (f"realized_force[{c}]", functools.partial(profile.realized_force, counter), hi),
+            (f"payout[{c}]", profile.payout, hi, 0),
+            (f"arc_length[{c}]", profile.arc_length, hi, 0),
+            (f"realized_force[{c}]", functools.partial(profile.realized_force, counter), hi, 0),
         ]
         for k, law in LAWS.items():
             conv = FloatingConverter(law, profile, counter, gap_x=GAP)
             cases += [
-                (f"force_components[{k}-{c}]", conv.force_components, X_MAX),
-                (f"operating_force[{k}-{c}]", conv.operating_force, X_MAX),
+                (f"force_components[{k}-{c}]", conv.force_components, X_MAX, ulps(k)),
+                (f"operating_force[{k}-{c}]", conv.operating_force, X_MAX, ulps(k)),
             ]
     for k, law in LAWS.items():
         conv = FloatingConverter(law, SHORT_PROFILE, COUNTERS["spring"], gap_x=GAP)
         assert conv.u_max == GAP + R * SHORT_PROFILE.theta_max < X_MAX
-        cases.append((f"force_components[{k}-short_pulley]", conv.force_components, conv.u_max))
+        cases.append(
+            (f"force_components[{k}-short_pulley]", conv.force_components, conv.u_max, ulps(k))
+        )
     return cases
 
 
@@ -86,35 +99,49 @@ def _bits(value):
     return struct.pack("<d", value)
 
 
+def _element(fn, x):
+    """fn at x as the first element of a 2-element array call: the array path."""
+    out = fn(np.array([x, x]))
+    return tuple(float(v[0]) for v in out) if isinstance(out, tuple) else float(out[0])
+
+
 def _points(hi):
-    """In-domain inputs: the interior, both endpoints and the 1e-12 slack."""
+    """In-domain inputs: the interior, both endpoints and the 1e-12 slack, as a
+    Python, numpy or 0-d array number."""
     slack = 1e-12 * max(hi, 1.0)
     edges = [0.0, -0.0, -slack, slack, 0.5 * slack, hi, hi - slack, hi + slack,
              math.nextafter(hi, 0.0), GAP, math.nextafter(GAP, 0.0), math.nextafter(GAP, 1.0)]
     edges = [x for x in edges if -slack <= x <= hi + slack]
     values = st.one_of(st.floats(min_value=0.0, max_value=hi), st.sampled_from(edges))
-    as_float = st.tuples(values, st.sampled_from([float, np.float64])).map(lambda t: t[1](t[0]))
-    return st.one_of(as_float, st.integers(min_value=0, max_value=math.floor(hi)))
+    wrappers = [float, np.float64, np.float32, np.asarray]
+    as_float = st.tuples(values, st.sampled_from(wrappers)).map(lambda t: t[1](t[0]))
+    ints = st.integers(min_value=0, max_value=math.floor(hi))
+    as_int = st.tuples(ints, st.sampled_from([int, np.int64, np.asarray])).map(lambda t: t[1](t[0]))
+    # a float32 can round past the slack; the domain errors have their own test
+    return st.one_of(as_float, as_int).filter(lambda x: -slack <= float(x) <= hi + slack)
 
 
-@pytest.mark.parametrize("name, fn, hi", CASES, ids=IDS)
+@pytest.mark.parametrize("name, fn, hi, ulps", CASES, ids=IDS)
 @given(data=st.data())
-def test_scalar_matches_zero_d_array(name, fn, hi, data):
+def test_scalar_is_a_float_equal_to_the_array_element(name, fn, hi, ulps, data):
     x = data.draw(_points(hi))
-    fast = fn(x)
-    reference = fn(np.asarray(x))
-    if isinstance(fast, tuple):
-        reference = tuple(float(v) for v in reference)
+    fast, reference = fn(x), _element(fn, x)
+    if not ulps:
+        assert _bits(fast) == _bits(reference)
+        return
+    _bits(fast)   # Python floats
+    if name.startswith("operating_force"):   # a difference: the ulps of its larger term
+        scale = max(abs(v) for v in fn.__self__.force_components(x))
     else:
-        reference = float(reference)
-    assert _bits(fast) == _bits(reference)
+        scale = np.abs(reference)
+    assert np.all(np.abs(np.subtract(fast, reference)) <= ulps * np.spacing(scale))
 
 
-@pytest.mark.parametrize("name, fn, hi", CASES, ids=IDS)
+@pytest.mark.parametrize("name, fn, hi, ulps", CASES, ids=IDS)
 @pytest.mark.parametrize(
     "where", ["nan", "inf", "-inf", "below", "above", "above_slack", "int_above"]
 )
-def test_scalar_domain_errors_match_array_path(name, fn, hi, where):
+def test_scalar_domain_errors_match_array_path(name, fn, hi, ulps, where):
     slack = 1e-12 * max(hi, 1.0)
     x = {
         "nan": math.nan,
@@ -128,7 +155,7 @@ def test_scalar_domain_errors_match_array_path(name, fn, hi, where):
     with pytest.raises(DomainError) as fast:
         fn(x)
     with pytest.raises(DomainError) as reference:
-        fn(np.asarray(x))
+        fn(np.array([x, x]))
     assert str(fast.value) == str(reference.value)
 
 
@@ -145,5 +172,5 @@ def test_scalar_domain_errors_match_array_path(name, fn, hi, where):
 def test_power_law_scalar_keeps_numpy_overflow_semantics(law, x):
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         fast = law.force_at(x), law.stored_energy(x)
-        reference = tuple(float(fn(np.asarray(x))) for fn in (law.force_at, law.stored_energy))
+        reference = tuple(_element(fn, x) for fn in (law.force_at, law.stored_energy))
     assert _bits(fast) == _bits(reference)
