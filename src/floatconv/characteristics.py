@@ -63,23 +63,29 @@ def clip_domain(x, x_max: float):
     Python float, which every evaluator computes in plain float arithmetic,
     and input of 1-d or more as a float ndarray, uncopied when already
     inside the domain: no evaluator writes into the value it is given. A
-    bool, text, None, a complex or an object dtype raises ValidationError.
+    bool, text, None, a complex, an object dtype or ragged nesting raises
+    ValidationError; an int past the float range counts as infinite.
     A scalar never goes through a 1-element array: numpy's vectorized
     ``power`` loop differs from its scalar one in the last ulp on some inputs.
     """
     slack = 1e-12 * max(abs(x_max), 1.0)
-    if isinstance(x, float) or isinstance(x, numbers.Real) and not isinstance(x, bool):
-        x = lo = hi = float(x)
-    else:
-        arr = np.asarray(x)
-        if arr.dtype.kind not in "iuf":   # a bool, text, complex or object dtype
-            raise ValidationError(f"displacement must be real, got {x!r:.80}")
-        if arr.ndim == 0:
-            x = lo = hi = float(arr)
+    try:
+        if isinstance(x, float) or isinstance(x, numbers.Real) and not isinstance(x, bool):
+            x = lo = hi = float(x)
         else:
-            x = arr.astype(float, copy=False)
-            # a NaN or an inf shows in these
-            lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+            arr = np.asarray(x)
+            if arr.dtype.kind not in "iuf":   # a bool, text, complex or object dtype
+                raise ValueError
+            if arr.ndim == 0:
+                x = lo = hi = float(arr)
+            else:
+                x = arr.astype(float, copy=False)
+                # a NaN or an inf shows in these
+                lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+    except OverflowError:   # an int past the float range is infinite
+        x = lo = hi = math.inf
+    except ValueError:   # those dtypes, and ragged nesting, which np.asarray refuses
+        raise ValidationError(f"displacement must be real, got {x!r:.80}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("displacement must be finite")
     if lo < -slack or hi > x_max + slack:
@@ -153,10 +159,19 @@ def _real(name: str, value):
 
 def _finite(name: str, value) -> float:
     """value as a float; ValidationError unless it is a finite real number, not a bool."""
-    value = float(_real(name, value))
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return value
+    try:
+        number = float(_real(name, value))
+    except OverflowError:   # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {value!s:.80}")
+    return number
+
+
+def _floats(record, *names):
+    """Check each named field of a frozen record with _finite and store the float."""
+    for name in names:
+        object.__setattr__(record, name, _finite(name, getattr(record, name)))
 
 
 def _at_least(label: str, value, bound: float, strict: bool = False):
@@ -209,8 +224,8 @@ class ForceCharacteristic:
     """A force-vs-displacement law on the closed domain [0, x_max].
 
     Build instances through the factory classmethods (:meth:`linear`,
-    :meth:`constant`, :meth:`power_law`, :meth:`tabulated`) rather than
-    the raw constructor.
+    :meth:`constant`, :meth:`power_law`, :meth:`tabulated`) or the raw
+    constructor: both check and store each number the law reads as a float.
     """
 
     kind: str
@@ -223,85 +238,79 @@ class ForceCharacteristic:
     points: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        _finite("x_max", self.x_max)
+        if self.kind == TABULATED:
+            self._knots()
+        _floats(self, "x_max")
         _at_least("x_max", self.x_max, 0, strict=True)
         _length("x_max", self.x_max)
         if self.kind == LINEAR:
-            _finite("k", self.k)
+            _floats(self, "k")
             _at_least("linear stiffness k", self.k, 0, strict=True)
         elif self.kind == CONSTANT:
-            _finite("f0", self.f0)
+            _floats(self, "f0")
             _at_least("constant force f0", self.f0, 0)
         elif self.kind == POWER_LAW:
-            for name in ("c", "d", "p"):
-                _finite(name, getattr(self, name))
+            _floats(self, "c", "d", "p")
             _at_least("power-law c", self.c, 0)
             _at_least("power-law d", self.d, 0, strict=True)
             _at_least("power-law p", self.p, 1)
         elif self.kind == TABULATED:
-            self._validate_points()
+            xs = [x for x, _ in self.points]
+            if len(xs) < 2:
+                raise ValidationError("tabulated characteristic needs at least 2 points")
+            if xs[0] != 0.0:
+                raise ValidationError(f"first tabulated x must be 0, got {xs[0]}")
+            for a, b in zip(xs, xs[1:]):
+                if b <= a:
+                    raise ValidationError(
+                        f"tabulated x values must be strictly increasing, got {a} then {b}"
+                    )
+            if self.x_max > xs[-1] * (1 + 1e-12):
+                raise ValidationError(f"x_max {self.x_max} exceeds last tabulated x {xs[-1]}")
         else:
             raise ValidationError(f"unknown characteristic kind {self.kind!r}")
 
-    def _validate_points(self):
-        pts = self.points
-        if len(pts) < 2:
+    def _knots(self):
+        """Store the knots as float pairs, and an x_max of None as the last knot's x."""
+        try:
+            pts = tuple((_finite("tabulated x", x), _finite("tabulated F", f))
+                        for x, f in self.points)
+        except (TypeError, ValueError):   # a knot that is no pair, or no sequence of knots
+            raise ValidationError("tabulated points must be (x, F) pairs") from None
+        if not pts:
             raise ValidationError("tabulated characteristic needs at least 2 points")
-        xs = [x for x, _ in pts]
-        if xs[0] != 0.0:
-            raise ValidationError(f"first tabulated x must be 0, got {xs[0]}")
-        for i in range(1, len(xs)):
-            if xs[i] <= xs[i - 1]:
-                raise ValidationError(
-                    f"tabulated x values must be strictly increasing, "
-                    f"got {xs[i - 1]} then {xs[i]}"
-                )
-        for x, f in pts:
-            _finite("tabulated x", x)
-            _finite("tabulated F", f)
-        if self.x_max > xs[-1] * (1 + 1e-12):
-            raise ValidationError(
-                f"x_max {self.x_max} exceeds last tabulated x {xs[-1]}"
-            )
+        object.__setattr__(self, "points", pts)
+        if self.x_max is None:
+            object.__setattr__(self, "x_max", pts[-1][0])
 
     # -- factories ---------------------------------------------------------
 
     @classmethod
     def linear(cls, k: float, x_max: float) -> "ForceCharacteristic":
         """Linear spring, F = k*x."""
-        return cls(kind=LINEAR, x_max=_finite("x_max", x_max), k=_finite("k", k))
+        return cls(kind=LINEAR, x_max=x_max, k=k)
 
     @classmethod
     def constant(cls, f0: float, x_max: float) -> "ForceCharacteristic":
         """Constant-force element, F = f0 at any extension."""
-        return cls(kind=CONSTANT, x_max=_finite("x_max", x_max), f0=_finite("f0", f0))
+        return cls(kind=CONSTANT, x_max=x_max, f0=f0)
 
     @classmethod
     def power_law(cls, c: float, d: float, p: float, x_max: float) -> "ForceCharacteristic":
         """Decaying attraction F = c / (x + d)**p, the magnet-like stand-in."""
-        return cls(
-            kind=POWER_LAW, x_max=_finite("x_max", x_max),
-            c=_finite("c", c), d=_finite("d", d), p=_finite("p", p),
-        )
+        return cls(kind=POWER_LAW, x_max=x_max, c=c, d=d, p=p)
 
     @classmethod
     def tabulated(cls, points, x_max: float | None = None) -> "ForceCharacteristic":
-        """Piecewise-linear law through (x m, F N) knots; first x must be 0."""
-        pts = tuple((_finite("tabulated x", x), _finite("tabulated F", f)) for x, f in points)
-        if x_max is None:
-            if not pts:
-                raise ValidationError("tabulated characteristic needs at least 2 points")
-            x_max = pts[-1][0]
-        return cls(kind=TABULATED, x_max=_finite("x_max", x_max), points=pts)
+        """Piecewise-linear law through (x m, F N) knots from x = 0, up to x_max or the last x."""
+        return cls(kind=TABULATED, x_max=x_max, points=points)
 
     # -- evaluation --------------------------------------------------------
 
     @cached_property
     def _curve(self) -> PiecewiseLinear:
         """A tabulated law's knots as a curve."""
-        xs = np.array([x for x, _ in self.points], dtype=float)
-        fs = np.array([f for _, f in self.points], dtype=float)
-        return PiecewiseLinear(xs, fs)
+        return PiecewiseLinear(*map(np.array, zip(*self.points)))
 
     def _eval(self, xs):
         """The law at xs: a Python float for a float, else numpy values."""
@@ -309,7 +318,7 @@ class ForceCharacteristic:
         if self.kind == LINEAR:
             return self.k * xs
         if self.kind == CONSTANT:
-            return float(self.f0) if scalar else np.full_like(xs, self.f0)
+            return self.f0 if scalar else np.full_like(xs, self.f0)
         if self.kind == POWER_LAW:
             if scalar:
                 # np.float64 keeps numpy's overflow to inf, where a Python

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .characteristics import (
-    ForceCharacteristic, _at_least, _columns, _count, _finite, _real, clip_domain,
+    ForceCharacteristic, _at_least, _columns, _count, _floats, _real, clip_domain,
     cumulative_trapezoid,
 )
 from .errors import (
@@ -63,8 +63,7 @@ class FloatingConverter:
     friction_f0: float = 0.0   # N, constant friction offset
 
     def __post_init__(self):
-        for name in ("gap_x", "friction_mu", "friction_f0"):
-            _finite(name, getattr(self, name))
+        _floats(self, "gap_x", "friction_mu", "friction_f0")
         _at_least("gap_x", self.gap_x, 0)
         if not 0 <= self.friction_mu < 1:
             raise ValidationError(f"friction_mu must be in [0, 1), got {self.friction_mu}")
@@ -139,6 +138,8 @@ class FloatingConverter:
         the ends as force_components does: clipped, each angle at most theta_max.
         """
         u0, u1 = clip_domain(u0, self.u_max), clip_domain(u1, self.u_max)
+        if type(u0) is not float or type(u1) is not float:
+            raise ValidationError("energy ledger ends u0 and u1 must be scalars")
         if u0 == u1:
             return EnergyLedger(0.0, 0.0, 0.0)
         delta_spring = self.left.stored_energy(u1) - self.left.stored_energy(u0)

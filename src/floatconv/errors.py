@@ -1,27 +1,33 @@
 """Exception hierarchy shared by all floatconv modules.
 
-Every exception carries an ``exit_code`` so the CLI can map failures to
-its documented process exit codes: 1 for validation/configuration
-problems, 2 for numerical or simulation failures.
+Every exception carries an ``exit_code``, the CLI's process exit code:
+2 for a numerical or simulation failure, from the base class, and 1 for
+the three input errors, ValidationError, DomainError and ParseError.
 """
 
 
 class FloatConvError(Exception):
     """Base class for all errors raised by this package."""
 
-    exit_code = 1
+    exit_code = 2
 
 
 class ValidationError(FloatConvError):
     """A value violates a constructor or operation precondition."""
 
+    exit_code = 1
+
 
 class DomainError(FloatConvError):
     """A displacement or angle lies outside the element's domain."""
 
+    exit_code = 1
+
 
 class ParseError(FloatConvError):
     """Malformed CSV input; carries the offending 1-based line number."""
+
+    exit_code = 1
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
@@ -31,19 +37,13 @@ class ParseError(FloatConvError):
 class SingularityError(FloatConvError):
     """Counter-spring tension reached zero, the torque balance is singular."""
 
-    exit_code = 2
-
 
 class NumericalError(FloatConvError):
     """A profile failed verification, or a sweep summary is not finite or too large."""
 
-    exit_code = 2
-
 
 class NoRootError(FloatConvError):
     """The equilibrium residual never crosses the applied force."""
-
-    exit_code = 2
 
 
 class IndeterminateEquilibrium(FloatConvError):
@@ -53,28 +53,18 @@ class IndeterminateEquilibrium(FloatConvError):
     a distinct outcome rather than a root.
     """
 
-    exit_code = 2
-
 
 class UnreachableForce(FloatConvError):
     """Requested grip force lies outside the working spring's range."""
-
-    exit_code = 2
 
 
 class UnreachableObject(FloatConvError):
     """Object lies beyond the positioning travel plus converter stroke."""
 
-    exit_code = 2
-
 
 class ActuatorStall(FloatConvError):
     """Required operating force exceeds the actuator force cap."""
 
-    exit_code = 2
-
 
 class BackdriveFault(FloatConvError):
     """Grip reaction back-drives the positioning stage (no latch fitted)."""
-
-    exit_code = 2

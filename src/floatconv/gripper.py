@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .characteristics import _at_least, _columns, _count, _finite, _flag, _length, _real
+from .characteristics import _at_least, _columns, _count, _flag, _floats, _length, _real
 from .converter import FloatingConverter
 from .errors import (
     ActuatorStall,
@@ -60,8 +60,7 @@ class GripperModel:
     object_position: float     # m from jaw start
 
     def __post_init__(self):
-        for name in ("stage_travel", "stage_step", "actuator_force_cap", "object_position"):
-            _finite(name, getattr(self, name))
+        _floats(self, "stage_travel", "stage_step", "actuator_force_cap", "object_position")
         _flag("latch_holds", self.latch_holds)
         _at_least("stage_step", self.stage_step, 0, strict=True)
         _at_least("stage_travel", self.stage_travel, 0)

@@ -33,6 +33,7 @@ from .characteristics import (
     _columns,
     _count,
     _finite,
+    _floats,
     _real,
     clip_domain,
 )
@@ -65,8 +66,7 @@ class CounterElement:
     k2: float = 0.0   # N/m, tension gained per metre paid out
 
     def __post_init__(self):
-        _finite("t0", self.t0)
-        _finite("k2", self.k2)
+        _floats(self, "t0", "k2")
         _at_least("counter spring pretension", self.t0, 0)
         _at_least("counter spring stiffness", self.k2, 0)
         if self.t0 == 0 and self.k2 == 0:
@@ -80,7 +80,7 @@ class CounterElement:
 
     @classmethod
     def spring(cls, t0: float, k2: float) -> "CounterElement":
-        return cls(t0=_finite("t0", t0), k2=_finite("k2", k2))
+        return cls(t0=t0, k2=k2)
 
     def tension(self, s):
         """Tension (N) after paying out s (m); scalar or array."""
@@ -115,7 +115,7 @@ class PulleyProfile:
 
     def __post_init__(self):
         thetas, radii = _columns(self, ("thetas", "radii"), "profile columns", 2)
-        _finite("circular_radius", self.circular_radius)
+        _floats(self, "circular_radius")
         _at_least("circular-pulley radius", self.circular_radius, 0, strict=True)
         if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(radii)):
             raise ValidationError("profile samples must be finite")

@@ -8,6 +8,7 @@ run either way.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from floatconv import (
     synthesize_weight_counter,
 )
 from floatconv.cli import main
+from floatconv.config import parse_config, synthesize_from_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 PROTO_THETA_MAX = math.radians(345.0)
 PROTO_K = 124.55     # N/m, back-solved so the spiral slope is 4.982e-3 m/rad
@@ -326,3 +330,39 @@ def test_c10_io_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     assert main(["verify", "--config", str(path), "--profile", str(out1)]) == 0
     _report("10 io determinism")
+
+
+def test_c11_ib_magnet_balance(tmp_path, capsys):
+    """Magnet at 4096 samples: verifies, |op force| <= 1e-5 F(0), work <= 1e-6 E."""
+    path = CONFIGS / "ib_magnet.json"
+    base = json.loads(path.read_text(encoding="utf-8"))
+    csv = tmp_path / "magnet.csv"
+    assert main(["synthesize", "--config", str(path), "--out", str(csv)]) == 0
+    assert main(["verify", "--config", str(path), "--profile", str(csv)]) == 0
+    capsys.readouterr()
+
+    def converter(samples, friction=None):
+        cfg = parse_config({**base, "pulley": {**base["pulley"], "samples": samples},
+                            **({"friction": friction} if friction else {})})
+        return FloatingConverter(cfg.spring, synthesize_from_config(cfg), cfg.counter,
+                                 friction_mu=cfg.friction_mu, friction_f0=cfg.friction_f0_n)
+
+    def worst_operating_force(conv):
+        return float(np.max(np.abs(conv.operating_force(np.linspace(0.0, conv.u_max, 4001)))))
+
+    conv = converter(4096)
+    f0 = conv.left.force_at(0.0)
+    assert f0 == pytest.approx(80.0, rel=1e-12)
+    assert worst_operating_force(conv) <= 1e-5 * f0
+    ledger = conv.energy_ledger(0.0, conv.u_max)
+    assert abs(ledger.operator_work) <= 1e-6 * ledger.delta_spring
+    # a 512-sample grid misses both bounds, so they measure the grid
+    coarse = converter(512)
+    assert worst_operating_force(coarse) > 1e-5 * f0
+    ledger = coarse.energy_ledger(0.0, coarse.u_max)
+    assert abs(ledger.operator_work) > 1e-6 * ledger.delta_spring
+
+    rubbing = converter(4096, friction={"mu": 0.02, "offset_n": 0.05})
+    summary = rubbing.sweep(0.0, rubbing.u_max, 256).summary()
+    assert summary.ratio_peak == pytest.approx(0.02 + 0.05 / f0, abs=1e-9)
+    _report("11 ib magnet balance")

@@ -469,6 +469,43 @@ def test_non_real_input_is_refused(name, call, kind, shape):
         call(value if shape == "scalar" else np.array([value, value]))
 
 
+@pytest.mark.parametrize("name, fn, hi", EVALUATORS, ids=[e[0] for e in EVALUATORS])
+def test_evaluators_refuse_ragged_nesting(name, fn, hi):
+    with pytest.raises(ValidationError, match=r"^displacement must be real, got \[\[0.0\], "):
+        fn([[0.0], [0.0, hi]])
+
+
+@pytest.mark.parametrize("big", [10**400, -10**400], ids=["positive", "negative"])
+@pytest.mark.parametrize("name, fn, hi", EVALUATORS, ids=[e[0] for e in EVALUATORS])
+def test_evaluators_read_an_int_past_the_float_range_as_infinite(name, fn, hi, big):
+    with pytest.raises(DomainError, match="^displacement must be finite$"):
+        fn(big)
+
+
+@pytest.mark.parametrize("ends", [(np.array([0.0, 0.02]), 0.05), (0.01, np.array([0.05])),
+                                  ([0.01, 0.02], [0.03, 0.04])], ids=["u0", "u1", "both"])
+def test_energy_ledger_refuses_array_ends(ends):
+    law = ForceCharacteristic.linear(k=100.0, x_max=0.12)
+    conv = FloatingConverter(law, synthesize_weight_counter(law, 0.02, 10.0),
+                             CounterElement.weight(10.0), gap_x=0.01)
+    with pytest.raises(ValidationError, match="^energy ledger ends u0 and u1 must be scalars$"):
+        conv.energy_ledger(*ends)
+    # a 0-d array is a scalar
+    assert conv.energy_ledger(np.array(0.02), 0.05) == conv.energy_ledger(0.02, 0.05)
+
+
+@pytest.mark.parametrize("points", [[[0.0, 0.0, 1.0]], [(0.0, 0.0), (0.1, 1.0, 2.0)],
+                                    [(0.0,), (0.1, 1.0)], [0.0, 0.1], np.zeros((2, 3)), 5],
+                         ids=["one-triple", "a-triple", "a-single", "flat", "3-columns", "int"])
+def test_tabulated_points_must_be_pairs(points):
+    builds = [lambda: ForceCharacteristic.tabulated(points),
+              lambda: ForceCharacteristic.tabulated(points, x_max=0.1),
+              lambda: ForceCharacteristic(kind="tabulated", x_max=0.1, points=points)]
+    for build in builds:
+        with pytest.raises(ValidationError, match=r"^tabulated points must be \(x, F\) pairs$"):
+            build()
+
+
 # -- real numbers ---------------------------------------------------------------
 
 
@@ -549,7 +586,7 @@ def test_numeric_arguments_must_be_real_numbers(name, build, good, value):
 # -- one-sided bounds -----------------------------------------------------------
 
 
-def test_one_sided_bounds_name_the_value_as_passed():
+def test_one_sided_bounds_name_the_stored_float():
     spring = ForceCharacteristic.linear(k=100.0, x_max=0.12)
     profile = synthesize_weight_counter(spring, 0.02, 10.0)
     counter = CounterElement.weight(10.0)
@@ -561,30 +598,31 @@ def test_one_sided_bounds_name_the_value_as_passed():
                     actuator_force_cap=2.0, object_position=0.05)
         return GripperModel(conv, **{**args, **kw})
 
-    # an int argument prints as an int: the message shows the value as passed
+    # a record stores its numbers as floats, so an int field prints as a float;
+    # synthesis checks its circular radius before any record holds it
     cases = [
-        (lambda: ForceCharacteristic(kind="linear", x_max=0, k=1), "x_max must be > 0, got 0"),
+        (lambda: ForceCharacteristic(kind="linear", x_max=0, k=1), "x_max must be > 0, got 0.0"),
         (lambda: ForceCharacteristic(kind="linear", x_max=1, k=-2),
-         "linear stiffness k must be > 0, got -2"),
+         "linear stiffness k must be > 0, got -2.0"),
         (lambda: ForceCharacteristic(kind="constant", x_max=1, f0=-1),
-         "constant force f0 must be >= 0, got -1"),
+         "constant force f0 must be >= 0, got -1.0"),
         (lambda: ForceCharacteristic(kind="power_law", x_max=1, c=-1, d=1, p=2),
-         "power-law c must be >= 0, got -1"),
+         "power-law c must be >= 0, got -1.0"),
         (lambda: ForceCharacteristic(kind="power_law", x_max=1, c=1, d=0, p=2),
-         "power-law d must be > 0, got 0"),
+         "power-law d must be > 0, got 0.0"),
         (lambda: ForceCharacteristic(kind="power_law", x_max=1, c=1, d=1, p=0),
-         "power-law p must be >= 1, got 0"),
-        (lambda: CounterElement(t0=-1), "counter spring pretension must be >= 0, got -1"),
-        (lambda: CounterElement(t0=1, k2=-3), "counter spring stiffness must be >= 0, got -3"),
+         "power-law p must be >= 1, got 0.0"),
+        (lambda: CounterElement(t0=-1), "counter spring pretension must be >= 0, got -1.0"),
+        (lambda: CounterElement(t0=1, k2=-3), "counter spring stiffness must be >= 0, got -3.0"),
         (lambda: CounterElement.weight(0), "counter weight load must be > 0, got 0.0"),
         (lambda: FloatingConverter(spring, profile, counter, gap_x=-1),
-         "gap_x must be >= 0, got -1"),
+         "gap_x must be >= 0, got -1.0"),
         (lambda: FloatingConverter(spring, profile, counter, friction_f0=-2),
-         "friction_f0 must be >= 0, got -2"),
-        (lambda: gripper(stage_step=0), "stage_step must be > 0, got 0"),
-        (lambda: gripper(stage_travel=-1), "stage_travel must be >= 0, got -1"),
-        (lambda: gripper(actuator_force_cap=0), "actuator_force_cap must be > 0, got 0"),
-        (lambda: PulleyProfile(0, thetas, radii), "circular-pulley radius must be > 0, got 0"),
+         "friction_f0 must be >= 0, got -2.0"),
+        (lambda: gripper(stage_step=0), "stage_step must be > 0, got 0.0"),
+        (lambda: gripper(stage_travel=-1), "stage_travel must be >= 0, got -1.0"),
+        (lambda: gripper(actuator_force_cap=0), "actuator_force_cap must be > 0, got 0.0"),
+        (lambda: PulleyProfile(0, thetas, radii), "circular-pulley radius must be > 0, got 0.0"),
         (lambda: PulleyProfile(math.nan, thetas, radii),
          "circular_radius must be finite, got nan"),
         (lambda: synthesize_weight_counter(spring, 0, 10.0), "circular radius must be > 0, got 0"),
@@ -597,6 +635,100 @@ def test_one_sided_bounds_name_the_value_as_passed():
         with pytest.raises(ValidationError) as info:
             build()
         assert str(info.value) == message
+
+
+# -- float fields -----------------------------------------------------------------
+
+# each law's numeric fields, all whole numbers, so np.float32 and np.int64 hold them exactly
+LAW_FIELDS = {
+    "linear": {"k": 100, "x_max": 2},
+    "constant": {"f0": 3, "x_max": 2},
+    "power_law": {"c": 1, "d": 1, "p": 2, "x_max": 2},
+}
+KNOTS = ((0, 0), (1, 4), (2, 5))
+
+
+def _records(num):
+    """(record, its numeric scalar fields) for each of the five records, built by
+    its raw constructor from num of every number."""
+    laws = [ForceCharacteristic(kind=kind, **{k: num(v) for k, v in fields.items()})
+            for kind, fields in LAW_FIELDS.items()]
+    table = ForceCharacteristic(kind="tabulated", x_max=num(2),
+                                points=tuple((num(x), num(f)) for x, f in KNOTS))
+    counter = CounterElement(num(10), num(5))
+    profile = PulleyProfile(num(1), np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.5, 1.0]))
+    conv = FloatingConverter(laws[0], profile, counter,
+                             gap_x=num(1), friction_mu=num(0), friction_f0=num(1))
+    model = GripperModel(conv, stage_travel=num(4), stage_step=num(1), latch_holds=True,
+                         actuator_force_cap=num(2), object_position=num(3))
+    return [(law, list(fields)) for law, fields in zip(laws, LAW_FIELDS.values())] + [
+        (table, ["x_max"]),
+        (counter, ["t0", "k2"]),
+        (profile, ["circular_radius"]),
+        (conv, ["gap_x", "friction_mu", "friction_f0"]),
+        (model, ["stage_travel", "stage_step", "actuator_force_cap", "object_position"]),
+    ]
+
+
+@pytest.mark.parametrize("num", [np.float32, np.int64])
+def test_raw_constructors_store_python_floats(num):
+    records = _records(num)
+    for (record, names), (want, _) in zip(records, _records(float)):
+        for name in names:
+            value = getattr(record, name)
+            assert type(value) is float and value == getattr(want, name), (record, name)
+    table = records[3][0]
+    assert all(type(v) is float for knot in table.points for v in knot)
+    # the factories build the same laws and counter from floats
+    factories = [getattr(ForceCharacteristic, kind)(**{k: float(v) for k, v in fields.items()})
+                 for kind, fields in LAW_FIELDS.items()]
+    factories += [ForceCharacteristic.tabulated([(float(x), float(f)) for x, f in KNOTS]),
+                  CounterElement.spring(10.0, 5.0)]
+    assert [record for record, _ in records[:5]] == factories
+
+
+def test_numpy_scalar_fields_keep_the_float_path():
+    law = ForceCharacteristic.linear(k=100.0, x_max=0.12)
+    profile = synthesize_weight_counter(law, 0.02, 10.0)
+
+    def converter(num):
+        return FloatingConverter(law, profile, CounterElement(num(10.0)), gap_x=num(0.03125))
+
+    got = converter(np.float32).force_components(0.05)
+    want = converter(float).force_components(0.05)
+    assert [type(v) for v in got] == [float, float] and got == want
+
+
+def _raw_law_fields():
+    """(name, a function of that field's value that builds the record by the raw
+    constructor) for each law field the factory cases do not pass raw."""
+    return [
+        ("k", lambda v: ForceCharacteristic(kind="linear", x_max=0.1, k=v)),
+        ("f0", lambda v: ForceCharacteristic(kind="constant", x_max=0.1, f0=v)),
+        ("c", lambda v: ForceCharacteristic(kind="power_law", x_max=0.1, c=v, d=0.1, p=1.0)),
+        ("d", lambda v: ForceCharacteristic(kind="power_law", x_max=0.1, c=1.0, d=v, p=1.0)),
+        ("p", lambda v: ForceCharacteristic(kind="power_law", x_max=0.1, c=1.0, d=0.1, p=v)),
+        ("tabulated x", lambda v: ForceCharacteristic(kind="tabulated", x_max=0.1,
+                                                      points=((0.0, 0.0), (v, 1.0)))),
+        ("tabulated F", lambda v: ForceCharacteristic(kind="tabulated", x_max=0.1,
+                                                      points=((0.0, 0.0), (0.1, v)))),
+    ]
+
+
+HUGE_INT_CASES = [
+    pytest.param(name, build, id=case) for case, name, build, _ in _real_number_arguments()
+] + [
+    pytest.param(name, build, id=f"ForceCharacteristic.{name}") for name, build in _raw_law_fields()
+]
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("name, build", HUGE_INT_CASES)
+def test_an_int_past_the_float_range_is_not_finite(name, build, sign):
+    big = sign * 10**400
+    message = f"^{re.escape(name)} must be finite, got {str(big)[:80]}$"
+    with pytest.raises(ValidationError, match=message):
+        build(big)
 
 
 # -- array records ----------------------------------------------------------------

@@ -63,6 +63,28 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+# -- exit codes -----------------------------------------------------------------
+
+
+# every exported error class but the base, which nothing raises
+ERROR_CLASSES = [
+    name for name in floatconv.__all__
+    if isinstance(getattr(floatconv, name), type)
+    and issubclass(getattr(floatconv, name), floatconv.FloatConvError)
+    and name != "FloatConvError"
+]
+
+
+@pytest.mark.parametrize("name", ERROR_CLASSES)
+def test_each_error_class_has_its_exit_code(name):
+    # bad input exits 1; a numerical or simulation failure exits 2
+    want = 1 if name in ("ValidationError", "DomainError", "ParseError") else 2
+    assert len(ERROR_CLASSES) == 11
+    assert getattr(floatconv, name).exit_code == want
+    # the base class holds the failure code the eight subclasses inherit
+    assert floatconv.FloatConvError.exit_code == 2
+
+
 # -- synthesize -----------------------------------------------------------------
 
 

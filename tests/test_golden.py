@@ -45,6 +45,34 @@ GOLDEN = {
             "bda34150725bd2080853c70bc6ddd7136dae03098226ca055bc57d4d6050bfa1",
         ),
     },
+    # the paper's magnet; grasp exits 1, as the config has no gripper section
+    "ib_magnet": {
+        "synthesize": (
+            0,
+            "280c11bd707f663f1b64f6f174c5ff96006153f42e7d21332fe936422825bfba",
+            "269db7989ddc2d2b404dc7bbbfbb98f9e1183d81376adc1fb51cd965c90614dd",
+        ),
+        "verify": (
+            0,
+            "63e8977b77e43ebdc7f7645403662e11734c986bf278c4caf19ba95bdf15e095",
+            None,
+        ),
+        "sweep": (
+            0,
+            "c4b8855800058b3126a34f5836c2f5b52a7f04e6f74af2067de8cb4cefdd9396",
+            "e24e9a4d57af6de22b244f33fc97947320d2f93a8a45bbec128bbac62f532f37",
+        ),
+        "export-svg": (
+            0,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "3f24ceb0e7c69187b646e582e708b6242e33d98e266b5c60e905d7976af4bbad",
+        ),
+        "grasp": (
+            1,
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            None,
+        ),
+    },
     "spring_counter": {
         "synthesize": (
             0,
