@@ -50,6 +50,8 @@ TABULATED = "tabulated"
 # Largest law domain or stage travel (m). It keeps printed lengths short, and with
 # the config's 1e-6 m circular-radius floor every angle at or below 1e12 rad.
 MAX_LENGTH = 1e6
+# The refusal of a value that is no real number: its name and its repr, cut to 80 characters.
+_NOT_REAL = "{} must be a real number, got {!r:.80}"
 
 
 def clip_domain(x, x_max: float):
@@ -69,23 +71,23 @@ def clip_domain(x, x_max: float):
     ``power`` loop differs from its scalar one in the last ulp on some inputs.
     """
     slack = 1e-12 * max(abs(x_max), 1.0)
-    try:
-        if isinstance(x, float) or isinstance(x, numbers.Real) and not isinstance(x, bool):
-            x = lo = hi = float(x)
-        else:
+    if isinstance(x, float):
+        x = lo = hi = float(x)
+    elif isinstance(x, numbers.Number):
+        x = lo = hi = _real("displacement", x)
+    else:
+        try:
             arr = np.asarray(x)
             if arr.dtype.kind not in "iuf":   # a bool, text, complex or object dtype
                 raise ValueError
-            if arr.ndim == 0:
-                x = lo = hi = float(arr)
-            else:
-                x = arr.astype(float, copy=False)
-                # a NaN or an inf shows in these
-                lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
-    except OverflowError:   # an int past the float range is infinite
-        x = lo = hi = math.inf
-    except ValueError:   # those dtypes, and ragged nesting, which np.asarray refuses
-        raise ValidationError(f"displacement must be real, got {x!r:.80}") from None
+        except ValueError:   # those dtypes, and ragged nesting, which np.asarray refuses
+            raise ValidationError(_NOT_REAL.format("displacement", x)) from None
+        if arr.ndim == 0:
+            x = lo = hi = float(arr)
+        else:
+            x = arr.astype(float, copy=False)
+            # a NaN or an inf shows in these
+            lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("displacement must be finite")
     if lo < -slack or hi > x_max + slack:
@@ -150,21 +152,22 @@ class PiecewiseLinear:
         return cum[i] + 0.5 * (fp[i] + self.at(x)) * (x - xp[i])
 
 
-def _real(name: str, value):
-    """Raise ValidationError unless value is a real number, not a bool; return value."""
+def _real(name: str, value) -> float:
+    """The one reader of a real number: value as a Python float, an int past the
+    float range as the infinity of its sign. ValidationError for a bool or a non-real."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
-    return value
+        raise ValidationError(_NOT_REAL.format(name, value))
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _finite(name: str, value) -> float:
-    """value as a float; ValidationError unless it is a finite real number, not a bool."""
-    try:
-        number = float(_real(name, value))
-    except OverflowError:   # an int past the float range
-        number = math.inf
+    """_real, and ValidationError unless the float it reads is finite."""
+    number = _real(name, value)
     if not math.isfinite(number):
-        raise ValidationError(f"{name} must be finite, got {value!s:.80}")
+        raise ValidationError(f"{name} must be finite, got {number}")
     return number
 
 
@@ -367,7 +370,7 @@ class ForceCharacteristic:
         UnreachableForce when no extension delivers the force, and
         ValidationError for a tabulated law that is not monotone.
         """
-        force = float(force)
+        force = _real("force", force)
         if self.kind == LINEAR:
             # a 1e-12 slack for a target rounded at the domain's end
             if not 0.0 <= force <= self.k * self.x_max * (1 + 1e-12):

@@ -58,7 +58,7 @@ def _load_config(path: str) -> RunConfig:
     text = _read(path)
     try:
         data = json.loads(text, object_pairs_hook=_object)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:   # bad JSON, or an int of too many digits
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data)
 

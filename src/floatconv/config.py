@@ -10,12 +10,12 @@ table per section, read by the one function _section.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import ForceCharacteristic, _at_least, _count, _flag, cumulative_trapezoid
+from .characteristics import (ForceCharacteristic, _at_least, _count, _finite, _flag,
+                              cumulative_trapezoid)
 from .errors import ValidationError
 from .export import CSV_ANGLE_QUANTUM, CSV_RADIUS_QUANTUM
 from .pulley import (
@@ -99,11 +99,7 @@ def _typed(section, path: str, what: str, table: dict):
 
 
 def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"config: '{name}' must be a number")
-    if not abs(value) <= sys.float_info.max:   # NaN, +-inf, an int past float range
-        raise ValidationError(f"config: '{name}' must be finite")
-    return float(value)
+    return _finite(f"config: '{name}'", value)
 
 
 def _radians(value, name: str) -> float:

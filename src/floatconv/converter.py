@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .characteristics import (
-    ForceCharacteristic, _at_least, _columns, _count, _floats, _real, clip_domain,
+    ForceCharacteristic, _at_least, _columns, _count, _finite, _floats, _real, clip_domain,
     cumulative_trapezoid,
 )
 from .errors import (
@@ -173,7 +173,7 @@ class FloatingConverter:
         operating force is constant and equal to the applied force, raises
         IndeterminateEquilibrium: every displacement is an equilibrium.
         """
-        applied = _real("applied", applied)
+        applied = _finite("applied", applied)
         lo, hi = self.gap_x, self.u_max
         if not lo < hi:
             raise ValidationError("converter has no engaged displacement range")

@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from floatconv import (
     CounterElement,
     DomainError,
+    FloatConvError,
     FloatingConverter,
     ForceCharacteristic,
     GraspTrace,
@@ -437,7 +439,8 @@ def test_evaluators_leave_a_read_only_input_alone(name, fn, hi):
 
 def _one_argument_calls():
     """(id, a call of one argument) for every evaluator and for each argument
-    that sweep, truncated, equilibrium_displacement and plan_grasp compare."""
+    that sweep, truncated, equilibrium_displacement, plan_grasp and extension_at
+    compare."""
     law = ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12)
     profile = synthesize_weight_counter(ForceCharacteristic.linear(100.0, 0.12), 0.02, 10.0)
     conv = FloatingConverter(law, profile, CounterElement.spring(t0=10.0, k2=40.0), gap_x=0.01)
@@ -452,6 +455,7 @@ def _one_argument_calls():
         ("truncated.r_max", lambda v: profile.truncated(0.001, v)),
         ("equilibrium_displacement", conv.equilibrium_displacement),
         ("plan_grasp", lambda v: plan_grasp(model, v)),
+        ("extension_at", law.extension_at),
     ]
 
 
@@ -465,17 +469,23 @@ NON_REAL_INPUT = {"bool": True, "numpy_bool": np.True_, "str": "0.05", "None": N
 @pytest.mark.parametrize("name, call", ONE_ARGUMENT_CALLS, ids=[c[0] for c in ONE_ARGUMENT_CALLS])
 def test_non_real_input_is_refused(name, call, kind, shape):
     value = NON_REAL_INPUT[kind]
-    with pytest.raises(ValidationError, match=r"must be (real|a real number), got "):
+    with pytest.raises(ValidationError, match=r"must be a real number, got "):
         call(value if shape == "scalar" else np.array([value, value]))
 
 
 @pytest.mark.parametrize("name, fn, hi", EVALUATORS, ids=[e[0] for e in EVALUATORS])
 def test_evaluators_refuse_ragged_nesting(name, fn, hi):
-    with pytest.raises(ValidationError, match=r"^displacement must be real, got \[\[0.0\], "):
+    message = r"^displacement must be a real number, got \[\[0.0\], "
+    with pytest.raises(ValidationError, match=message):
         fn([[0.0], [0.0, hi]])
 
 
-@pytest.mark.parametrize("big", [10**400, -10**400], ids=["positive", "negative"])
+# ints past the float range; 10**5000 has more digits than Python 3.11+ turns into text
+HUGE_INTS = pytest.mark.parametrize("big", [10**400, -10**400, 10**5000],
+                                    ids=["positive", "negative", "5001_digits"])
+
+
+@HUGE_INTS
 @pytest.mark.parametrize("name, fn, hi", EVALUATORS, ids=[e[0] for e in EVALUATORS])
 def test_evaluators_read_an_int_past_the_float_range_as_infinite(name, fn, hi, big):
     with pytest.raises(DomainError, match="^displacement must be finite$"):
@@ -554,6 +564,11 @@ def _real_number_arguments():
         ("synthesize_spring_counter.theta_max", "theta_max",
          lambda v: synthesize_spring_counter(law, 0.02, counter, 8, v), 1.0),
         ("profile_to_svg.scale", "scale", lambda v: profile_to_svg(profile, v), 10.0),
+        # a 12 N weight against the 10 N the law was synthesized for: the
+        # operating force falls through -1 N at u = 0.05 m
+        ("equilibrium_displacement.applied", "applied",
+         FloatingConverter(law, profile, CounterElement.weight(12.0)).equilibrium_displacement,
+         -1.0),
     ]
     cases += [(f"FloatingConverter.{name}", name,
                lambda v, name=name: FloatingConverter(law, profile, counter, **{name: v}), 0.1)
@@ -565,11 +580,29 @@ def _real_number_arguments():
     return cases
 
 
+def _compared_arguments():
+    """(id, argument name, a call of that argument, a value it accepts) for each
+    argument that is only compared, so that an infinite value may be meaningful."""
+    law = ForceCharacteristic.linear(k=100.0, x_max=0.12)
+    profile = synthesize_weight_counter(law, 0.02, 10.0)
+    conv = FloatingConverter(law, profile, CounterElement.weight(10.0))
+    model = GripperModel(conv, stage_travel=0.1, stage_step=0.01, latch_holds=True,
+                         actuator_force_cap=2.0, object_position=0.05)
+    return [
+        ("sweep.u_min", "u_min", lambda v: conv.sweep(v, 0.05, 8), 0.0),
+        ("sweep.u_max", "u_max", lambda v: conv.sweep(0.0, v, 8), 0.05),
+        ("truncated.r_min", "r_min", lambda v: profile.truncated(v, 0.04), 0.001),
+        ("truncated.r_max", "r_max", lambda v: profile.truncated(0.001, v), 0.04),
+        ("plan_grasp.target_grip", "target_grip", lambda v: plan_grasp(model, v), 1.0),
+        ("extension_at.force", "force", law.extension_at, 1.0),
+    ]
+
+
 # None is the default of a tabulated law's x_max and of theta_max, so it is no error there
 NOT_REAL = {"bool": True, "numpy_bool": np.True_, "str": "0.5", "None": None, "complex": 0.5j}
 REAL_NUMBER_CASES = [
     pytest.param(name, build, good, value, id=f"{case}-{kind}")
-    for case, name, build, good in _real_number_arguments()
+    for case, name, build, good in _real_number_arguments() + _compared_arguments()
     for kind, value in NOT_REAL.items()
     if not (value is None and case.endswith(("tabulated.x_max", "theta_max")))
 ]
@@ -722,13 +755,41 @@ HUGE_INT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@HUGE_INTS
 @pytest.mark.parametrize("name, build", HUGE_INT_CASES)
-def test_an_int_past_the_float_range_is_not_finite(name, build, sign):
-    big = sign * 10**400
-    message = f"^{re.escape(name)} must be finite, got {str(big)[:80]}$"
+def test_an_int_past_the_float_range_is_not_finite(name, build, big):
+    message = f"^{re.escape(name)} must be finite, got {'inf' if big > 0 else '-inf'}$"
     with pytest.raises(ValidationError, match=message):
         build(big)
+
+
+def _outcome(build, value):
+    """None when build(value) returns, else the FloatConvError it raises, as
+    (type, message); any other exception, or a warning, fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            build(value)
+        except FloatConvError as exc:
+            assert len(str(exc)) <= 200, str(exc)
+            return type(exc), str(exc)
+    return None
+
+
+COMPARED_CASES = [
+    pytest.param(case, build, id=case) for case, _, build, _ in _compared_arguments()
+]
+
+
+@HUGE_INTS
+@pytest.mark.parametrize("case, build", COMPARED_CASES)
+def test_a_compared_argument_reads_a_huge_int_as_its_infinity(case, build, big):
+    infinity = math.inf if big > 0 else -math.inf
+    outcome = _outcome(build, big)
+    assert outcome == _outcome(build, infinity)
+    # +inf is no upper truncation bound, as truncated(0.0, math.inf) shows;
+    # every other infinity is refused
+    assert (outcome is None) == (case == "truncated.r_max" and big > 0)
 
 
 # -- array records ----------------------------------------------------------------

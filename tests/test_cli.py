@@ -375,8 +375,9 @@ def test_invalid_json_exit_1(tmp_path, capsys):
         (None, "gap_x_m", "1" + "0" * 400, "'gap_x_m' must be finite"),
         ("gripper", "stage_travel_m", "1e999", "'gripper.stage_travel_m' must be finite"),
         ("counter", "k2_n_per_m", "0.0", "no tension"),
-        ("spring", "points_m_n", '"abc"', "'spring.points_m_n[1]' must be a number"),
-        ("spring", "points_m_n", "true", "'spring.points_m_n[1]' must be a number"),
+        ("spring", "points_m_n", '"abc"',
+         "'spring.points_m_n[1]' must be a real number, got 'abc'"),
+        ("spring", "points_m_n", "true", "'spring.points_m_n[1]' must be a real number, got True"),
         ("spring", "points_m_n", "1e999", "'spring.points_m_n[1]' must be finite"),
         ("spring", "points_m_n", "1" + "0" * 400, "'spring.points_m_n[1]' must be finite"),
         ("pulley", "samples", "-5", "'pulley.samples' must be in [2, "),
@@ -662,6 +663,21 @@ def test_deeply_nested_config_is_one_error_line(tmp_path, opener, closer):
     out = tmp_path / "profile.csv"
     argv = ["synthesize", "--config", str(path), "--out", str(out)]
     assert_one_error_line_from_module(tmp_path, argv, f"config {path} is not valid JSON: ", out)
+
+
+def test_config_with_a_5001_digit_integer_is_one_error_line(tmp_path):
+    # Python 3.11+ json refuses an int literal of more than 4,300 digits with a
+    # ValueError; a Python without that limit reads the int, and the config as inf
+    cfg = gripper_config()
+    cfg["gap_x_m"] = 123456.789
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace("123456.789", "1" + "0" * 5000), encoding="utf-8")
+    out = tmp_path / "profile.csv"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    start = (f"config {path} is not valid JSON: " if 0 < limit < 5001
+             else "config: 'gap_x_m' must be finite, got inf")
+    argv = ["synthesize", "--config", str(path), "--out", str(out)]
+    assert_one_error_line_from_module(tmp_path, argv, start, out)
 
 
 def test_duplicate_top_level_key_is_refused(tmp_path, capsys):

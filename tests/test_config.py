@@ -351,8 +351,8 @@ SCHEMA_CASES = [
     ([("pulley", None)], "config: pulley must be an object"),
     ([("friction", 1)], "config: friction must be an object"),
     ([("gripper", [])], "config: gripper must be an object"),
-    ([("gap_x_m", "0")], must("gap_x_m", "a number")),
-    ([("gap_x_m", math.nan)], must("gap_x_m", "finite")),
+    ([("gap_x_m", "0")], must("gap_x_m", "a real number, got '0'")),
+    ([("gap_x_m", math.nan)], must("gap_x_m", "finite, got nan")),
     # spring: the type
     ([("spring", [])], missing("spring.type")),
     ([("spring.type", DROP)], missing("spring.type")),
@@ -366,24 +366,24 @@ SCHEMA_CASES = [
     ([("spring.k_per_m", 1.0)], unknown("spring.k_per_m")),
     ([("spring.k_n_per_m", DROP)], missing("spring.k_n_per_m")),
     ([("spring.max_extension_m", DROP)], missing("spring.max_extension_m")),
-    ([("spring.k_n_per_m", "100")], must("spring.k_n_per_m", "a number")),
-    ([("spring.k_n_per_m", True)], must("spring.k_n_per_m", "a number")),
-    ([("spring.k_n_per_m", math.inf)], must("spring.k_n_per_m", "finite")),
-    ([("spring.k_n_per_m", 10**400)], must("spring.k_n_per_m", "finite")),
+    ([("spring.k_n_per_m", "100")], must("spring.k_n_per_m", "a real number, got '100'")),
+    ([("spring.k_n_per_m", True)], must("spring.k_n_per_m", "a real number, got True")),
+    ([("spring.k_n_per_m", math.inf)], must("spring.k_n_per_m", "finite, got inf")),
+    ([("spring.k_n_per_m", 10**400)], must("spring.k_n_per_m", "finite, got inf")),
     ([("spring.k_n_per_m", -1)], "linear stiffness k must be > 0, got -1.0"),
-    ([("spring.max_extension_m", None)], must("spring.max_extension_m", "a number")),
+    ([("spring.max_extension_m", None)], must("spring.max_extension_m", "a real number, got None")),
     ([("spring.max_extension_m", 0)], "x_max must be > 0, got 0.0"),
     # constant
     ([("spring", CONSTANT), ("spring.f0_n", DROP)], missing("spring.f0_n")),
-    ([("spring", CONSTANT), ("spring.f0_n", "3")], must("spring.f0_n", "a number")),
+    ([("spring", CONSTANT), ("spring.f0_n", "3")], must("spring.f0_n", "a real number, got '3'")),
     ([("spring", CONSTANT), ("spring.f0_n", -1.0)], "constant force f0 must be >= 0, got -1.0"),
     ([("spring", CONSTANT), ("spring.k_n_per_m", 1.0)], unknown("spring.k_n_per_m")),
     # power law
     ([("spring", POWER), ("spring.c", DROP)], missing("spring.c")),
     ([("spring", POWER), ("spring.d_m", DROP)], missing("spring.d_m")),
     ([("spring", POWER), ("spring.p", DROP)], missing("spring.p")),
-    ([("spring", POWER), ("spring.c", math.nan)], must("spring.c", "finite")),
-    ([("spring", POWER), ("spring.d_m", [0.1])], must("spring.d_m", "a number")),
+    ([("spring", POWER), ("spring.c", math.nan)], must("spring.c", "finite, got nan")),
+    ([("spring", POWER), ("spring.d_m", [0.1])], must("spring.d_m", "a real number, got [0.1]")),
     ([("spring", POWER), ("spring.c", -1.0)], "power-law c must be >= 0, got -1.0"),
     ([("spring", POWER), ("spring.d_m", 0.0)], "power-law d must be > 0, got 0.0"),
     ([("spring", POWER), ("spring.p", 0.5)], "power-law p must be >= 1, got 0.5"),
@@ -392,14 +392,14 @@ SCHEMA_CASES = [
     ([("spring", TABLE), ("spring.points_m_n", "0,0")], PAIRS),
     ([("spring", TABLE), ("spring.points_m_n", [[0.0, 0.0, 1.0]])], PAIRS),
     ([("spring", TABLE), ("spring.points_m_n", [[0.0, 0.0], [0.1, "5"]])],
-     must("spring.points_m_n[1]", "a number")),
+     must("spring.points_m_n[1]", "a real number, got '5'")),
     ([("spring", TABLE), ("spring.points_m_n", [[0.0, 0.0], [math.inf, 5.0]])],
-     must("spring.points_m_n[1]", "finite")),
+     must("spring.points_m_n[1]", "finite, got inf")),
     ([("spring", TABLE), ("spring.points_m_n", [])],
      "tabulated characteristic needs at least 2 points"),
     ([("spring", TABLE), ("spring.points_m_n", [[0.0, 0.0]])], "x_max must be > 0, got 0.0"),
     ([("spring", TABLE), ("spring.max_extension_m", "0.1")],
-     must("spring.max_extension_m", "a number")),
+     must("spring.max_extension_m", "a real number, got '0.1'")),
     ([("spring", TABLE), ("spring.max_extension_m", 0.2)], "x_max 0.2 exceeds last tabulated x 0.12"),
     # counter: the type
     ([("counter", "weight")], missing("counter.type")),
@@ -409,16 +409,17 @@ SCHEMA_CASES = [
     # weight
     ([("counter.mass_kg", 1.0)], unknown("counter.mass_kg")),
     ([("counter.load_n", DROP)], missing("counter.load_n")),
-    ([("counter.load_n", "10")], must("counter.load_n", "a number")),
-    ([("counter.load_n", -math.inf)], must("counter.load_n", "finite")),
+    ([("counter.load_n", "10")], must("counter.load_n", "a real number, got '10'")),
+    ([("counter.load_n", -math.inf)], must("counter.load_n", "finite, got -inf")),
     ([("counter.load_n", 0)], "counter weight load must be > 0, got 0.0"),
     # spring counter
     ([("counter", SPRING_COUNTER), ("counter.t0_n", DROP)], missing("counter.t0_n")),
     ([("counter", SPRING_COUNTER), ("counter.k2_n_per_m", DROP)], missing("counter.k2_n_per_m")),
     ([("counter", SPRING_COUNTER), ("counter.load_n", 10.0)], unknown("counter.load_n")),
-    ([("counter", SPRING_COUNTER), ("counter.t0_n", False)], must("counter.t0_n", "a number")),
+    ([("counter", SPRING_COUNTER), ("counter.t0_n", False)],
+     must("counter.t0_n", "a real number, got False")),
     ([("counter", SPRING_COUNTER), ("counter.k2_n_per_m", math.nan)],
-     must("counter.k2_n_per_m", "finite")),
+     must("counter.k2_n_per_m", "finite, got nan")),
     ([("counter", SPRING_COUNTER), ("counter.t0_n", -1.0)],
      "counter spring pretension must be >= 0, got -1.0"),
     ([("counter", SPRING_COUNTER), ("counter.k2_n_per_m", -1.0)],
@@ -428,22 +429,24 @@ SCHEMA_CASES = [
     # pulley
     ([("pulley.radius_mm", 20.0)], unknown("pulley.radius_mm")),
     ([("pulley.circular_radius_m", DROP)], missing("pulley.circular_radius_m")),
-    ([("pulley.circular_radius_m", "0.02")], must("pulley.circular_radius_m", "a number")),
-    ([("pulley.circular_radius_m", -math.inf)], must("pulley.circular_radius_m", "finite")),
-    ([("pulley.theta_max_deg", [345])], must("pulley.theta_max_deg", "a number")),
-    ([("pulley.theta_max_deg", math.nan)], must("pulley.theta_max_deg", "finite")),
+    ([("pulley.circular_radius_m", "0.02")],
+     must("pulley.circular_radius_m", "a real number, got '0.02'")),
+    ([("pulley.circular_radius_m", -math.inf)],
+     must("pulley.circular_radius_m", "finite, got -inf")),
+    ([("pulley.theta_max_deg", [345])], must("pulley.theta_max_deg", "a real number, got [345]")),
+    ([("pulley.theta_max_deg", math.nan)], must("pulley.theta_max_deg", "finite, got nan")),
     ([("pulley.samples", 512.0)], must("pulley.samples", "an integer")),
     ([("pulley.samples", True)], must("pulley.samples", "an integer")),
     ([("pulley.samples", 1)], must("pulley.samples", "in [2, 1048576], got 1")),
     ([("pulley.samples", 2**20 + 1)], must("pulley.samples", "in [2, 1048576], got 1048577")),
     ([("pulley.r_min_m", DROP)], PAIRED),
     ([("pulley.r_max_m", DROP)], PAIRED),
-    ([("pulley.r_min_m", "0.01")], must("pulley.r_min_m", "a number")),
-    ([("pulley.r_max_m", math.inf)], must("pulley.r_max_m", "finite")),
+    ([("pulley.r_min_m", "0.01")], must("pulley.r_min_m", "a real number, got '0.01'")),
+    ([("pulley.r_max_m", math.inf)], must("pulley.r_max_m", "finite, got inf")),
     # friction
     ([("friction.f0_n", 0.0)], unknown("friction.f0_n")),
-    ([("friction.mu", "0.003")], must("friction.mu", "a number")),
-    ([("friction.offset_n", math.nan)], must("friction.offset_n", "finite")),
+    ([("friction.mu", "0.003")], must("friction.mu", "a real number, got '0.003'")),
+    ([("friction.offset_n", math.nan)], must("friction.offset_n", "finite, got nan")),
     # gripper
     ([("gripper.speed", 1.0)], unknown("gripper.speed")),
     *[
@@ -451,13 +454,14 @@ SCHEMA_CASES = [
         for key in ("stage_travel_m", "stage_step_m", "latch", "actuator_cap_n",
                     "object_position_m")
     ],
-    ([("gripper.stage_travel_m", None)], must("gripper.stage_travel_m", "a number")),
-    ([("gripper.stage_step_m", "0.01")], must("gripper.stage_step_m", "a number")),
+    ([("gripper.stage_travel_m", None)], must("gripper.stage_travel_m", "a real number, got None")),
+    ([("gripper.stage_step_m", "0.01")], must("gripper.stage_step_m", "a real number, got '0.01'")),
     ([("gripper.latch", 1)], must("gripper.latch", "true or false")),
     ([("gripper.latch", "true")], must("gripper.latch", "true or false")),
     ([("gripper.latch", None)], must("gripper.latch", "true or false")),
-    ([("gripper.actuator_cap_n", math.inf)], must("gripper.actuator_cap_n", "finite")),
-    ([("gripper.object_position_m", -math.inf)], must("gripper.object_position_m", "finite")),
+    ([("gripper.actuator_cap_n", math.inf)], must("gripper.actuator_cap_n", "finite, got inf")),
+    ([("gripper.object_position_m", -math.inf)],
+     must("gripper.object_position_m", "finite, got -inf")),
 ]
 
 # two faults: which one is reported
@@ -469,10 +473,10 @@ ORDER_CASES = [
      missing("spring.k_n_per_m")),
     # k_n_per_m moved after max_extension_m in the object: still read first
     ([("spring.k_n_per_m", DROP), ("spring.k_n_per_m", "x"), ("spring.max_extension_m", "x")],
-     must("spring.k_n_per_m", "a number")),
+     must("spring.k_n_per_m", "a real number, got 'x'")),
     # every value is read before the law checks its range
     ([("spring.k_n_per_m", -1), ("spring.max_extension_m", "x")],
-     must("spring.max_extension_m", "a number")),
+     must("spring.max_extension_m", "a real number, got 'x'")),
     ([("spring", TABLE), ("spring.points_m_n", "x"), ("spring.max_extension_m", "x")], PAIRS),
     # a typed section: its type before its keys
     ([("spring.type", DROP), ("spring.extra", 1)], missing("spring.type")),
@@ -488,11 +492,12 @@ ORDER_CASES = [
     ([("extra", 1), ("spring", DROP)], unknown("extra")),
     ([("spring", DROP), ("pulley", DROP)], missing("spring")),
     ([("pulley", DROP), ("counter", DROP)], missing("counter")),
-    ([("spring.k_n_per_m", "x"), ("counter.load_n", "x")], must("spring.k_n_per_m", "a number")),
+    ([("spring.k_n_per_m", "x"), ("counter.load_n", "x")],
+     must("spring.k_n_per_m", "a real number, got 'x'")),
     ([("counter.load_n", 0), ("pulley.samples", 0)], "counter weight load must be > 0, got 0.0"),
     ([("pulley.r_max_m", DROP), ("friction.mu", "x")], PAIRED),
-    ([("friction.mu", "x"), ("gap_x_m", "x")], must("friction.mu", "a number")),
-    ([("gap_x_m", "x"), ("gripper.latch", 1)], must("gap_x_m", "a number")),
+    ([("friction.mu", "x"), ("gap_x_m", "x")], must("friction.mu", "a real number, got 'x'")),
+    ([("gap_x_m", "x"), ("gripper.latch", 1)], must("gap_x_m", "a real number, got 'x'")),
 ]
 
 

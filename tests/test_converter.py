@@ -283,6 +283,16 @@ def test_equilibrium_no_root_for_a_residual_that_moves_without_crossing():
         conv.equilibrium_displacement(-1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("applied", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
+def test_equilibrium_refuses_a_non_finite_applied_force(applied):
+    # refused before the scan, whose constant-residual test would subtract inf
+    # from inf; an int past the float range is in test_characteristics' table
+    conv = matched_converter(gap_x=0.01)
+    with pytest.raises(ValidationError, match=f"^applied must be finite, got {applied}$"):
+        conv.equilibrium_displacement(applied)
+
+
 def test_equilibrium_root_at_truncation_boundary():
     conv = truncated_prototype_converter()
     root = conv.equilibrium_displacement(0.0)
