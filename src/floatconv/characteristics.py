@@ -50,8 +50,6 @@ TABULATED = "tabulated"
 # Largest law domain or stage travel (m). It keeps printed lengths short, and with
 # the config's 1e-6 m circular-radius floor every angle at or below 1e12 rad.
 MAX_LENGTH = 1e6
-# The refusal of a value that is no real number: its name and its repr, cut to 80 characters.
-_NOT_REAL = "{} must be a real number, got {!r:.80}"
 
 
 def clip_domain(x, x_max: float):
@@ -81,7 +79,7 @@ def clip_domain(x, x_max: float):
             if arr.dtype.kind not in "iuf":   # a bool, text, complex or object dtype
                 raise ValueError
         except ValueError:   # those dtypes, and ragged nesting, which np.asarray refuses
-            raise ValidationError(_NOT_REAL.format("displacement", x)) from None
+            raise ValidationError(f"displacement must be a real number, got {_shown(x)}") from None
         if arr.ndim == 0:
             x = lo = hi = float(arr)
         else:
@@ -152,11 +150,19 @@ class PiecewiseLinear:
         return cum[i] + 0.5 * (fp[i] + self.at(x)) * (x - xp[i])
 
 
+def _shown(value, text=repr) -> str:
+    """A refused value as text(value) cut to 80 characters, or as its type's name."""
+    try:
+        return text(value)[:80]
+    except ValueError:   # Python prints no int of more than 4,300 digits
+        return type(value).__name__
+
+
 def _real(name: str, value) -> float:
     """The one reader of a real number: value as a Python float, an int past the
     float range as the infinity of its sign. ValidationError for a bool or a non-real."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(_NOT_REAL.format(name, value))
+        raise ValidationError(f"{name} must be a real number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -194,7 +200,7 @@ def _count(label: str, n, lo: int, hi: int):
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValidationError(f"{label} must be an integer")
     if not lo <= n <= hi:
-        raise ValidationError(f"{label} must be in [{lo}, {hi}], got {n}")
+        raise ValidationError(f"{label} must be in [{lo}, {hi}], got {_shown(n, str)}")
     return n
 
 
@@ -243,24 +249,19 @@ class ForceCharacteristic:
     def __post_init__(self):
         if self.kind == TABULATED:
             self._knots()
-        _floats(self, "x_max")
+        _floats(self, "x_max", "k", "f0", "c", "d", "p")
         _at_least("x_max", self.x_max, 0, strict=True)
         _length("x_max", self.x_max)
         if self.kind == LINEAR:
-            _floats(self, "k")
             _at_least("linear stiffness k", self.k, 0, strict=True)
         elif self.kind == CONSTANT:
-            _floats(self, "f0")
             _at_least("constant force f0", self.f0, 0)
         elif self.kind == POWER_LAW:
-            _floats(self, "c", "d", "p")
             _at_least("power-law c", self.c, 0)
             _at_least("power-law d", self.d, 0, strict=True)
             _at_least("power-law p", self.p, 1)
         elif self.kind == TABULATED:
             xs = [x for x, _ in self.points]
-            if len(xs) < 2:
-                raise ValidationError("tabulated characteristic needs at least 2 points")
             if xs[0] != 0.0:
                 raise ValidationError(f"first tabulated x must be 0, got {xs[0]}")
             for a, b in zip(xs, xs[1:]):
@@ -271,7 +272,7 @@ class ForceCharacteristic:
             if self.x_max > xs[-1] * (1 + 1e-12):
                 raise ValidationError(f"x_max {self.x_max} exceeds last tabulated x {xs[-1]}")
         else:
-            raise ValidationError(f"unknown characteristic kind {self.kind!r}")
+            raise ValidationError(f"unknown characteristic kind {_shown(self.kind)}")
 
     def _knots(self):
         """Store the knots as float pairs, and an x_max of None as the last knot's x."""
@@ -280,7 +281,7 @@ class ForceCharacteristic:
                         for x, f in self.points)
         except (TypeError, ValueError):   # a knot that is no pair, or no sequence of knots
             raise ValidationError("tabulated points must be (x, F) pairs") from None
-        if not pts:
+        if len(pts) < 2:
             raise ValidationError("tabulated characteristic needs at least 2 points")
         object.__setattr__(self, "points", pts)
         if self.x_max is None:

@@ -210,7 +210,3 @@ def main(argv=None) -> int:
     except FloatConvError as exc:
         print(f"ERR:{type(exc).__name__}:{exc}", file=sys.stderr)
         return exc.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

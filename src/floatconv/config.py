@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import (ForceCharacteristic, _at_least, _count, _finite, _flag,
+from .characteristics import (ForceCharacteristic, _at_least, _count, _finite, _flag, _shown,
                               cumulative_trapezoid)
 from .errors import ValidationError
 from .export import CSV_ANGLE_QUANTUM, CSV_RADIUS_QUANTUM
@@ -75,7 +75,7 @@ def _section(section, path: str, spec: dict) -> list:
     prefix = f"{path}." if path else ""
     for key in section:
         if key not in spec:
-            raise ValidationError(f"config: unknown key '{prefix}{key}'")
+            raise ValidationError(f"config: unknown key '{prefix}{_shown(key, str)}'")
     for key, (_, default) in spec.items():
         if default is REQUIRED and key not in section:
             raise ValidationError(f"config: missing required key '{prefix}{key}'")
@@ -92,7 +92,7 @@ def _typed(section, path: str, what: str, table: dict):
     kind = section["type"]
     # a list or object is unhashable: test for a str before the lookup
     if not isinstance(kind, str) or kind not in table:
-        raise ValidationError(f"config: unknown {what} type '{kind}' at '{path}.type'")
+        raise ValidationError(f"config: unknown {what} type '{_shown(kind, str)}' at '{path}.type'")
     factory, spec = table[kind]
     fields = {key: value for key, value in section.items() if key != "type"}
     return factory(*_section(fields, path, spec))

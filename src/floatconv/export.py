@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .characteristics import _finite
+from .characteristics import _finite, _shown
 from .converter import SweepTable
 from .errors import ParseError, ValidationError
 from .gripper import GraspTrace
@@ -235,7 +235,7 @@ def _parse_rows(text: str) -> np.ndarray:
         lines = lines[:-1]
     if not lines or lines[0] != PROFILE_CSV_HEADER:
         got = lines[0] if lines else ""
-        raise ParseError(f"expected header {PROFILE_CSV_HEADER!r}, got {got!r}", line=1)
+        raise ParseError(f"expected header {PROFILE_CSV_HEADER!r}, got {_shown(got)}", line=1)
     values = []
     for i, row in enumerate(lines[1:], start=2):
         parts = row.split(",")
@@ -244,7 +244,7 @@ def _parse_rows(text: str) -> np.ndarray:
         try:
             values += [float(parts[0]), float(parts[1])]
         except ValueError:
-            raise ParseError(f"non-numeric field in {row!r}", line=i) from None
+            raise ParseError(f"non-numeric field in {_shown(row)}", line=i) from None
     if len(values) < 4:
         raise ParseError("profile needs at least 2 sample rows", line=len(lines))
     return np.array(values)
@@ -282,7 +282,7 @@ def profile_to_svg(profile: PulleyProfile, scale: float = 10.0) -> str:
     sc = _finite("scale", scale)
     if not SVG_SCALE_MIN <= sc <= SVG_SCALE_MAX:
         raise ValidationError(
-            f"scale must be in [{SVG_SCALE_MIN:g}, {SVG_SCALE_MAX:g}] px/mm, got {scale}"
+            f"scale must be in [{SVG_SCALE_MIN:g}, {SVG_SCALE_MAX:g}] px/mm, got {sc}"
         )
     r_mm = profile.radii * 1000.0
     r_max_mm = float(np.max(r_mm))

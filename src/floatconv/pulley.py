@@ -129,6 +129,8 @@ class PulleyProfile:
             raise ValidationError(
                 f"profile radii must be <= {MAX_PROFILE_RADIUS:g} m, got {np.max(radii):g} m"
             )
+        if self.slope is not None:
+            object.__setattr__(self, "slope", _real("slope", self.slope))
 
     @cached_property
     def theta_max(self) -> float:
@@ -231,9 +233,9 @@ def _synthesize(
     so s = counter.payout_for_energy(E). The profile must reproduce the
     target within SPRING_SYNTHESIS_RTOL of the peak force.
     """
-    _finite("circular_radius", R)
+    R = _finite("circular_radius", R)
     _at_least("circular radius", R, 0, strict=True)
-    theta_max = float(target.x_max / R if theta_max is None else _finite("theta_max", theta_max))
+    theta_max = target.x_max / R if theta_max is None else _finite("theta_max", theta_max)
     _at_least("theta_max", theta_max, 0, strict=True)
     if R * theta_max > target.x_max * (1 + 1e-12):
         raise DomainError(

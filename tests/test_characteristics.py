@@ -461,7 +461,8 @@ def _one_argument_calls():
 
 ONE_ARGUMENT_CALLS = _one_argument_calls()
 NON_REAL_INPUT = {"bool": True, "numpy_bool": np.True_, "str": "0.05", "None": None,
-                  "complex": 0.05j, "object": np.array(0.05, dtype=object)}
+                  "complex": 0.05j, "object": np.array(0.05, dtype=object),
+                  "unprintable": [10**5000]}
 
 
 @pytest.mark.parametrize("shape", ["scalar", "array"])
@@ -469,8 +470,9 @@ NON_REAL_INPUT = {"bool": True, "numpy_bool": np.True_, "str": "0.05", "None": N
 @pytest.mark.parametrize("name, call", ONE_ARGUMENT_CALLS, ids=[c[0] for c in ONE_ARGUMENT_CALLS])
 def test_non_real_input_is_refused(name, call, kind, shape):
     value = NON_REAL_INPUT[kind]
-    with pytest.raises(ValidationError, match=r"must be a real number, got "):
+    with pytest.raises(ValidationError, match=r"must be a real number, got ") as info:
         call(value if shape == "scalar" else np.array([value, value]))
+    assert len(str(info.value)) <= 200
 
 
 @pytest.mark.parametrize("name, fn, hi", EVALUATORS, ids=[e[0] for e in EVALUATORS])
@@ -546,6 +548,9 @@ def _real_number_arguments():
          lambda v: ForceCharacteristic.tabulated([(0, 0), (1, 1)], x_max=v), 0.5),
         ("ForceCharacteristic.x_max", "x_max",
          lambda v: ForceCharacteristic(kind="linear", x_max=v, k=1.0), 0.1),
+        # a field the law's kind does not use
+        ("ForceCharacteristic.unused_c", "c",
+         lambda v: ForceCharacteristic(kind="linear", x_max=0.1, k=1.0, c=v), 1.0),
         ("CounterElement.t0", "t0", lambda v: CounterElement(v, 0.0), 1.0),
         ("CounterElement.k2", "k2", lambda v: CounterElement(1.0, v), 1.0),
         ("weight.load", "load", CounterElement.weight, 1.0),
@@ -599,7 +604,8 @@ def _compared_arguments():
 
 
 # None is the default of a tabulated law's x_max and of theta_max, so it is no error there
-NOT_REAL = {"bool": True, "numpy_bool": np.True_, "str": "0.5", "None": None, "complex": 0.5j}
+NOT_REAL = {"bool": True, "numpy_bool": np.True_, "str": "0.5", "None": None, "complex": 0.5j,
+            "unprintable": [10**5000]}
 REAL_NUMBER_CASES = [
     pytest.param(name, build, good, value, id=f"{case}-{kind}")
     for case, name, build, good in _real_number_arguments() + _compared_arguments()
@@ -612,8 +618,10 @@ REAL_NUMBER_CASES = [
 def test_numeric_arguments_must_be_real_numbers(name, build, good, value):
     build(good)
     build(np.float32(good))   # a numpy scalar is a real number
-    with pytest.raises(ValidationError, match=f"^{re.escape(name)} must be a real number, got "):
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape(name)} must be a real number, got ") as info:
         build(value)
+    assert len(str(info.value)) <= 200
 
 
 # -- one-sided bounds -----------------------------------------------------------
@@ -631,8 +639,8 @@ def test_one_sided_bounds_name_the_stored_float():
                     actuator_force_cap=2.0, object_position=0.05)
         return GripperModel(conv, **{**args, **kw})
 
-    # a record stores its numbers as floats, so an int field prints as a float;
-    # synthesis checks its circular radius before any record holds it
+    # a record stores its numbers as floats, so an int field prints as a float,
+    # and synthesis checks the float it reads of its circular radius
     cases = [
         (lambda: ForceCharacteristic(kind="linear", x_max=0, k=1), "x_max must be > 0, got 0.0"),
         (lambda: ForceCharacteristic(kind="linear", x_max=1, k=-2),
@@ -658,7 +666,8 @@ def test_one_sided_bounds_name_the_stored_float():
         (lambda: PulleyProfile(0, thetas, radii), "circular-pulley radius must be > 0, got 0.0"),
         (lambda: PulleyProfile(math.nan, thetas, radii),
          "circular_radius must be finite, got nan"),
-        (lambda: synthesize_weight_counter(spring, 0, 10.0), "circular radius must be > 0, got 0"),
+        (lambda: synthesize_weight_counter(spring, 0, 10.0),
+         "circular radius must be > 0, got 0.0"),
         (lambda: synthesize_weight_counter(spring, 0.02, 10.0, theta_max=-1),
          "theta_max must be > 0, got -1.0"),
         (lambda: synthesize_weight_counter(spring, 0.02, 10.0, theta_max=math.nan),
@@ -790,6 +799,46 @@ def test_a_compared_argument_reads_a_huge_int_as_its_infinity(case, build, big):
     # +inf is no upper truncation bound, as truncated(0.0, math.inf) shows;
     # every other infinity is refused
     assert (outcome is None) == (case == "truncated.r_max" and big > 0)
+
+
+def _count_arguments():
+    """(label, a call of one count argument) for each count a caller passes."""
+    law = ForceCharacteristic.linear(k=100.0, x_max=0.12)
+    counter = CounterElement.weight(10.0)
+    conv = FloatingConverter(law, synthesize_weight_counter(law, 0.02, 10.0), counter)
+    return [
+        ("sweep rows", lambda n: conv.sweep(0.0, 0.05, n)),
+        ("n_samples", lambda n: synthesize_weight_counter(law, 0.02, 10.0, n)),
+        ("n_steps", lambda n: synthesize_spring_counter(law, 0.02, counter, n)),
+    ]
+
+
+COUNT_ARGUMENTS = _count_arguments()
+
+
+@HUGE_INTS
+@pytest.mark.parametrize("label, build", COUNT_ARGUMENTS, ids=[c[0] for c in COUNT_ARGUMENTS])
+def test_a_huge_count_is_refused_in_a_short_message(label, build, big):
+    error, message = _outcome(build, big)
+    assert error is ValidationError
+    shown = "int" if big == 10**5000 else str(big)[:80]   # no 5,001-digit int prints
+    assert message.endswith(f"], got {shown}") and message.startswith(f"{label} must be in [")
+
+
+def test_a_law_reads_the_fields_its_kind_does_not_use():
+    law = ForceCharacteristic(kind="linear", x_max=0.1, k=1.0, c=np.float32(2))
+    assert type(law.c) is float and law.c == 2.0
+    with pytest.raises(ValidationError, match="^c must be a real number, got 'x'$"):
+        ForceCharacteristic(kind="linear", x_max=0.1, k=1.0, c="x")
+
+
+@pytest.mark.parametrize("kind, shown", [("spring", "'spring'"), ("x" * 100_000, "'" + "x" * 79),
+                                         ([10**5000], "list")],
+                         ids=["short", "long", "unprintable"])
+def test_an_unknown_kind_is_shown_cut(kind, shown):
+    with pytest.raises(ValidationError) as info:
+        ForceCharacteristic(kind=kind, x_max=0.1)
+    assert str(info.value) == f"unknown characteristic kind {shown}"
 
 
 # -- array records ----------------------------------------------------------------

@@ -384,11 +384,14 @@ def test_invalid_json_exit_1(tmp_path, capsys):
         ("pulley", "samples", "0", "'pulley.samples' must be in [2, "),
         ("pulley", "samples", "1", "'pulley.samples' must be in [2, "),
         ("pulley", "samples", str(MAX_PROFILE_SAMPLES + 1), "'pulley.samples' must be in [2, "),
+        ("pulley", "samples", "1" + "0" * 400,
+         "'pulley.samples' must be in [2, 1048576], got 1" + "0" * 79 + "\n"),
     ],
     ids=[
         "nan", "infinity", "minus_infinity", "overflow", "huge_integer", "gripper", "no_tension",
         "point_string", "point_bool", "point_overflow", "point_huge_integer",
         "samples_negative", "samples_zero", "samples_one", "samples_above_limit",
+        "samples_huge_integer",
     ],
 )
 def test_bad_config_value_exit_1(tmp_path, capsys, section, key, literal, message):
@@ -405,7 +408,7 @@ def test_bad_config_value_exit_1(tmp_path, capsys, section, key, literal, messag
     assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "p.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ERR:ValidationError:") and err.count("\n") == 1
-    assert message in err
+    assert message in err and len(err) <= 300
     assert "Traceback" not in err
 
 

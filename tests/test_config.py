@@ -397,7 +397,8 @@ SCHEMA_CASES = [
      must("spring.points_m_n[1]", "finite, got inf")),
     ([("spring", TABLE), ("spring.points_m_n", [])],
      "tabulated characteristic needs at least 2 points"),
-    ([("spring", TABLE), ("spring.points_m_n", [[0.0, 0.0]])], "x_max must be > 0, got 0.0"),
+    ([("spring", TABLE), ("spring.points_m_n", [[0.0, 0.0]])],
+     "tabulated characteristic needs at least 2 points"),
     ([("spring", TABLE), ("spring.max_extension_m", "0.1")],
      must("spring.max_extension_m", "a real number, got '0.1'")),
     ([("spring", TABLE), ("spring.max_extension_m", 0.2)], "x_max 0.2 exceeds last tabulated x 0.12"),
@@ -517,6 +518,29 @@ def test_schema_error_text(changes, message):
     with pytest.raises(ValidationError) as info:
         parse_config(mutated(changes))
     assert str(info.value) == message
+
+
+LONG = "k" * 100_000
+# outside text a refusal echoes, cut to 80 characters: a key, a type name, a count
+LONG_TEXT_CASES = {
+    "key": ([(LONG, 1)], unknown(LONG[:80])),
+    "section_key": ([("pulley." + LONG, 1)], unknown("pulley." + LONG[:80])),
+    "type": ([("spring.type", LONG)],
+             f"config: unknown characteristic type '{LONG[:80]}' at 'spring.type'"),
+    "unprintable_type": ([("counter.type", [10**5000])],
+                         "config: unknown counter type 'list' at 'counter.type'"),
+    "huge_samples": ([("pulley.samples", 10**400)],
+                     must("pulley.samples", "in [2, 1048576], got 1" + "0" * 79)),
+    "unprintable_samples": ([("pulley.samples", 10**5000)],
+                            must("pulley.samples", "in [2, 1048576], got int")),
+}
+
+
+@pytest.mark.parametrize("changes, message", LONG_TEXT_CASES.values(), ids=list(LONG_TEXT_CASES))
+def test_a_refusal_cuts_the_outside_text_it_echoes(changes, message):
+    with pytest.raises(ValidationError) as info:
+        parse_config(mutated(changes))
+    assert str(info.value) == message and len(message) <= 200
 
 
 def test_full_config_parses_every_key():

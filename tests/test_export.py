@@ -149,6 +149,12 @@ def test_svg_scale_validation(scale):
         profile_to_svg(prototype_profile(), scale=scale)
 
 
+def test_svg_scale_refusal_names_the_float_it_read():
+    with pytest.raises(ValidationError) as info:
+        profile_to_svg(prototype_profile(), 10**300)
+    assert str(info.value) == "scale must be in [0.001, 1e+06] px/mm, got 1e+300"
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1e6])
 def test_svg_scale_range_is_inclusive(scale):
     svg = profile_to_svg(prototype_profile(), scale=scale)
@@ -274,7 +280,7 @@ def ref_read_profile_csv(text, circular_radius_m=1.0):
         lines = lines[:-1]
     if not lines or lines[0] != "theta_deg,r_mm":
         got = lines[0] if lines else ""
-        raise ParseError(f"expected header {'theta_deg,r_mm'!r}, got {got!r}", line=1)
+        raise ParseError(f"expected header {'theta_deg,r_mm'!r}, got {got!r:.80}", line=1)
     thetas, radii = [], []
     for i, row in enumerate(lines[1:], start=2):
         parts = row.split(",")
@@ -283,7 +289,7 @@ def ref_read_profile_csv(text, circular_radius_m=1.0):
         try:
             theta_deg, r_mm = float(parts[0]), float(parts[1])
         except ValueError:
-            raise ParseError(f"non-numeric field in {row!r}", line=i) from None
+            raise ParseError(f"non-numeric field in {row!r:.80}", line=i) from None
         thetas.append(math.radians(theta_deg))
         radii.append(r_mm / 1000.0)
     if len(thetas) < 2:
@@ -303,6 +309,9 @@ def read_outcome(reader, text):
 
 
 HEADER = "theta_deg,r_mm\n"
+# a 100 KB header, and a 100 KB row
+LONG_LINES = ["x" * 100_000 + "\n0.0,10.0\n1.0,11.0\n",
+              HEADER + "0.0,10.0\n1.0," + "x" * 100_000 + "\n"]
 
 
 @pytest.mark.parametrize(
@@ -345,10 +354,18 @@ HEADER = "theta_deg,r_mm\n"
         HEADER + "0.000000;10.000000\n1.000000;11.000000\n",
         HEADER + "0.000000,10.000000\n1.000000,.000000\n",
         HEADER + "0.000000,10.000000\n1.000000,-.000000\n",
+        *LONG_LINES,
     ],
 )
 def test_read_profile_matches_row_loop(text):
     assert read_outcome(read_profile_csv, text) == read_outcome(ref_read_profile_csv, text)
+
+
+@pytest.mark.parametrize("text", LONG_LINES, ids=["header", "row"])
+def test_a_parse_error_cuts_the_line_it_echoes(text):
+    with pytest.raises(ParseError) as info:
+        read_profile_csv(text)
+    assert len(str(info.value)) <= 200
 
 
 _CELLS = st.sampled_from(

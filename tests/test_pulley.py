@@ -63,6 +63,16 @@ def test_prototype_slope_arithmetic():
     assert profile.slope == pytest.approx(a, rel=1e-12)
 
 
+def test_synthesis_computes_with_the_radius_it_read():
+    law = make_linear()
+    got = synthesize_weight_counter(law, np.float32(0.02), 10.0)
+    want = synthesize_weight_counter(law, float(np.float32(0.02)), 10.0)
+    assert got.thetas.tobytes() == want.thetas.tobytes()
+    assert got.radii.tobytes() == want.radii.tobytes()
+    assert type(got.slope) is float
+    assert (got.theta_max.hex(), got.slope.hex()) == (want.theta_max.hex(), want.slope.hex())
+
+
 def test_synthesis_validation_errors():
     lin = make_linear()
     with pytest.raises(ValidationError):
@@ -440,6 +450,28 @@ def test_weight_is_the_zero_stiffness_spring():
 
 
 # -- profile validation --------------------------------------------------------
+
+
+def test_profile_slope_is_stored_as_a_float():
+    profile = PulleyProfile(0.02, np.array([0.0, 1.0]), np.array([0.0, 0.5]), np.float32(0.5))
+    assert type(profile.slope) is float and profile.slope == 0.5
+
+
+@pytest.mark.parametrize(
+    "radii, slope, message",
+    [
+        ([0.0, 0.01], "x", "slope must be a real number, got 'x'"),
+        ([0.0, 0.01], [10**5000], "slope must be a real number, got list"),
+        # the radii are checked first
+        ([0.0, math.inf], "x", "profile samples must be finite"),
+        ([0.0, 2e12], "x", "profile radii must be <= 1e+12 m, got 2e+12 m"),
+    ],
+    ids=["str", "unprintable", "inf_radius", "huge_radius"],
+)
+def test_profile_slope_is_read_after_the_radii(radii, slope, message):
+    with pytest.raises(ValidationError) as info:
+        PulleyProfile(0.02, np.array([0.0, 1.0]), np.array(radii), slope)
+    assert str(info.value) == message
 
 
 def test_profile_domain_checks():
