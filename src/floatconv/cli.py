@@ -15,12 +15,12 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import export
+from .characteristics import _shown
 from .config import (
     VERIFY_ENERGY_RTOL,
     RunConfig,
@@ -41,7 +41,9 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+        # an OSError's reason, without the path its text repeats
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValidationError(f"cannot read {_shown(path, str)}: {reason}") from exc
 
 
 def _object(pairs: list) -> dict:
@@ -49,7 +51,7 @@ def _object(pairs: list) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValidationError(f"config: duplicate key '{key}'")
+            raise ValidationError(f"config: duplicate key '{_shown(key, str)}'")
         obj[key] = value
     return obj
 
@@ -59,7 +61,7 @@ def _load_config(path: str) -> RunConfig:
     try:
         data = json.loads(text, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:   # bad JSON, or an int of too many digits
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"config {_shown(path, str)} is not valid JSON: {exc}") from exc
     return parse_config(data)
 
 
@@ -68,10 +70,10 @@ def _write(path: str, text: str):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
+        raise ValidationError(f"cannot write {_shown(path, str)}: {exc.strerror}") from exc
 
 
-def _converter(cfg: RunConfig, gap_x: float) -> FloatingConverter:
+def _converter(cfg: RunConfig, gap_x: float = 0.0) -> FloatingConverter:
     return FloatingConverter(
         left=cfg.spring,
         profile=synthesize_from_config(cfg),
@@ -119,8 +121,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    gap_x = cfg.gap_x_m if args.gap_mm is None else args.gap_mm / 1000.0
-    conv = _converter(cfg, gap_x=gap_x)
+    gap_x = args.gap_mm / 1000.0
+    conv = _converter(cfg, gap_x)
     table = conv.sweep(gap_x, conv.u_max, SWEEP_ROWS)
     s = table.summary()
     _write(args.out, export.sweep_to_csv(table))
@@ -136,7 +138,8 @@ def _cmd_grasp(args) -> int:
     cfg = _load_config(args.config)
     if cfg.gripper is None:
         raise ValidationError("config: missing required key 'gripper'")
-    model = GripperModel(_converter(cfg, cfg.gap_x_m), **asdict(cfg.gripper))
+    # the plan's gap replaces the converter's
+    model = GripperModel(_converter(cfg), *cfg.gripper)
     plan = plan_grasp(model, args.target_force_n)
     trace = simulate_grasp(model, plan)
     _write(args.out, export.trace_to_csv(trace))
@@ -160,7 +163,9 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ``ValidationError``; subparsers share the class."""
 
     def error(self, message):
-        raise ValidationError(f"{self.prog}: {message}")
+        # cut argparse's echo of outside text: the ERR: line keeps within 300 bytes
+        text = f"{self.prog}: {message}".encode(errors="backslashreplace")[:279]
+        raise ValidationError(text.decode(errors="ignore"))
 
 
 @functools.cache
@@ -184,7 +189,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="displacement sweep of the converter")
     p.add_argument("--config", required=True)
-    p.add_argument("--gap-mm", type=float, default=None, help="override gap_x (mm)")
+    p.add_argument("--gap-mm", type=float, default=0.0, help="gap x of the sweep (mm)")
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=_cmd_sweep)
 

@@ -39,16 +39,6 @@ MIN_CIRCULAR_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
-class GripperSettings:
-    # the GripperModel keyword arguments the gripper section sets
-    stage_travel: float         # m
-    stage_step: float           # m per tick
-    latch_holds: bool
-    actuator_force_cap: float   # N
-    object_position: float      # m
-
-
-@dataclass(frozen=True)
 class RunConfig:
     spring: ForceCharacteristic
     circular_radius_m: float
@@ -58,14 +48,13 @@ class RunConfig:
     counter: CounterElement
     friction_mu: float
     friction_f0_n: float
-    gap_x_m: float
-    gripper: GripperSettings | None
+    gripper: tuple | None   # GripperModel's arguments after its converter, in order
 
 
 REQUIRED = object()   # the default of a key that has none
 
 
-def _section(section, path: str, spec: dict) -> list:
+def _section(section, path: str, spec: dict) -> tuple:
     """A config object's values in spec order; spec maps each key to (reader, default).
 
     Rejects a non-object, then an unknown key, then a missing required key.
@@ -79,10 +68,10 @@ def _section(section, path: str, spec: dict) -> list:
     for key, (_, default) in spec.items():
         if default is REQUIRED and key not in section:
             raise ValidationError(f"config: missing required key '{prefix}{key}'")
-    return [
+    return tuple(
         reader(section[key], prefix + key) if key in section else default
         for key, (reader, default) in spec.items()
-    ]
+    )
 
 
 def _typed(section, path: str, what: str, table: dict):
@@ -140,12 +129,12 @@ def _pulley(section, path: str) -> tuple:
     return radius, theta_max, samples, None if r_min is None else _window(r_min, r_max)
 
 
-def _friction(section, path: str) -> list:
+def _friction(section, path: str) -> tuple:
     return _section(section, path, FRICTION)
 
 
-def _gripper(section, path: str) -> GripperSettings:
-    return GripperSettings(*_section(section, path, GRIPPER))
+def _gripper(section, path: str) -> tuple:
+    return _section(section, path, GRIPPER)
 
 
 # the schema: each section maps its keys to (reader, default); a typed section
@@ -182,14 +171,13 @@ CONFIG = {
     "counter": (_counter, REQUIRED),
     "pulley": (_pulley, REQUIRED),
     "friction": (_friction, (0.0, 0.0)),
-    "gap_x_m": (_number, 0.0),
     "gripper": (_gripper, None),
 }
 
 
 def parse_config(data: dict) -> RunConfig:
-    spring, counter, pulley, friction, gap_x, gripper = _section(data, "", CONFIG)
-    return RunConfig(spring, *pulley, counter, *friction, gap_x, gripper)
+    spring, counter, pulley, friction, gripper = _section(data, "", CONFIG)
+    return RunConfig(spring, *pulley, counter, *friction, gripper)
 
 
 def synthesize_from_config(cfg: RunConfig) -> PulleyProfile:

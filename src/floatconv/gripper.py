@@ -183,6 +183,7 @@ def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
     characteristic, and the actuator must supply the converter operating
     force plus the friction band. Exceeds of the force cap raise
     ActuatorStall; any grip reaction without a latch raises BackdriveFault.
+    The plan's gap replaces the gap of the model's converter.
     """
     conv = replace(model.converter, gap_x=plan.gap_x)
     R = conv.profile.circular_radius

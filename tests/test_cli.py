@@ -372,7 +372,7 @@ def test_invalid_json_exit_1(tmp_path, capsys):
         ("counter", "load_n", "Infinity", "'counter.load_n' must be finite"),
         ("pulley", "circular_radius_m", "-Infinity", "'pulley.circular_radius_m' must be finite"),
         ("pulley", "r_max_m", "1e999", "'pulley.r_max_m' must be finite"),
-        (None, "gap_x_m", "1" + "0" * 400, "'gap_x_m' must be finite"),
+        ("friction", "mu", "1" + "0" * 400, "'friction.mu' must be finite"),
         ("gripper", "stage_travel_m", "1e999", "'gripper.stage_travel_m' must be finite"),
         ("counter", "k2_n_per_m", "0.0", "no tension"),
         ("spring", "points_m_n", '"abc"',
@@ -402,7 +402,7 @@ def test_bad_config_value_exit_1(tmp_path, capsys, section, key, literal, messag
     if key == "points_m_n":
         cfg["spring"] = {"type": "tabulated", "points_m_n": [[0.0, 0.0], [0.1205, 123456.789]]}
     else:
-        (cfg if section is None else cfg[section])[key] = 123456.789
+        cfg.setdefault(section, {})[key] = 123456.789
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg).replace("123456.789", literal))
     assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "p.csv")]) == 1
@@ -482,6 +482,8 @@ def test_tabulated_spring_config(tmp_path):
 # -- usage errors and the shared parser ---------------------------------------------
 
 GRIPPER = str(CONFIGS / "gripper.json")
+LONG_PATH = "p" * 5_000   # past every file-name length limit
+LONG_TEXT = "k" * 100_000
 
 
 @pytest.mark.parametrize(
@@ -497,13 +499,35 @@ GRIPPER = str(CONFIGS / "gripper.json")
          "floatconv: unrecognized arguments: --bogus"),
         (["bogus"], "floatconv: argument command: invalid choice: 'bogus'"),
         ([], "floatconv: the following arguments are required: command"),
+        # outside text is echoed cut: a path to 80 characters without the repeat an
+        # OSError's text adds, a usage message to fit the line's 300 bytes
+        (["synthesize", "--config", LONG_PATH, "--out", "x.csv"],
+         f"cannot read {LONG_PATH[:80]}: File name too long\n"),
+        (["verify", "--config", GRIPPER, "--profile", LONG_PATH],
+         f"cannot read {LONG_PATH[:80]}: File name too long\n"),
+        (["synthesize", "--config", GRIPPER, "--out", LONG_PATH],
+         f"cannot write {LONG_PATH[:80]}: File name too long\n"),
+        (["synthesize", "--config", GRIPPER, "--out", "."], "cannot write .: Is a directory\n"),
+        (["export-svg", "--profile", "p.csv", "--out", "x.svg", "--scale", LONG_TEXT],
+         "floatconv export-svg: argument --scale: invalid float value: 'kkk"),
+        (["sweep", "--config", GRIPPER, "--gap-mm", LONG_TEXT, "--out", "x.csv"],
+         "floatconv sweep: argument --gap-mm: invalid float value: 'kkk"),
+        (["grasp", "--config", GRIPPER, "--target-force-n", LONG_TEXT, "--out", "x.csv"],
+         "floatconv grasp: argument --target-force-n: invalid float value: 'kkk"),
+        ([LONG_TEXT], "floatconv: argument command: invalid choice: 'kkk"),
+        (["sweep", "--config", GRIPPER, "--out", "x.csv", LONG_TEXT],
+         "floatconv: unrecognized arguments: kkk"),
     ],
 )
-def test_usage_error_is_one_validation_error_exit_1(capsys, argv, start):
+def test_usage_error_is_one_validation_error_exit_1(tmp_path, monkeypatch, capsys, argv, start):
+    monkeypatch.chdir(tmp_path)   # where a relative output path would be written
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("ERR:ValidationError:" + start) and err.count("\n") == 1
+    assert len(err.encode()) <= 300
+    assert_one_error_line_from_module(tmp_path, argv, start)
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["sweep", "--help"], ["grasp", "-h"]])
@@ -643,6 +667,7 @@ def assert_one_error_line_from_module(tmp_path, argv, start, out=None):
     assert proc.stdout == ""
     assert proc.stderr.startswith("ERR:ValidationError:" + start)
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert len(proc.stderr.encode()) <= 300
     assert out is None or not out.exists()
 
 
@@ -656,7 +681,8 @@ def test_non_utf8_file_is_one_error_line(tmp_path, command):
         "verify": ["verify", "--config", GRIPPER, "--profile", str(bad)],
         "export-svg": ["export-svg", "--profile", str(bad), "--out", str(out)],
     }[command]
-    assert_one_error_line_from_module(tmp_path, argv, f"cannot read {bad}: 'utf-8' codec", out)
+    start = f"cannot read {str(bad)[:80]}: 'utf-8' codec"
+    assert_one_error_line_from_module(tmp_path, argv, start, out)
 
 
 @pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a": ', "}")], ids=["array", "object"])
@@ -665,20 +691,21 @@ def test_deeply_nested_config_is_one_error_line(tmp_path, opener, closer):
     path.write_text(opener * 1000 + "0" + closer * 1000)
     out = tmp_path / "profile.csv"
     argv = ["synthesize", "--config", str(path), "--out", str(out)]
-    assert_one_error_line_from_module(tmp_path, argv, f"config {path} is not valid JSON: ", out)
+    start = f"config {str(path)[:80]} is not valid JSON: "
+    assert_one_error_line_from_module(tmp_path, argv, start, out)
 
 
 def test_config_with_a_5001_digit_integer_is_one_error_line(tmp_path):
     # Python 3.11+ json refuses an int literal of more than 4,300 digits with a
     # ValueError; a Python without that limit reads the int, and the config as inf
     cfg = gripper_config()
-    cfg["gap_x_m"] = 123456.789
+    cfg["friction"] = {"mu": 123456.789}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg).replace("123456.789", "1" + "0" * 5000), encoding="utf-8")
     out = tmp_path / "profile.csv"
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    start = (f"config {path} is not valid JSON: " if 0 < limit < 5001
-             else "config: 'gap_x_m' must be finite, got inf")
+    start = (f"config {str(path)[:80]} is not valid JSON: " if 0 < limit < 5001
+             else "config: 'friction.mu' must be finite, got inf")
     argv = ["synthesize", "--config", str(path), "--out", str(out)]
     assert_one_error_line_from_module(tmp_path, argv, start, out)
 
@@ -701,4 +728,14 @@ def test_duplicate_nested_key_is_refused(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     assert main(["grasp", "--config", str(path), "--target-force-n", "10", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "ERR:ValidationError:config: duplicate key 'stage_step_m'\n"
+    assert not out.exists()
+
+
+def test_a_duplicate_key_is_echoed_cut(tmp_path, capsys):
+    key = "k" * 100_000
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"{key}": 1, "{key}": 2}}')
+    out = tmp_path / "profile.csv"
+    assert main(["synthesize", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ERR:ValidationError:config: duplicate key '{key[:80]}'\n"
     assert not out.exists()

@@ -138,12 +138,17 @@ def assert_contract(code, stdout, stderr, out: Path):
         ("gripper", "synthesize", [("pulley.circular_radius_m", 1e10)], 1,
          "ERR:ValidationError:profile thetas must be strictly increasing at 6 decimals "
          "of a degree: samples 0 and 1 are written as 0.000000 and 0.000000\n"),
+        # the gap x is the grasp plan's, or the sweep's --gap-mm: not a config key
+        *[("gripper", command, [("gap_x_m", 0.0)], 1,
+           "ERR:ValidationError:config: unknown key 'gap_x_m'\n")
+          for command in ("synthesize", "verify", "sweep", "grasp")],
     ],
     ids=[
         "inverted_window", "huge_r_min", "subnormal_radius_sweep", "subnormal_radius_verify",
         "huge_radius_verify", "huge_friction_offset", "tiny_constant_force",
         "huge_domain_synthesize", "huge_domain_sweep", "huge_stage_grasp",
-        "huge_radius_synthesize",
+        "huge_radius_synthesize", "gap_key_synthesize", "gap_key_verify", "gap_key_sweep",
+        "gap_key_grasp",
     ],
 )
 def test_refusal_is_one_error_line_and_no_file(tmp_path, name, command, edits, code, err):

@@ -62,13 +62,10 @@ def test_friction_defaults_and_gap():
     cfg = parse_config(base_config())
     assert cfg.friction_mu == 0.0
     assert cfg.friction_f0_n == 0.0
-    assert cfg.gap_x_m == 0.0
     data = base_config()
     data["friction"] = {"mu": 0.01}
-    data["gap_x_m"] = 0.005
     cfg = parse_config(data)
     assert cfg.friction_mu == 0.01
-    assert cfg.gap_x_m == 0.005
 
 
 def test_truncation_bounds_must_pair():
@@ -295,7 +292,6 @@ def full_config():
         },
         "counter": {"type": "weight", "load_n": 10.0},
         "friction": {"mu": 0.003, "offset_n": 0.0},
-        "gap_x_m": 0.0,
         "gripper": {
             "stage_travel_m": 0.1,
             "stage_step_m": 0.01,
@@ -351,8 +347,9 @@ SCHEMA_CASES = [
     ([("pulley", None)], "config: pulley must be an object"),
     ([("friction", 1)], "config: friction must be an object"),
     ([("gripper", [])], "config: gripper must be an object"),
-    ([("gap_x_m", "0")], must("gap_x_m", "a real number, got '0'")),
-    ([("gap_x_m", math.nan)], must("gap_x_m", "finite, got nan")),
+    # the gap x is the grasp plan's, or the sweep's --gap-mm: no config key
+    ([("gap_x_m", "0")], unknown("gap_x_m")),
+    ([("gap_x_m", math.nan)], unknown("gap_x_m")),
     # spring: the type
     ([("spring", [])], missing("spring.type")),
     ([("spring.type", DROP)], missing("spring.type")),
@@ -489,7 +486,7 @@ ORDER_CASES = [
     ([("pulley.samples", 0), ("pulley.r_max_m", DROP)],
      must("pulley.samples", "in [2, 1048576], got 0")),
     # top level: an unknown key, then missing sections, then sections in the
-    # order spring, counter, pulley, friction, gap_x_m, gripper
+    # order spring, counter, pulley, friction, gripper
     ([("extra", 1), ("spring", DROP)], unknown("extra")),
     ([("spring", DROP), ("pulley", DROP)], missing("spring")),
     ([("pulley", DROP), ("counter", DROP)], missing("counter")),
@@ -497,8 +494,9 @@ ORDER_CASES = [
      must("spring.k_n_per_m", "a real number, got 'x'")),
     ([("counter.load_n", 0), ("pulley.samples", 0)], "counter weight load must be > 0, got 0.0"),
     ([("pulley.r_max_m", DROP), ("friction.mu", "x")], PAIRED),
-    ([("friction.mu", "x"), ("gap_x_m", "x")], must("friction.mu", "a real number, got 'x'")),
-    ([("gap_x_m", "x"), ("gripper.latch", 1)], must("gap_x_m", "a real number, got 'x'")),
+    ([("friction.mu", "x"), ("gripper.latch", 1)], must("friction.mu", "a real number, got 'x'")),
+    ([("gripper.latch", 1), ("friction.offset_n", "x")],
+     must("friction.offset_n", "a real number, got 'x'")),
 ]
 
 
@@ -548,9 +546,9 @@ def test_full_config_parses_every_key():
     assert cfg.theta_max_rad == math.radians(345.0)
     assert cfg.samples == 512
     assert cfg.truncation_bounds == (0.01, 0.04)
-    assert (cfg.friction_mu, cfg.friction_f0_n, cfg.gap_x_m) == (0.003, 0.0, 0.0)
-    assert cfg.gripper.latch_holds is True
-    assert cfg.gripper.object_position == 0.05
+    assert (cfg.friction_mu, cfg.friction_f0_n) == (0.003, 0.0)
+    # GripperModel's arguments after its converter, in order
+    assert cfg.gripper == (0.1, 0.01, True, 2.0, 0.05)
 
 
 @pytest.mark.parametrize("data", [[], None, "spring", 1.0])
