@@ -59,33 +59,17 @@ def clip_domain(x, x_max: float):
     land an ulp outside the domain; a 1e-12 relative slack absorbs that
     without admitting genuinely out-of-range queries.
 
-    Returns any real scalar (a Python or numpy number, a 0-d array) as a
-    Python float, which every evaluator computes in plain float arithmetic,
-    and input of 1-d or more as a float ndarray, uncopied when already
-    inside the domain: no evaluator writes into the value it is given. A
-    bool, text, None, a complex, an object dtype or ragged nesting raises
-    ValidationError; an int past the float range counts as infinite.
-    A scalar never goes through a 1-element array: numpy's vectorized
-    ``power`` loop differs from its scalar one in the last ulp on some inputs.
+    Returns x as _reals reads it, a real scalar as a Python float, which every
+    evaluator computes in plain float arithmetic, and an array uncopied when
+    already inside the domain: no evaluator writes into the value it is given.
     """
     slack = 1e-12 * max(abs(x_max), 1.0)
-    if isinstance(x, float):
-        x = lo = hi = float(x)
-    elif isinstance(x, numbers.Number):
-        x = lo = hi = _real("displacement", x)
+    x = _reals("displacement", x)
+    if type(x) is float:
+        lo = hi = x
     else:
-        try:
-            arr = np.asarray(x)
-            if arr.dtype.kind not in "iuf":   # a bool, text, complex or object dtype
-                raise ValueError
-        except ValueError:   # those dtypes, and ragged nesting, which np.asarray refuses
-            raise ValidationError(f"displacement must be a real number, got {_shown(x)}") from None
-        if arr.ndim == 0:
-            x = lo = hi = float(arr)
-        else:
-            x = arr.astype(float, copy=False)
-            # a NaN or an inf shows in these
-            lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
+        # a NaN or an inf shows in these
+        lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("displacement must be finite")
     if lo < -slack or hi > x_max + slack:
@@ -150,10 +134,11 @@ class PiecewiseLinear:
         return cum[i] + 0.5 * (fp[i] + self.at(x)) * (x - xp[i])
 
 
-def _shown(value, text=repr) -> str:
-    """A refused value as text(value) cut to 80 characters, or as its type's name."""
+def _shown(value, text=repr, size=80) -> str:
+    """text(value) cut to ``size`` UTF-8 bytes (a lone surrogate escaped, a character
+    the cut splits dropped), or the type's name of a value that does not print."""
     try:
-        return text(value)[:80]
+        return text(value).encode(errors="backslashreplace")[:size].decode(errors="ignore")
     except ValueError:   # Python prints no int of more than 4,300 digits
         return type(value).__name__
 
@@ -167,6 +152,24 @@ def _real(name: str, value) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _reals(name: str, x):
+    """The one reader of an outside number or array: a real scalar (a Python or numpy
+    number, a 0-d array) as a Python float, read by _real and never through a 1-element
+    array, else a float ndarray, uncopied when it is one. ValidationError for a bool,
+    text, None, a complex, an object dtype or ragged nesting."""
+    if isinstance(x, float):
+        return float(x)
+    if isinstance(x, numbers.Number):
+        return _real(name, x)
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind not in "iuf":   # a bool, text, complex or object dtype
+            raise ValueError
+    except ValueError:   # those dtypes, and ragged nesting, which np.asarray refuses
+        raise ValidationError(f"{name} must be a real number, got {_shown(x)}") from None
+    return float(arr) if arr.ndim == 0 else arr.astype(float, copy=False)
 
 
 def _finite(name: str, value) -> float:
@@ -212,14 +215,11 @@ def _flag(label: str, value):
 
 
 def _columns(record, names, label: str, rows: int) -> list:
-    """Make the named fields of a frozen record read-only float copies:
-    numeric, 1-d, one length and at least ``rows`` long."""
-    try:
-        columns = [np.array(getattr(record, name), dtype=float) for name in names]
-        if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
-            raise ValueError
-    except (TypeError, ValueError):   # text and ragged nesting fail the conversion
-        raise ValidationError(f"{label} must be numeric, 1-d and share one length") from None
+    """Make the named fields of a frozen record read-only float copies, each read
+    by _reals: 1-d, one length and at least ``rows`` long."""
+    columns = [np.array(_reals(name, getattr(record, name))) for name in names]
+    if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
+        raise ValidationError(f"{label} must be numeric, 1-d and share one length")
     if columns[0].size < rows:
         raise ValidationError(f"{label} need {rows} or more rows, got {columns[0].size}")
     for name, column in zip(names, columns):

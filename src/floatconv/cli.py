@@ -164,8 +164,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         # cut argparse's echo of outside text: the ERR: line keeps within 300 bytes
-        text = f"{self.prog}: {message}".encode(errors="backslashreplace")[:279]
-        raise ValidationError(text.decode(errors="ignore"))
+        raise ValidationError(_shown(f"{self.prog}: {message}", str, 279))
 
 
 @functools.cache

@@ -86,6 +86,11 @@ class GraspPlan:
     gap_x: float            # m
     converter_stroke: float  # m
 
+    def __post_init__(self):
+        _floats(self, "gap_x", "converter_stroke")
+        _at_least("gap_x", self.gap_x, 0)
+        _at_least("converter_stroke", self.converter_stroke, 0)
+
 
 @dataclass(frozen=True)
 class GraspTrace:
@@ -183,8 +188,10 @@ def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
     characteristic, and the actuator must supply the converter operating
     force plus the friction band. Exceeds of the force cap raise
     ActuatorStall; any grip reaction without a latch raises BackdriveFault.
-    The plan's gap replaces the gap of the model's converter.
+    The plan's gap, which may not pass the object, replaces the converter's.
     """
+    if plan.gap_x > model.object_position:
+        raise ValidationError(f"gap_x {plan.gap_x:g} m past object at {model.object_position:g} m")
     conv = replace(model.converter, gap_x=plan.gap_x)
     R = conv.profile.circular_radius
     if plan.converter_stroke > plan.gap_x + R * conv.profile.theta_max * (1 + 1e-12):

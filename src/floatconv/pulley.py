@@ -35,6 +35,7 @@ from .characteristics import (
     _finite,
     _floats,
     _real,
+    _reals,
     clip_domain,
 )
 from .errors import (
@@ -84,11 +85,13 @@ class CounterElement:
 
     def tension(self, s):
         """Tension (N) after paying out s (m); scalar or array."""
-        return self.t0 + self.k2 * s
+        return self.t0 + self.k2 * _reals("payout", s)
 
     def released_energy(self, s):
         """Work (J) the counter releases paying out s: the integral of tension."""
-        return self.t0 * s + 0.5 * self.k2 * s**2
+        s = _reals("payout", s)
+        # s * s, as numpy squares: a float ** can miss it by an ulp, or raise OverflowError
+        return self.t0 * s + 0.5 * self.k2 * (s * s)
 
     def payout_for_energy(self, energy):
         """Payout (m) after releasing ``energy`` (J), exact at k2 = 0.
@@ -96,8 +99,10 @@ class CounterElement:
         The cancellation-free positive root of t0*s + k2*s**2/2 = E; a
         negative discriminant (tension through zero) is clamped to 0.
         """
+        energy = _reals("energy", energy)
         disc = np.maximum(self.t0 * self.t0 + 2.0 * self.k2 * energy, 0.0)
-        return 2.0 * energy / (self.t0 + np.sqrt(disc))
+        payout = 2.0 * energy / (self.t0 + np.sqrt(disc))
+        return float(payout) if type(energy) is float else payout
 
 
 @dataclass(frozen=True)

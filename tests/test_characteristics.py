@@ -16,6 +16,7 @@ from floatconv import (
     FloatConvError,
     FloatingConverter,
     ForceCharacteristic,
+    GraspPlan,
     GraspTrace,
     GripperModel,
     PulleyProfile,
@@ -24,6 +25,7 @@ from floatconv import (
     ValidationError,
     plan_grasp,
     profile_to_svg,
+    simulate_grasp,
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
@@ -438,15 +440,19 @@ def test_evaluators_leave_a_read_only_input_alone(name, fn, hi):
 
 
 def _one_argument_calls():
-    """(id, a call of one argument) for every evaluator and for each argument
-    that sweep, truncated, equilibrium_displacement, plan_grasp and extension_at
-    compare."""
+    """(id, a call of one argument) for every evaluator, the counter's included, and
+    for each argument that sweep, truncated, equilibrium_displacement, plan_grasp and
+    extension_at compare."""
     law = ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12)
     profile = synthesize_weight_counter(ForceCharacteristic.linear(100.0, 0.12), 0.02, 10.0)
-    conv = FloatingConverter(law, profile, CounterElement.spring(t0=10.0, k2=40.0), gap_x=0.01)
+    counter = CounterElement.spring(t0=10.0, k2=40.0)
+    conv = FloatingConverter(law, profile, counter, gap_x=0.01)
     model = GripperModel(conv, stage_travel=0.1, stage_step=0.01, latch_holds=True,
                          actuator_force_cap=2.0, object_position=0.05)
     return [(name, fn) for name, fn, _ in EVALUATORS] + [
+        ("tension", counter.tension),
+        ("released_energy", counter.released_energy),
+        ("payout_for_energy", counter.payout_for_energy),
         ("energy_ledger.u0", lambda v: conv.energy_ledger(v, 0.05)),
         ("energy_ledger.u1", lambda v: conv.energy_ledger(0.05, v)),
         ("sweep.u_min", lambda v: conv.sweep(v, 0.05, 8)),
@@ -582,6 +588,10 @@ def _real_number_arguments():
                lambda v, name=name: GripperModel(conv, **{**grip, name: v}, latch_holds=True),
                grip[name])
               for name in grip]
+    plan = {"gap_x": 0.01, "converter_stroke": 0.02}
+    cases += [(f"GraspPlan.{name}", name, lambda v, name=name: GraspPlan(**{**plan, name: v}),
+               plan[name])
+              for name in plan]
     return cases
 
 
@@ -663,6 +673,12 @@ def test_one_sided_bounds_name_the_stored_float():
         (lambda: gripper(stage_step=0), "stage_step must be > 0, got 0.0"),
         (lambda: gripper(stage_travel=-1), "stage_travel must be >= 0, got -1.0"),
         (lambda: gripper(actuator_force_cap=0), "actuator_force_cap must be > 0, got 0.0"),
+        (lambda: GraspPlan(gap_x=-1, converter_stroke=0), "gap_x must be >= 0, got -1.0"),
+        (lambda: GraspPlan(gap_x=0, converter_stroke=-1),
+         "converter_stroke must be >= 0, got -1.0"),
+        # a 0.06 m gap on an object 0.05 m away would put the stage behind its start
+        (lambda: simulate_grasp(gripper(), GraspPlan(gap_x=0.06, converter_stroke=0.01)),
+         "gap_x 0.06 m past object at 0.05 m"),
         (lambda: PulleyProfile(0, thetas, radii), "circular-pulley radius must be > 0, got 0.0"),
         (lambda: PulleyProfile(math.nan, thetas, radii),
          "circular_radius must be finite, got nan"),
@@ -691,7 +707,7 @@ KNOTS = ((0, 0), (1, 4), (2, 5))
 
 
 def _records(num):
-    """(record, its numeric scalar fields) for each of the five records, built by
+    """(record, its numeric scalar fields) for each of the six records, built by
     its raw constructor from num of every number."""
     laws = [ForceCharacteristic(kind=kind, **{k: num(v) for k, v in fields.items()})
             for kind, fields in LAW_FIELDS.items()]
@@ -709,6 +725,7 @@ def _records(num):
         (profile, ["circular_radius"]),
         (conv, ["gap_x", "friction_mu", "friction_f0"]),
         (model, ["stage_travel", "stage_step", "actuator_force_cap", "object_position"]),
+        (GraspPlan(num(1), num(2)), ["gap_x", "converter_stroke"]),
     ]
 
 
@@ -832,9 +849,12 @@ def test_a_law_reads_the_fields_its_kind_does_not_use():
         ForceCharacteristic(kind="linear", x_max=0.1, k=1.0, c="x")
 
 
+# the cut is 80 UTF-8 bytes, and drops a character it would split
 @pytest.mark.parametrize("kind, shown", [("spring", "'spring'"), ("x" * 100_000, "'" + "x" * 79),
+                                         ("\u00e9" * 100, "'" + "\u00e9" * 39),
+                                         ("a" + "\U0001F600" * 30, "'a" + "\U0001F600" * 19),
                                          ([10**5000], "list")],
-                         ids=["short", "long", "unprintable"])
+                         ids=["short", "long", "two_byte", "split", "unprintable"])
 def test_an_unknown_kind_is_shown_cut(kind, shown):
     with pytest.raises(ValidationError) as info:
         ForceCharacteristic(kind=kind, x_max=0.1)
@@ -855,20 +875,31 @@ SHAPES = {
     "ragged": lambda cols: [*cols[:-1], cols[-1][:-1]],
     "2-d": lambda cols: [[col] for col in cols],
     "0-d": lambda cols: [col[0] for col in cols],
+    # no array of real numbers: refused by the reader, which names the first field
     "nested": lambda cols: [[col[:2], col[2:]] for col in cols],
     "text": lambda cols: [["a"] * len(col) for col in cols],
+    "numeric_text": lambda cols: [[str(v) for v in col] for col in cols],
+    "bool": lambda cols: [[bool(v) for v in col] for col in cols],
+    "object": lambda cols: [np.array(col, dtype=object) for col in cols],
+    "huge_int": lambda cols: [[0, 10**400, 2] for _ in cols],
 }
+NOT_REAL_SHAPES = ("nested", "text", "numeric_text", "bool", "object", "huge_int")
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("record", RECORDS)
 def test_array_records_need_1d_columns_of_one_length(record, shape):
     n, label, _, build = RECORDS[record]
-    build([[0.0, 1.0, 2.0]] * n)
+    built = build([[0.0, 1.0, 2.0]] * n)
+    first = next(name for name, value in vars(built).items() if isinstance(value, np.ndarray))
     columns = SHAPES[shape]([[0.0, 1.0, 2.0]] * n)
-    message = f"^{label} must be numeric, 1-d and share one length$"
-    with pytest.raises(ValidationError, match=message):
+    if shape in NOT_REAL_SHAPES:
+        message = f"^{first} must be a real number, got "
+    else:
+        message = f"^{label} must be numeric, 1-d and share one length$"
+    with pytest.raises(ValidationError, match=message) as info:
         build(columns)
+    assert len(str(info.value)) <= 200
 
 
 @pytest.mark.parametrize("record", RECORDS)

@@ -484,6 +484,7 @@ def test_tabulated_spring_config(tmp_path):
 GRIPPER = str(CONFIGS / "gripper.json")
 LONG_PATH = "p" * 5_000   # past every file-name length limit
 LONG_TEXT = "k" * 100_000
+EMOJI_PATH = "\U0001F600" * 5_000   # four UTF-8 bytes a character
 
 
 @pytest.mark.parametrize(
@@ -508,6 +509,11 @@ LONG_TEXT = "k" * 100_000
         (["synthesize", "--config", GRIPPER, "--out", LONG_PATH],
          f"cannot write {LONG_PATH[:80]}: File name too long\n"),
         (["synthesize", "--config", GRIPPER, "--out", "."], "cannot write .: Is a directory\n"),
+        # a path is cut to 80 UTF-8 bytes, a lone surrogate from a non-UTF-8 argv escaped
+        (["synthesize", "--config", EMOJI_PATH, "--out", "x.csv"],
+         f"cannot read {EMOJI_PATH[:20]}: File name too long\n"),
+        (["synthesize", "--config", "\udcff" * 100, "--out", "x.csv"],
+         "cannot read " + "\\udcff" * 13 + "\\u: No such file or directory\n"),
         (["export-svg", "--profile", "p.csv", "--out", "x.svg", "--scale", LONG_TEXT],
          "floatconv export-svg: argument --scale: invalid float value: 'kkk"),
         (["sweep", "--config", GRIPPER, "--gap-mm", LONG_TEXT, "--out", "x.csv"],

@@ -89,6 +89,13 @@ def _cases():
 
 CASES = _cases()
 IDS = [case[0] for case in CASES]
+# the counter's evaluators have no domain to refuse; drawn over payouts to 1 m and
+# released energies to 10 J
+COUNTER_CASES = [
+    (f"{method}[{c}]", getattr(counter, method), hi, 0)
+    for c, counter in COUNTERS.items()
+    for method, hi in [("tension", 1.0), ("released_energy", 1.0), ("payout_for_energy", 10.0)]
+]
 
 
 def _bits(value):
@@ -121,7 +128,8 @@ def _points(hi):
     return st.one_of(as_float, as_int).filter(lambda x: -slack <= float(x) <= hi + slack)
 
 
-@pytest.mark.parametrize("name, fn, hi, ulps", CASES, ids=IDS)
+@pytest.mark.parametrize("name, fn, hi, ulps", CASES + COUNTER_CASES,
+                         ids=IDS + [case[0] for case in COUNTER_CASES])
 @given(data=st.data())
 def test_scalar_is_a_float_equal_to_the_array_element(name, fn, hi, ulps, data):
     x = data.draw(_points(hi))
