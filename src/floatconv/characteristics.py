@@ -52,6 +52,11 @@ TABULATED = "tabulated"
 MAX_LENGTH = 1e6
 
 
+def _slack(x_max: float) -> float:
+    """How far past either end of [0, x_max] clip_domain accepts a value and clips it."""
+    return 1e-12 * max(abs(x_max), 1.0)
+
+
 def clip_domain(x, x_max: float):
     """Validate x against [0, x_max], clipping fp endpoint spill.
 
@@ -62,8 +67,12 @@ def clip_domain(x, x_max: float):
     Returns x as _reals reads it, a real scalar as a Python float, which every
     evaluator computes in plain float arithmetic, and an array uncopied when
     already inside the domain: no evaluator writes into the value it is given.
+    An in-domain Python float, what every tick and sample point passes, is
+    returned at once, with no full read.
     """
-    slack = 1e-12 * max(abs(x_max), 1.0)
+    if type(x) is float and 0.0 <= x <= x_max:
+        return x
+    slack = _slack(x_max)
     x = _reals("displacement", x)
     if type(x) is float:
         lo = hi = x
@@ -88,7 +97,7 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 class PiecewiseLinear:
     """A sampled curve y(x), linear between knots: its value and running integral.
 
-    ``xs`` must be strictly increasing. Both methods take a Python float
+    ``xs`` must be strictly increasing. Every method takes a Python float
     (plain float arithmetic over cached lists) or numpy values, and the two
     paths agree bit for bit.
     """
@@ -123,15 +132,20 @@ class PiecewiseLinear:
         return slope * (x - xp[j]) + fp[j]
 
     def integral(self, x):
-        """The integral from xs[0] to x: the knots' running sum plus the
-        partial trapezoid, exact for the piecewise-linear curve."""
+        """The integral from xs[0] to x."""
+        return self.at_and_integral(x)[1]
+
+    def at_and_integral(self, x) -> tuple:
+        """(y at x, the integral from xs[0] to x): the integral is the knots'
+        running sum plus the partial trapezoid, exact for the piecewise-linear curve."""
         if type(x) is float:
             xp, fp, cum = self._lists
             i = min(max(bisect_right(xp, x) - 1, 0), len(xp) - 2)
         else:
             xp, fp, cum = self.xs, self.ys, self.cumulative
             i = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
-        return cum[i] + 0.5 * (fp[i] + self.at(x)) * (x - xp[i])
+        y = self.at(x)
+        return y, cum[i] + 0.5 * (fp[i] + y) * (x - xp[i])
 
 
 def _shown(value, text=repr, size=80) -> str:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .characteristics import _at_least, _columns, _count, _flag, _floats, _length, _real
+from .characteristics import _at_least, _columns, _count, _flag, _floats, _length, _real, _slack
 from .converter import FloatingConverter
 from .errors import (
     ActuatorStall,
@@ -203,15 +203,21 @@ def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
     step = model.stage_step
     stage_stop = model.object_position - plan.gap_x
     n_position = round(stage_stop / step)
-    n_grip = math.ceil(plan.converter_stroke / step - 1e-9)
+    # the ticks only up to the first past the converter's domain: its
+    # force_components call raises DomainError, unless an earlier tick faults
+    end = conv.u_max + _slack(conv.u_max)
+    n_grip = math.ceil(min(plan.converter_stroke, end + step) / step - 1e-9)
     us = np.minimum(np.arange(1, n_grip + 1) * step, plan.converter_stroke)
 
     cap = model.actuator_force_cap * (1 + 1e-12)
+    # a grip above this back-drives the stage: none does while the latch holds
+    backdrive = math.inf if model.latch_holds else GRIP_FORCE_TOL
+    force_components, friction_band = conv.force_components, conv.friction_band
     grip, actuator = [], []
     for tick, u in enumerate(us.tolist(), start=n_position + 1):
-        spring, counter = conv.force_components(u)
-        effort = abs(spring - counter) + conv.friction_band(counter)
-        if spring > GRIP_FORCE_TOL and not model.latch_holds:
+        spring, counter = force_components(u)
+        effort = abs(spring - counter) + friction_band(counter)
+        if spring > backdrive:
             raise BackdriveFault(
                 f"tick {tick}: grip reaction {spring:g} N back-drives the unlatched stage"
             )

@@ -84,24 +84,33 @@ class CounterElement:
         return cls(t0=t0, k2=k2)
 
     def tension(self, s):
-        """Tension (N) after paying out s (m); scalar or array."""
-        return self.t0 + self.k2 * _reals("payout", s)
+        """Tension (N) after paying out s (m); scalar or array. A dead weight
+        (k2 = 0) skips its k2 term, which is nan at an infinite payout."""
+        s = _reals("payout", s)
+        if self.k2 == 0:
+            return self.t0 if type(s) is float else np.full_like(s, self.t0)
+        return self.t0 + self.k2 * s
 
     def released_energy(self, s):
         """Work (J) the counter releases paying out s: the integral of tension."""
         s = _reals("payout", s)
-        # s * s, as numpy squares: a float ** can miss it by an ulp, or raise OverflowError
-        return self.t0 * s + 0.5 * self.k2 * (s * s)
+        # s * s, as numpy squares: a float ** can miss it by an ulp, or raise OverflowError.
+        # A dead weight adds 0.0, not 0 * (s * s), which is nan where s * s overflows;
+        # it still makes t0 * -0.0 a +0.0.
+        return self.t0 * s + (0.0 if self.k2 == 0 else 0.5 * self.k2 * (s * s))
 
     def payout_for_energy(self, energy):
-        """Payout (m) after releasing ``energy`` (J), exact at k2 = 0.
+        """Payout (m) after releasing ``energy`` (J), exact at k2 = 0; inf at an infinite energy.
 
         The cancellation-free positive root of t0*s + k2*s**2/2 = E; a
         negative discriminant (tension through zero) is clamped to 0.
         """
         energy = _reals("energy", energy)
-        disc = np.maximum(self.t0 * self.t0 + 2.0 * self.k2 * energy, 0.0)
-        payout = 2.0 * energy / (self.t0 + np.sqrt(disc))
+        disc = self.t0 * self.t0
+        if self.k2 != 0:
+            disc = np.maximum(disc + 2.0 * self.k2 * energy, 0.0)
+        with np.errstate(invalid="ignore"):   # inf / inf, where the payout is inf
+            payout = np.where(energy == np.inf, np.inf, 2.0 * energy / (self.t0 + np.sqrt(disc)))
         return float(payout) if type(energy) is float else payout
 
 
@@ -189,9 +198,10 @@ class PulleyProfile:
 
     def _cable_force(self, counter: CounterElement, th):
         """r(th) * T(s(th)) / R at a theta already clipped into [0, theta_max]."""
-        # a dead weight's tension needs no payout lookup
-        tension = counter.t0 if counter.k2 == 0 else counter.tension(self._radius.integral(th))
-        return self._radius.at(th) * tension / self.circular_radius
+        if counter.k2 == 0:   # a dead weight's tension needs no payout lookup
+            return self._radius.at(th) * counter.t0 / self.circular_radius
+        radius, payout = self._radius.at_and_integral(th)
+        return radius * counter.tension(payout) / self.circular_radius
 
     def balance_residual(self, counter: CounterElement, target: ForceCharacteristic, theta):
         """Departure from perfect balance: target force minus realized force.

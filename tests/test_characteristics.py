@@ -165,6 +165,8 @@ def _bits(value):
 def test_piecewise_linear_float_path_matches_numpy(x):
     assert _bits(CURVE.at(x)) == _bits(float(CURVE.at(np.asarray(x))))
     assert _bits(CURVE.integral(x)) == _bits(float(CURVE.integral(np.asarray(x))))
+    y, integral = CURVE.at_and_integral(x)
+    assert (_bits(y), _bits(integral)) == (_bits(CURVE.at(x)), _bits(CURVE.integral(x)))
 
 
 def test_piecewise_linear_array_path_matches_float_path():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from floatconv import (
     GraspPlan,
     GraspTrace,
     GripperModel,
+    PulleyProfile,
     UnreachableForce,
     UnreachableObject,
     ValidationError,
@@ -507,3 +509,40 @@ def test_columnar_trace_matches_per_tick_loop(
         assert trace.amplification == peak / trace.max_actuator
     else:
         assert trace.amplification == math.inf
+
+
+def _long_pulley_model(x_max, step, obj):
+    """A linear law on [0, x_max] over a 1e6 rad pulley of 1 m radius: the law's
+    domain, not the pulley's range, ends the converter's at u_max = x_max."""
+    profile = PulleyProfile(1.0, [0.0, 1e6], [0.0, 0.01])
+    conv = FloatingConverter(ForceCharacteristic.linear(100.0, x_max), profile,
+                             CounterElement.weight(10.0))
+    return GripperModel(conv, 1.0, step, True, 1e9, obj)
+
+
+@pytest.mark.parametrize(
+    "x_max, step, stroke, text",
+    [
+        # a 2e4 m stroke at a 0.01 m step: the grid used to hold 2,000,000 ticks
+        (0.12, 0.01, 2e4, "value range [0.13, 0.13] outside domain [0, 0.12]"),
+        # the third tick, 3 * 0.1, lands an ulp past u_max = 0.3, inside the slack
+        # the domain accepts: the fourth is the first it refuses
+        (0.3, 0.1, 0.5, "value range [0.4, 0.4] outside domain [0, 0.3]"),
+        # a step a tenth of the 1e-12 m slack: the ticks past u_max inside it are accepted
+        (1e-11, 1e-13, 2e-11, "value range [1.1e-11, 1.1e-11] outside domain [0, 1e-11]"),
+    ],
+    ids=["long_stroke", "tick_in_the_slack", "step_inside_the_slack"],
+)
+def test_stroke_past_u_max_stops_at_the_first_refused_tick(x_max, step, stroke, text):
+    model = _long_pulley_model(x_max, step, step)
+    plan = GraspPlan(step, stroke)
+    assert _outcome(reference_simulate_grasp, model, plan) == (DomainError, text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as info:
+            simulate_grasp(model, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == text
+    assert peak < 1_000_000

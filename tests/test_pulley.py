@@ -1,6 +1,7 @@
 """Pulley synthesis, forward verification, payout/arc geometry, truncation."""
 
 import math
+import struct
 from dataclasses import astuple
 
 import numpy as np
@@ -413,6 +414,69 @@ def test_spring_counter_forward_verification_failure():
 def test_counter_element_rejects_non_finite(make, value):
     with pytest.raises(ValidationError, match="must be finite"):
         make(value)
+
+
+WEIGHT, SPRING = CounterElement.weight(10.0), CounterElement.spring(t0=10.0, k2=40.0)
+
+
+@pytest.mark.parametrize(
+    "counter, method, value, expected",
+    [
+        (WEIGHT, "tension", math.inf, 10.0),
+        (WEIGHT, "tension", -math.inf, 10.0),
+        (WEIGHT, "tension", 10**400, 10.0),   # read as inf
+        (WEIGHT, "released_energy", math.inf, math.inf),
+        (WEIGHT, "released_energy", 10**400, math.inf),
+        # a finite payout whose square overflows
+        (WEIGHT, "released_energy", 1e200, 10.0 * 1e200),
+        (WEIGHT, "payout_for_energy", math.inf, math.inf),
+        (WEIGHT, "payout_for_energy", -math.inf, -math.inf),
+        (SPRING, "payout_for_energy", math.inf, math.inf),
+        (SPRING, "tension", math.inf, math.inf),
+        (SPRING, "released_energy", math.inf, math.inf),
+    ],
+    ids=["weight-tension-inf", "weight-tension--inf", "weight-tension-huge_int",
+         "weight-released_energy-inf", "weight-released_energy-huge_int",
+         "weight-released_energy-1e200", "weight-payout_for_energy-inf",
+         "weight-payout_for_energy--inf", "spring-payout_for_energy-inf",
+         "spring-tension-inf", "spring-released_energy-inf"],
+)
+def test_counter_values_at_an_infinite_argument_are_not_nan(counter, method, value, expected):
+    call = getattr(counter, method)
+    got = call(value)
+    assert type(got) is float and got == expected
+    if isinstance(value, float):   # an int past the float range has no array form
+        column = call(np.array([value, 1.0]))
+        assert column.tolist() == [expected, call(1.0)]
+
+
+def _formula_before_the_dead_weight_skip(counter, method, x):
+    """Each counter formula with its k2 term always evaluated."""
+    if method == "tension":
+        return counter.t0 + counter.k2 * x
+    if method == "released_energy":
+        return counter.t0 * x + 0.5 * counter.k2 * (x * x)
+    disc = np.maximum(counter.t0 * counter.t0 + 2.0 * counter.k2 * x, 0.0)
+    return 2.0 * x / (counter.t0 + np.sqrt(disc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t0=st.one_of(st.sampled_from([5e-324, 1e-200, 10.0, 1e200]), st.floats(1e-300, 1e300)),
+    k2=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    x=st.one_of(st.sampled_from([0.0, -0.0, 1e-320, 1e200, -1e200, 1e308]),
+                st.floats(allow_nan=False, allow_infinity=False)),
+    method=st.sampled_from(["tension", "released_energy", "payout_for_energy"]),
+)
+def test_finite_counter_values_are_unchanged_bit_for_bit(t0, k2, x, method):
+    counter = CounterElement(t0, k2)
+    with np.errstate(all="ignore"):
+        before = float(_formula_before_the_dead_weight_skip(counter, method, x))
+        got = getattr(counter, method)(x)
+        column = getattr(counter, method)(np.array([x]))
+    if math.isfinite(before):
+        assert struct.pack("<d", got) == struct.pack("<d", before)
+        assert struct.pack("<d", column[0]) == struct.pack("<d", before)
 
 
 def test_weight_is_the_zero_stiffness_spring():

@@ -19,6 +19,7 @@ from floatconv import (
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
+from floatconv.characteristics import clip_domain
 
 R = 0.02
 X_MAX = 0.12
@@ -112,14 +113,19 @@ def _element(fn, x):
     return tuple(float(v[0]) for v in out) if isinstance(out, tuple) else float(out[0])
 
 
+def _edges(hi):
+    """Both endpoints of [0, hi], the 1e-12 slack past them, and the gap's neighbours."""
+    slack = 1e-12 * max(hi, 1.0)
+    edges = [0.0, -0.0, -slack, slack, 0.5 * slack, hi, hi - slack, hi + slack,
+             math.nextafter(hi, 0.0), GAP, math.nextafter(GAP, 0.0), math.nextafter(GAP, 1.0)]
+    return [x for x in edges if -slack <= x <= hi + slack]
+
+
 def _points(hi):
     """In-domain inputs: the interior, both endpoints and the 1e-12 slack, as a
     Python, numpy or 0-d array number."""
     slack = 1e-12 * max(hi, 1.0)
-    edges = [0.0, -0.0, -slack, slack, 0.5 * slack, hi, hi - slack, hi + slack,
-             math.nextafter(hi, 0.0), GAP, math.nextafter(GAP, 0.0), math.nextafter(GAP, 1.0)]
-    edges = [x for x in edges if -slack <= x <= hi + slack]
-    values = st.one_of(st.floats(min_value=0.0, max_value=hi), st.sampled_from(edges))
+    values = st.one_of(st.floats(min_value=0.0, max_value=hi), st.sampled_from(_edges(hi)))
     wrappers = [float, np.float64, np.float32, np.asarray]
     as_float = st.tuples(values, st.sampled_from(wrappers)).map(lambda t: t[1](t[0]))
     ints = st.integers(min_value=0, max_value=math.floor(hi))
@@ -182,3 +188,39 @@ def test_power_law_scalar_keeps_numpy_overflow_semantics(law, x):
         fast = law.force_at(x), law.stored_energy(x)
         reference = tuple(_element(fn, x) for fn in (law.force_at, law.stored_energy))
     assert _bits(fast) == _bits(reference)
+
+
+# -- clip_domain's in-domain float shortcut -----------------------------------------
+
+CLIP_ENDS = [X_MAX, SHORT_PROFILE.theta_max, GAP + R * SHORT_PROFILE.theta_max, 3.0]
+
+
+@pytest.mark.parametrize("hi", CLIP_ENDS)
+def test_clip_domain_gives_a_float_the_value_numpy_inputs_get(hi):
+    # a Python float in [0, hi] returns at once; an np.float64 and a 1-element
+    # array take the full read, slack clip included
+    for x in _edges(hi):
+        as_float, as_numpy = clip_domain(x, hi), clip_domain(np.float64(x), hi)
+        as_array = clip_domain(np.array([x]), hi)
+        assert _bits(as_float) == _bits(as_numpy) == _bits(float(as_array[0]))
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (math.nan, "displacement must be finite"),
+        (math.inf, "displacement must be finite"),
+        (-math.inf, "displacement must be finite"),
+        (-1e-3, "value range [-0.001, -0.001] outside domain [0, 0.12]"),
+        (-4e-12, "value range [-4e-12, -4e-12] outside domain [0, 0.12]"),
+        (X_MAX + 4e-12, "value range [0.12, 0.12] outside domain [0, 0.12]"),
+        (0.2, "value range [0.2, 0.2] outside domain [0, 0.12]"),
+    ],
+    ids=["nan", "inf", "-inf", "below", "below_slack", "above_slack", "above"],
+)
+@pytest.mark.parametrize("wrap", [float, np.float64, lambda x: np.array([x])],
+                         ids=["float", "float64", "array"])
+def test_clip_domain_refuses_a_value_outside_the_domain(x, text, wrap):
+    with pytest.raises(DomainError) as info:
+        clip_domain(wrap(x), X_MAX)
+    assert str(info.value) == text
