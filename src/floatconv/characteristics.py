@@ -283,7 +283,7 @@ class ForceCharacteristic:
                     raise ValidationError(
                         f"tabulated x values must be strictly increasing, got {a} then {b}"
                     )
-            if self.x_max > xs[-1] * (1 + 1e-12):
+            if self.x_max > xs[-1] + _slack(xs[-1]):
                 raise ValidationError(f"x_max {self.x_max} exceeds last tabulated x {xs[-1]}")
         else:
             raise ValidationError(f"unknown characteristic kind {_shown(self.kind)}")
@@ -387,10 +387,10 @@ class ForceCharacteristic:
         """
         force = _real("force", force)
         if self.kind == LINEAR:
-            # a 1e-12 slack for a target rounded at the domain's end
-            if not 0.0 <= force <= self.k * self.x_max * (1 + 1e-12):
+            x = force / self.k
+            if not 0.0 <= x <= self.x_max + _slack(self.x_max):
                 raise UnreachableForce(f"{force:g} N outside characteristic range")
-            return force / self.k
+            return x
         if self.kind == CONSTANT:
             if force != self.f0:
                 raise UnreachableForce(f"{force:g} N outside characteristic range")

@@ -25,8 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .characteristics import (
-    ForceCharacteristic, _at_least, _columns, _count, _finite, _floats, _real, clip_domain,
-    cumulative_trapezoid,
+    ForceCharacteristic, _at_least, _columns, _count, _finite, _floats, _real, _slack,
+    clip_domain, cumulative_trapezoid,
 )
 from .errors import (
     DomainError,
@@ -116,7 +116,7 @@ class FloatingConverter:
         u_min, u_max = _real("u_min", u_min), _real("u_max", u_max)
         if not 0 <= u_min < u_max:
             raise ValidationError(f"need 0 <= u_min < u_max, got [{u_min}, {u_max}]")
-        if u_max > self.u_max * (1 + 1e-12):
+        if u_max > self.u_max + _slack(self.u_max):   # an inf end never reaches np.linspace
             raise DomainError(
                 f"sweep end {u_max:g} m exceeds converter range {self.u_max:g} m"
             )

@@ -30,7 +30,6 @@ from .converter import FloatingConverter
 from .errors import (
     ActuatorStall,
     BackdriveFault,
-    DomainError,
     UnreachableForce,
     UnreachableObject,
     ValidationError,
@@ -67,7 +66,7 @@ class GripperModel:
         _length("stage_travel", self.stage_travel)
         _at_least("actuator_force_cap", self.actuator_force_cap, 0, strict=True)
         reach = self.stage_travel + self.converter.left.x_max
-        if not 0 < self.object_position <= reach:
+        if not 0 < self.object_position <= reach + _slack(reach):
             raise ValidationError(
                 f"object at {self.object_position} m outside reach (0, {reach:g}] m"
             )
@@ -168,11 +167,12 @@ def plan_grasp(model: GripperModel, target_grip: float) -> GraspPlan:
     # one step short of the object; the 1e-9 guard keeps exact multiples
     # from landing the jaw on the object
     n_stop = max(math.ceil(model.object_position / step - 1e-9) - 1, 0)
-    if n_stop * step > model.stage_travel * (1 + 1e-12):
+    if n_stop * step > model.stage_travel + _slack(model.stage_travel):
         n_stop = int(model.stage_travel / step * (1 + 1e-12))
     gap_x = model.object_position - n_stop * step
 
-    if model.object_position > model.stage_travel + stroke + 1e-15:
+    reach = model.stage_travel + stroke
+    if model.object_position > reach + _slack(reach):
         raise UnreachableObject(
             f"object at {model.object_position:g} m beyond stage travel "
             f"{model.stage_travel:g} m plus stroke {stroke:g} m"
@@ -187,19 +187,13 @@ def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
     (last tick clamped onto the stroke), grip force follows the working
     characteristic, and the actuator must supply the converter operating
     force plus the friction band. Exceeds of the force cap raise
-    ActuatorStall; any grip reaction without a latch raises BackdriveFault.
+    ActuatorStall; any grip reaction without a latch raises BackdriveFault;
+    the first tick past the pulley's or the law's range raises DomainError.
     The plan's gap, which may not pass the object, replaces the converter's.
     """
     if plan.gap_x > model.object_position:
         raise ValidationError(f"gap_x {plan.gap_x:g} m past object at {model.object_position:g} m")
     conv = replace(model.converter, gap_x=plan.gap_x)
-    R = conv.profile.circular_radius
-    if plan.converter_stroke > plan.gap_x + R * conv.profile.theta_max * (1 + 1e-12):
-        raise DomainError(
-            f"stroke {plan.converter_stroke:g} m exceeds pulley range "
-            f"{plan.gap_x + R * conv.profile.theta_max:g} m"
-        )
-
     step = model.stage_step
     stage_stop = model.object_position - plan.gap_x
     n_position = round(stage_stop / step)

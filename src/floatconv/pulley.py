@@ -38,12 +38,7 @@ from .characteristics import (
     _reals,
     clip_domain,
 )
-from .errors import (
-    DomainError,
-    NumericalError,
-    SingularityError,
-    ValidationError,
-)
+from .errors import NumericalError, SingularityError, ValidationError
 
 DEFAULT_PROFILE_SAMPLES = 512
 DEFAULT_SPRING_STEPS = 2048
@@ -103,14 +98,21 @@ class CounterElement:
         """Payout (m) after releasing ``energy`` (J), exact at k2 = 0; inf at an infinite energy.
 
         The cancellation-free positive root of t0*s + k2*s**2/2 = E; a
-        negative discriminant (tension through zero) is clamped to 0.
+        negative discriminant (tension through zero) is clamped to 0. Where the
+        discriminant overflows, the same root is taken with every term scaled by 1/4.
         """
         energy = _reals("energy", energy)
-        disc = self.t0 * self.t0
-        if self.k2 != 0:
-            disc = np.maximum(disc + 2.0 * self.k2 * energy, 0.0)
-        with np.errstate(invalid="ignore"):   # inf / inf, where the payout is inf
+        with np.errstate(all="ignore"):   # an overflowed disc, and what each np.where drops
+            disc = self.t0 * self.t0
+            if self.k2 != 0:
+                disc = np.maximum(disc + 2.0 * self.k2 * energy, 0.0)
             payout = np.where(energy == np.inf, np.inf, 2.0 * energy / (self.t0 + np.sqrt(disc)))
+            overflow = ~np.isfinite(disc)
+            if overflow.any():   # sqrt(disc)/4 from q = t0/4 and a = sqrt(k2*|E|/8), unsquared
+                q, a = 0.25 * self.t0, np.sqrt(self.k2 / 8.0) * np.sqrt(np.abs(energy))
+                below = q * np.sqrt(np.maximum(1.0 - np.square(a / q), 0.0))   # at E < 0
+                root = np.where(energy < 0, below, np.hypot(q, a))
+                payout = np.where(overflow & (energy != np.inf), 0.5 * energy / (q + root), payout)
         return float(payout) if type(energy) is float else payout
 
 
@@ -252,11 +254,6 @@ def _synthesize(
     _at_least("circular radius", R, 0, strict=True)
     theta_max = target.x_max / R if theta_max is None else _finite("theta_max", theta_max)
     _at_least("theta_max", theta_max, 0, strict=True)
-    if R * theta_max > target.x_max * (1 + 1e-12):
-        raise DomainError(
-            f"target domain [0, {target.x_max:g}] m too short for "
-            f"R*theta_max = {R * theta_max:g} m"
-        )
     thetas = np.linspace(0.0, theta_max, n_samples)
     forces = target.force_at(R * thetas)
     if np.any(forces < 0):

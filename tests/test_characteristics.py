@@ -29,7 +29,7 @@ from floatconv import (
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
-from floatconv.characteristics import PiecewiseLinear, clip_domain
+from floatconv.characteristics import PiecewiseLinear, _slack, clip_domain
 
 stiffness = st.floats(min_value=1e-2, max_value=1e5, allow_nan=False)
 extension_limit = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
@@ -279,6 +279,31 @@ def test_linear_and_tabulated_extension_formulas():
     # a flat segment inverts to its left end
     assert tab.extension_at(2.0) == 0.05
     assert tab.extension_at(6.0) == 0.08 + (6.0 - 2.0) / (10.0 - 2.0) * (0.12 - 0.08)
+
+
+# One end rule: a length up to _slack(end) past an end is accepted, the next float refused.
+
+
+@pytest.mark.parametrize("x_max", [0.12, 5.0])
+def test_linear_extension_ends_at_the_slack(x_max):
+    char = ForceCharacteristic.linear(k=4.0, x_max=x_max)   # F / 4 is exact
+    end = x_max + _slack(x_max)
+    assert char.extension_at(4.0 * end) == end
+    force = 4.0 * math.nextafter(end, math.inf)
+    with pytest.raises(UnreachableForce) as info:
+        char.extension_at(force)
+    assert str(info.value) == f"{force:g} N outside characteristic range"
+
+
+@pytest.mark.parametrize("last", [0.12, 5.0])
+def test_tabulated_x_max_ends_at_the_slack(last):
+    points = [(0.0, 0.0), (last, 10.0)]
+    end = last + _slack(last)
+    assert ForceCharacteristic.tabulated(points, x_max=end).force_at(end) == 10.0
+    past = math.nextafter(end, math.inf)
+    with pytest.raises(ValidationError) as info:
+        ForceCharacteristic.tabulated(points, x_max=past)
+    assert str(info.value) == f"x_max {past} exceeds last tabulated x {last}"
 
 
 @pytest.mark.parametrize(

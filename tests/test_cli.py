@@ -645,6 +645,28 @@ def test_synthesis_overflow_is_one_error_line(tmp_path, section, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "theta_max_deg, argv, err",
+    [
+        # R*theta_max = 0.139626 m of synthesis samples past the spring's 0.1205 m
+        (400, ["synthesize"], "value range [0, 0.139626] outside domain [0, 0.1205]"),
+        # the 0.1 m stroke to 10 N past the pulley's 0.0798 m range: the first
+        # gripping tick past it, u = 0.08 m, is refused
+        (200, ["grasp", "--target-force-n", "10"],
+         "value range [0.08, 0.08] outside domain [0, 0.0798132]"),
+    ],
+    ids=["synthesize_past_the_spring", "grasp_past_the_pulley"],
+)
+def test_a_range_past_a_domain_end_is_one_domain_error_line(tmp_path, theta_max_deg, argv, err):
+    cfg = json.loads((CONFIGS / "gripper.json").read_text(encoding="utf-8"))
+    cfg["pulley"]["theta_max_deg"] = theta_max_deg
+    out = tmp_path / "out.csv"
+    proc = run_module(*argv, "--config", write_config(tmp_path, cfg), "--out", str(out),
+                      cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"ERR:DomainError:{err}\n")
+    assert not out.exists()
+
+
 def test_sweep_with_a_non_finite_summary_exits_2_before_writing(tmp_path):
     # a 1e308 N friction offset over a spring force near 0 overflows ratio_point
     cfg = gripper_config()

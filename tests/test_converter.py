@@ -1,6 +1,7 @@
 """Operating force, sweeps, friction bands, energy ledger, equilibrium."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from floatconv import (
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
+from floatconv.characteristics import _slack
 from floatconv.converter import (
     _EQUILIBRIUM_SCAN, EQUILIBRIUM_U_TOL, MAX_SWEEP_ROWS, SweepTable,
 )
@@ -130,6 +132,21 @@ def test_sweep_validation():
         conv.sweep(0.05, 0.01, 16)
     with pytest.raises(DomainError):
         conv.sweep(0.0, conv.u_max * 1.5, 16)
+
+
+@pytest.mark.parametrize("x_max", [None, 5.0], ids=["pulley_end", "law_end"])
+def test_sweep_end_ends_at_the_slack(x_max):
+    # u_max is the pulley's 0.1204 m range, or the end of a 5 m law whose pulley
+    # reaches 10 m past a 5 m gap
+    conv = matched_converter(x_max=x_max, gap_x=0.0 if x_max is None else 5.0)
+    end = conv.u_max + _slack(conv.u_max)
+    assert conv.sweep(0.0, end, 2).u.tolist() == [0.0, end]
+    for past in (math.nextafter(end, math.inf), math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no inf reaches np.linspace
+            with pytest.raises(DomainError) as info:
+                conv.sweep(0.0, past, 2)
+        assert str(info.value) == f"sweep end {past:g} m exceeds converter range {conv.u_max:g} m"
 
 
 @pytest.mark.parametrize("n", [MAX_SWEEP_ROWS + 1, 2.5, True, 1, 0, "512", 2**40])

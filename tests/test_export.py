@@ -543,17 +543,23 @@ def test_encoder_matches_percent_format_on_matrices(rows):
     assert _encode(values, (6, 6, 0), (" L ", ",", "\n")) == want
 
 
-_WHOLE = st.from_regex(r"[0-9]{1,10}", fullmatch=True)
-_FIXED6 = st.tuples(st.sampled_from(["", "-"]), _WHOLE, st.from_regex(r"[0-9]{6}", fullmatch=True))
+_NUMERALS = "0123456789"
+# a sign, at most one leading digit, then 7 to 15 digits, the last six the decimals:
+# a whole part of 1 to 10 digits, drawn far faster by st.text than by st.from_regex.
+# A 10-digit one, which the decoder hands to the row loop, needs both texts at their
+# longest, so most examples reach the decoder's own path.
+_FIXED6 = st.tuples(st.sampled_from(["", "-"]), st.text(_NUMERALS, max_size=1),
+                    st.text(_NUMERALS, min_size=7, max_size=15))
 
 
 @settings(deadline=None, max_examples=300, derandomize=True, database=None)
 @given(rows=st.lists(st.tuples(_FIXED6, _FIXED6), min_size=2, max_size=8))
 def test_decoder_reads_fixed6_fields_as_float_does(rows):
-    fields = [f"{sign}{whole}.{frac}" for row in rows for sign, whole, frac in row]
+    parts = [(sign, lead + digits[:-6], digits[-6:]) for row in rows for sign, lead, digits in row]
+    fields = [f"{sign}{whole}.{frac}" for sign, whole, frac in parts]
     text = HEADER + "".join(f"{a},{b}\n" for a, b in zip(fields[0::2], fields[1::2]))
     got = _decode(text)
-    if max(len(whole) for row in rows for _, whole, _ in row) > 9:
+    if max(len(whole) for _, whole, _ in parts) > 9:
         assert got is None   # a 10-digit whole part goes to the row loop
     else:
         assert got.tobytes() == np.array([float(f) for f in fields]).tobytes()

@@ -31,7 +31,7 @@ from floatconv import (
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
-from floatconv.characteristics import MAX_LENGTH, clip_domain
+from floatconv.characteristics import MAX_LENGTH, _slack, clip_domain
 from floatconv.gripper import GRIP_FORCE_TOL
 
 THETA_MAX = math.radians(345.0)
@@ -328,6 +328,73 @@ def test_stroke_beyond_pulley_range_rejected():
         simulate_grasp(model, bad_plan)
 
 
+def _short_pulley_model(mu):
+    """configs/gripper.json with a 200 degree pulley: R*theta_max = 0.0698 m, so the
+    converter's range, 0.0798 m past a 0.01 m gap, ends short of the 0.1 m stroke to 10 N."""
+    spring = ForceCharacteristic.linear(k=100.0, x_max=0.1205)
+    profile = synthesize_weight_counter(spring, 0.02, 10.0, theta_max=math.radians(200.0))
+    conv = FloatingConverter(spring, profile, CounterElement.weight(10.0), friction_mu=mu)
+    return GripperModel(conv, 0.1, 0.01, True, 2.0, 0.05)
+
+
+@pytest.mark.parametrize(
+    "mu, want",
+    [
+        # frictionless, the effort stays at k*gap = 1 N: the first tick past the
+        # pulley's range, u = 0.08 m, is refused
+        (0.0, (DomainError, "value range [0.08, 0.08] outside domain [0, 0.0798132]")),
+        # friction adds mu times the counter force to the effort: it passes the
+        # 2 N cap at u = 0.05 m, before the stroke leaves the pulley
+        (0.3, (ActuatorStall, "tick 9: operating force 2.2 N exceeds cap 2 N")),
+    ],
+    ids=["past_the_pulley", "stall_first"],
+)
+def test_a_stroke_past_the_pulley_faults_at_the_first_failing_tick(mu, want):
+    model = _short_pulley_model(mu)
+    plan = plan_grasp(model, 10.0)
+    assert (plan.gap_x, plan.converter_stroke) == pytest.approx((0.01, 0.1), rel=1e-12)
+    assert _outcome(simulate_grasp, model, plan) == want
+    assert _outcome(reference_simulate_grasp, model, plan) == want
+
+
+# One end rule: a length up to _slack(end) past an end is accepted, the next float refused.
+
+
+def _unit_law_model(travel, step, obj):
+    """A linear 1 N/m law on [0, 3] m: the stroke to a grip of F N is F m."""
+    law = ForceCharacteristic.linear(k=1.0, x_max=3.0)
+    conv = FloatingConverter(law, synthesize_weight_counter(law, 0.02, 10.0),
+                             CounterElement.weight(10.0))
+    return GripperModel(conv, travel, step, True, 1e9, obj)
+
+
+def test_object_reach_ends_at_the_slack():
+    end = 4.0 + _slack(4.0)   # stage travel 1 m plus the law's 3 m
+    assert _unit_law_model(1.0, 0.5, end).object_position == end
+    past = math.nextafter(end, math.inf)
+    with pytest.raises(ValidationError) as info:
+        _unit_law_model(1.0, 0.5, past)
+    assert str(info.value) == f"object at {past} m outside reach (0, 4] m"
+
+
+def test_plan_reach_ends_at_the_slack():
+    end = 2.0 + _slack(2.0)   # stage travel 1 m plus the 1 m stroke to 1 N
+    assert plan_grasp(_unit_law_model(1.0, 0.5, end), 1.0).converter_stroke == 1.0
+    past = math.nextafter(end, math.inf)
+    with pytest.raises(UnreachableObject) as info:
+        plan_grasp(_unit_law_model(1.0, 0.5, past), 1.0)
+    assert str(info.value) == f"object at {past:g} m beyond stage travel 1 m plus stroke 1 m"
+
+
+def test_stage_stop_ends_at_the_slack():
+    # one step short of an object 1.5 steps out is one step: the stage keeps it
+    # while that step ends inside the slack past its 1 mm travel, else it stays put
+    end = 1e-3 + _slack(1e-3)
+    for step, stop in [(end, 1), (math.nextafter(end, math.inf), 0)]:
+        obj = 1.5 * step
+        assert plan_grasp(_unit_law_model(1e-3, step, obj), 0.01).gap_x == obj - stop * step
+
+
 TWO_ROWS = ([0.0, 1.0], [0.0, 2.0], [0.0, 1.0])
 THREE_ROWS = ([0.0, 1.0, 2.0], [0.0, 2.0, 2.0], [0.0, 1.0, 1.0])
 
@@ -388,12 +455,6 @@ def reference_simulate_grasp(model, plan):
     public, clip-checked force_at and realized_force."""
     conv = replace(model.converter, gap_x=plan.gap_x)
     R = conv.profile.circular_radius
-    if plan.converter_stroke > plan.gap_x + R * conv.profile.theta_max * (1 + 1e-12):
-        raise DomainError(
-            f"stroke {plan.converter_stroke:g} m exceeds pulley range "
-            f"{plan.gap_x + R * conv.profile.theta_max:g} m"
-        )
-
     step = model.stage_step
     stage_stop = model.object_position - plan.gap_x
     n_position = round(stage_stop / step)

@@ -2,11 +2,13 @@
 
 import math
 import struct
+import warnings
 from dataclasses import astuple
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floatconv import (
@@ -474,9 +476,73 @@ def test_finite_counter_values_are_unchanged_bit_for_bit(t0, k2, x, method):
         before = float(_formula_before_the_dead_weight_skip(counter, method, x))
         got = getattr(counter, method)(x)
         column = getattr(counter, method)(np.array([x]))
-    if math.isfinite(before):
+    # a payout whose discriminant overflows (to inf, or to nan as inf - inf) was
+    # 0.0 or nan: the tests below check it
+    overflows = method == "payout_for_energy" and not t0 * t0 + 2.0 * k2 * x < math.inf
+    if math.isfinite(before) and not overflows:
         assert struct.pack("<d", got) == struct.pack("<d", before)
         assert struct.pack("<d", column[0]) == struct.pack("<d", before)
+
+
+def _exact_payout(counter, energy):
+    """The root 2E / (t0 + sqrt(max(t0**2 + 2*k2*E, 0))) in 60-digit decimals, rounded once."""
+    t0, k2, e = (Decimal(v) for v in (counter.t0, counter.k2, energy))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(2 * e / (t0 + max(t0 * t0 + 2 * k2 * e, Decimal(0)).sqrt()))
+
+
+@pytest.mark.parametrize(
+    "counter, energy, want",
+    [
+        # 2*k2*E overflows: the payout read 0.0
+        (CounterElement.spring(10.0, 40.0), 1e307, 7.071067811865475e152),
+        # t0*t0 overflows: a dead weight's payout is exactly E / t0
+        (CounterElement.weight(1e200), 1.0, 1e-200),
+        (CounterElement.weight(1e308), 1e300, 1e300 / 1e308),
+        (CounterElement.weight(1e200), -3.0, -3.0 / 1e200),
+        (CounterElement.spring(1e200, 1.0), 1.0, 1e-200),
+        # both overflow, t0*t0 to inf and 2*k2*E to -inf: the tension passes through
+        # zero, and the clamped discriminant leaves 2E / t0
+        (CounterElement.spring(1e200, 1e110), -1e291, 2 * -1e291 / 1e200),
+    ],
+    ids=["spring_energy", "weight", "weight_near_the_float_limit", "weight_negative",
+         "spring_pretension", "spring_through_zero"],
+)
+def test_payout_where_the_discriminant_overflows(counter, energy, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = counter.payout_for_energy(energy)
+        column = counter.payout_for_energy(np.array([energy, math.inf]))
+    assert type(got) is float and got == pytest.approx(want, rel=1e-15, abs=0.0)
+    if counter.k2 == 0:
+        assert got == energy / counter.t0
+    assert struct.pack("<d", column[0]) == struct.pack("<d", got) and column[1] == math.inf
+
+
+_HUGE = st.floats(1e154, 1.7e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t0=st.one_of(st.just(0.0), st.floats(0.0, 1e6), _HUGE),
+    k2=st.one_of(st.just(0.0), st.floats(0.0, 1e6), _HUGE),
+    energy=st.one_of(_HUGE, st.floats(-1.7e308, 1.7e308)),
+)
+def test_an_overflowed_discriminant_gives_the_exact_root(t0, k2, energy):
+    # t0 = 0 at E = 0 is the 0/0 of a slack spring, nan whether or not disc overflows
+    assume(t0 > 0 or (k2 > 0 and energy != 0))
+    assume(not t0 * t0 + 2.0 * k2 * energy < math.inf)   # inf, or nan as inf - inf
+    counter = CounterElement(t0, k2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = counter.payout_for_energy(energy)
+        column = counter.payout_for_energy(np.array([energy]))
+    assert struct.pack("<d", column[0]) == struct.pack("<d", got)
+    assert math.isfinite(got)
+    assert got == pytest.approx(_exact_payout(counter, energy), rel=1e-14, abs=1e-300)
+    if k2 == 0:
+        assert got == energy / t0
 
 
 def test_weight_is_the_zero_stiffness_spring():
