@@ -94,26 +94,22 @@ class CounterElement:
         # it still makes t0 * -0.0 a +0.0.
         return self.t0 * s + (0.0 if self.k2 == 0 else 0.5 * self.k2 * (s * s))
 
-    def payout_for_energy(self, energy):
-        """Payout (m) after releasing ``energy`` (J), exact at k2 = 0; inf at an infinite energy.
-
-        The cancellation-free positive root of t0*s + k2*s**2/2 = E; a
-        negative discriminant (tension through zero) is clamped to 0. Where the
-        discriminant overflows, the same root is taken with every term scaled by 1/4.
-        """
+    def tension_for_energy(self, energy):
+        """Tension (N) after releasing ``energy`` (J), from T**2 = t0**2 + 2*k2*E (dT/ds = k2,
+        dE/ds = T) with no square formed: 0 where T would pass zero, t0 at any E if k2 = 0."""
         energy = _reals("energy", energy)
-        with np.errstate(all="ignore"):   # an overflowed disc, and what each np.where drops
-            disc = self.t0 * self.t0
-            if self.k2 != 0:
-                disc = np.maximum(disc + 2.0 * self.k2 * energy, 0.0)
-            payout = np.where(energy == np.inf, np.inf, 2.0 * energy / (self.t0 + np.sqrt(disc)))
-            overflow = ~np.isfinite(disc)
-            if overflow.any():   # sqrt(disc)/4 from q = t0/4 and a = sqrt(k2*|E|/8), unsquared
-                q, a = 0.25 * self.t0, np.sqrt(self.k2 / 8.0) * np.sqrt(np.abs(energy))
-                below = q * np.sqrt(np.maximum(1.0 - np.square(a / q), 0.0))   # at E < 0
-                root = np.where(energy < 0, below, np.hypot(q, a))
-                payout = np.where(overflow & (energy != np.inf), 0.5 * energy / (q + root), payout)
-        return float(payout) if type(energy) is float else payout
+        if self.k2 == 0:
+            return self.t0 if type(energy) is float else np.full_like(energy, self.t0)
+        # halving and doubling, exact above 1, keep 2*k2 and t0 + a finite
+        rate = 2.0 * np.sqrt(0.5 * self.k2) if self.k2 > 1.0 else np.sqrt(2.0 * self.k2)
+        half = 0.5 if self.t0 > 1.0 else 1.0
+        with np.errstate(over="ignore"):   # inf past the float range
+            a = rate * np.sqrt(np.abs(energy))
+            tension = np.hypot(self.t0, a)
+            if np.any(energy < 0):   # T**2 = (t0 - a)*(t0 + a), with a capped at t0
+                t, b = half * self.t0, half * np.minimum(a, self.t0)
+                tension = np.where(energy >= 0, tension, np.sqrt(t - b) * np.sqrt(t + b) / half)
+        return float(tension) if type(energy) is float else tension
 
 
 @dataclass(frozen=True)
@@ -243,12 +239,12 @@ def _synthesize(
     n_samples: int,
     theta_max: float | None,
 ) -> PulleyProfile:
-    """r = R*F/T(s) on n_samples nodes, with the payout s in closed form.
+    """r = R*F/T on n_samples nodes, with the counter tension T in closed form.
 
-    With ds/dtheta = r the balance r*T(s) = R*F integrates to an energy
-    balance: the counter releases the energy E(R*theta) the target stores,
-    so s = counter.payout_for_energy(E). The profile must reproduce the
-    target within SPRING_SYNTHESIS_RTOL of the peak force.
+    With ds/dtheta = r the balance r*T(s) = R*F integrates to an energy balance:
+    the counter releases the energy E(R*theta) the target stores, so T is
+    counter.tension_for_energy(E), 0 at theta = 0 without pretension. The profile
+    must reproduce the target within SPRING_SYNTHESIS_RTOL of the peak force.
     """
     R = _finite("circular_radius", R)
     _at_least("circular radius", R, 0, strict=True)
@@ -258,15 +254,7 @@ def _synthesize(
     forces = target.force_at(R * thetas)
     if np.any(forces < 0):
         raise ValidationError("counter synthesis requires a non-negative target force")
-    if counter.t0 == 0:
-        # checked before the payout formula, which is 0/0 at theta=0
-        if forces[0] > 0:
-            raise SingularityError(
-                "nonzero target force at theta=0 with zero pretension leaves r(0) unbalanced"
-            )
-        raise SingularityError("zero pretension leaves the counter tension at 0 N at theta=0")
-
-    tension = counter.tension(counter.payout_for_energy(target.stored_energy(R * thetas)))
+    tension = counter.tension_for_energy(target.stored_energy(R * thetas))
     if np.any(tension <= 0):
         raise SingularityError("counter tension reached zero while recovering radii")
     radii = R * forces / tension
@@ -311,8 +299,8 @@ def synthesize_spring_counter(
 ) -> PulleyProfile:
     """Shape a pulley so a secondary spring reproduces the target force law.
 
-    The payout solves the energy balance t0*s + k2*s**2/2 = E(R*theta) on
-    n_steps + 1 nodes; a counter with k2 = 0 gives the dead-weight profile.
+    The tension follows from the energy balance T**2 = t0**2 + 2*k2*E(R*theta)
+    on n_steps + 1 nodes; a counter with k2 = 0 gives the dead-weight profile.
     """
     _count("n_steps", n_steps, 1, MAX_PROFILE_SAMPLES - 1)
     return _synthesize(target, circular_radius, counter, n_steps + 1, theta_max)

@@ -479,7 +479,7 @@ def _one_argument_calls():
     return [(name, fn) for name, fn, _ in EVALUATORS] + [
         ("tension", counter.tension),
         ("released_energy", counter.released_energy),
-        ("payout_for_energy", counter.payout_for_energy),
+        ("tension_for_energy", counter.tension_for_energy),
         ("energy_ledger.u0", lambda v: conv.energy_ledger(v, 0.05)),
         ("energy_ledger.u1", lambda v: conv.energy_ledger(0.05, v)),
         ("sweep.u_min", lambda v: conv.sweep(v, 0.05, 8)),

@@ -667,6 +667,29 @@ def test_a_range_past_a_domain_end_is_one_domain_error_line(tmp_path, theta_max_
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spring",
+    [
+        None,   # the config's own linear law, F(0) = 0
+        {"type": "power_law", "c": 0.002, "d_m": 0.005, "p": 2.0, "max_extension_m": 0.03},
+    ],
+    ids=["linear", "power_law"],
+)
+def test_a_counter_without_pretension_is_singular_at_theta_0(tmp_path, spring):
+    # with t0 = 0 the counter's tension at theta = 0 is 0, whatever F(0) is
+    cfg = json.loads((CONFIGS / "spring_counter.json").read_text(encoding="utf-8"))
+    cfg["counter"]["t0_n"] = 0
+    if spring is not None:
+        cfg["spring"] = spring
+    out = tmp_path / "profile.csv"
+    proc = run_module("synthesize", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                      cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "ERR:SingularityError:counter tension reached zero while recovering radii\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_with_a_non_finite_summary_exits_2_before_writing(tmp_path):
     # a 1e308 N friction offset over a spring force near 0 overflows ratio_point
     cfg = gripper_config()

@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floatconv import (
@@ -374,10 +374,10 @@ def test_spring_counter_matches_ten_x_resolution_oracle():
 
 def test_spring_counter_singularities():
     const = ForceCharacteristic.constant(f0=10.0, x_max=0.2)
-    with pytest.raises(SingularityError):
+    with pytest.raises(SingularityError, match="reached zero"):
         synthesize_spring_counter(const, 0.02, CounterElement.spring(t0=0.0, k2=50.0))
     lin = make_linear()
-    with pytest.raises(SingularityError):
+    with pytest.raises(SingularityError, match="reached zero"):
         # zero tension at theta=0 with zero initial force is still singular
         synthesize_spring_counter(lin, 0.02, CounterElement.spring(t0=0.0, k2=50.0))
 
@@ -431,16 +431,18 @@ WEIGHT, SPRING = CounterElement.weight(10.0), CounterElement.spring(t0=10.0, k2=
         (WEIGHT, "released_energy", 10**400, math.inf),
         # a finite payout whose square overflows
         (WEIGHT, "released_energy", 1e200, 10.0 * 1e200),
-        (WEIGHT, "payout_for_energy", math.inf, math.inf),
-        (WEIGHT, "payout_for_energy", -math.inf, -math.inf),
-        (SPRING, "payout_for_energy", math.inf, math.inf),
+        (WEIGHT, "tension_for_energy", math.inf, 10.0),
+        (WEIGHT, "tension_for_energy", -math.inf, 10.0),
+        (SPRING, "tension_for_energy", math.inf, math.inf),
+        (SPRING, "tension_for_energy", -math.inf, 0.0),
         (SPRING, "tension", math.inf, math.inf),
         (SPRING, "released_energy", math.inf, math.inf),
     ],
     ids=["weight-tension-inf", "weight-tension--inf", "weight-tension-huge_int",
          "weight-released_energy-inf", "weight-released_energy-huge_int",
-         "weight-released_energy-1e200", "weight-payout_for_energy-inf",
-         "weight-payout_for_energy--inf", "spring-payout_for_energy-inf",
+         "weight-released_energy-1e200", "weight-tension_for_energy-inf",
+         "weight-tension_for_energy--inf", "spring-tension_for_energy-inf",
+         "spring-tension_for_energy--inf",
          "spring-tension-inf", "spring-released_energy-inf"],
 )
 def test_counter_values_at_an_infinite_argument_are_not_nan(counter, method, value, expected):
@@ -456,10 +458,7 @@ def _formula_before_the_dead_weight_skip(counter, method, x):
     """Each counter formula with its k2 term always evaluated."""
     if method == "tension":
         return counter.t0 + counter.k2 * x
-    if method == "released_energy":
-        return counter.t0 * x + 0.5 * counter.k2 * (x * x)
-    disc = np.maximum(counter.t0 * counter.t0 + 2.0 * counter.k2 * x, 0.0)
-    return 2.0 * x / (counter.t0 + np.sqrt(disc))
+    return counter.t0 * x + 0.5 * counter.k2 * (x * x)
 
 
 @settings(max_examples=300, deadline=None)
@@ -468,7 +467,7 @@ def _formula_before_the_dead_weight_skip(counter, method, x):
     k2=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
     x=st.one_of(st.sampled_from([0.0, -0.0, 1e-320, 1e200, -1e200, 1e308]),
                 st.floats(allow_nan=False, allow_infinity=False)),
-    method=st.sampled_from(["tension", "released_energy", "payout_for_energy"]),
+    method=st.sampled_from(["tension", "released_energy"]),
 )
 def test_finite_counter_values_are_unchanged_bit_for_bit(t0, k2, x, method):
     counter = CounterElement(t0, k2)
@@ -476,73 +475,88 @@ def test_finite_counter_values_are_unchanged_bit_for_bit(t0, k2, x, method):
         before = float(_formula_before_the_dead_weight_skip(counter, method, x))
         got = getattr(counter, method)(x)
         column = getattr(counter, method)(np.array([x]))
-    # a payout whose discriminant overflows (to inf, or to nan as inf - inf) was
-    # 0.0 or nan: the tests below check it
-    overflows = method == "payout_for_energy" and not t0 * t0 + 2.0 * k2 * x < math.inf
-    if math.isfinite(before) and not overflows:
+    if math.isfinite(before):
         assert struct.pack("<d", got) == struct.pack("<d", before)
         assert struct.pack("<d", column[0]) == struct.pack("<d", before)
 
 
-def _exact_payout(counter, energy):
-    """The root 2E / (t0 + sqrt(max(t0**2 + 2*k2*E, 0))) in 60-digit decimals, rounded once."""
+def _exact_tension(counter, energy):
+    """sqrt(max(t0**2 + 2*k2*E, 0)) in 60-digit decimals, with that square."""
     t0, k2, e = (Decimal(v) for v in (counter.t0, counter.k2, energy))
     with localcontext() as ctx:
         ctx.prec = 60
-        return float(2 * e / (t0 + max(t0 * t0 + 2 * k2 * e, Decimal(0)).sqrt()))
+        square = max(t0 * t0 + 2 * k2 * e, Decimal(0))
+        return square.sqrt(), square
 
 
 @pytest.mark.parametrize(
     "counter, energy, want",
     [
-        # 2*k2*E overflows: the payout read 0.0
-        (CounterElement.spring(10.0, 40.0), 1e307, 7.071067811865475e152),
-        # t0*t0 overflows: a dead weight's payout is exactly E / t0
-        (CounterElement.weight(1e200), 1.0, 1e-200),
-        (CounterElement.weight(1e308), 1e300, 1e300 / 1e308),
-        (CounterElement.weight(1e200), -3.0, -3.0 / 1e200),
-        (CounterElement.spring(1e200, 1.0), 1.0, 1e-200),
-        # both overflow, t0*t0 to inf and 2*k2*E to -inf: the tension passes through
-        # zero, and the clamped discriminant leaves 2E / t0
-        (CounterElement.spring(1e200, 1e110), -1e291, 2 * -1e291 / 1e200),
+        # 2*k2*E overflows
+        (CounterElement.spring(10.0, 40.0), 1e307, 2.82842712474619e154),
+        # t0*t0 overflows: a dead weight's tension is t0 at any energy
+        (CounterElement.weight(1e200), 1.0, 1e200),
+        (CounterElement.weight(1e308), 1e300, 1e308),
+        (CounterElement.weight(1e200), -3.0, 1e200),
+        (CounterElement.spring(1e200, 1.0), 1.0, 1e200),
+        # both overflow, t0*t0 to inf and 2*k2*E to -inf: the tension passes through zero
+        (CounterElement.spring(1e200, 1e110), -1e291, 0.0),
+        # 2*E overflows
+        (CounterElement.weight(10.0), 1e308, 10.0),
+        (CounterElement.spring(10.0, 1e-10), 1e308, 1.414213562373095e149),
+        # 2*k2 overflows, and t0 + a below E = 0
+        (CounterElement(0.0, 1.7e308), 1.0, 1.8439088914585775e154),
+        (CounterElement(1.7e308, 1e308), -1e308, 9.433981132056602e307),
     ],
     ids=["spring_energy", "weight", "weight_near_the_float_limit", "weight_negative",
-         "spring_pretension", "spring_through_zero"],
+         "spring_pretension", "spring_through_zero", "weight_double_energy",
+         "spring_double_energy", "spring_double_rate", "spring_sum_below_zero"],
 )
-def test_payout_where_the_discriminant_overflows(counter, energy, want):
+def test_tension_where_a_square_overflows(counter, energy, want):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = counter.payout_for_energy(energy)
-        column = counter.payout_for_energy(np.array([energy, math.inf]))
+        got = counter.tension_for_energy(energy)
+        column = counter.tension_for_energy(np.array([energy, math.inf, -math.inf]))
     assert type(got) is float and got == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert got == float(_exact_tension(counter, energy)[0])
+    assert struct.pack("<d", column[0]) == struct.pack("<d", got)
     if counter.k2 == 0:
-        assert got == energy / counter.t0
-    assert struct.pack("<d", column[0]) == struct.pack("<d", got) and column[1] == math.inf
-
-
-_HUGE = st.floats(1e154, 1.7e308)
+        assert got == counter.t0 and list(column[1:]) == [counter.t0, counter.t0]
+    else:
+        assert list(column[1:]) == [math.inf, 0.0]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    t0=st.one_of(st.just(0.0), st.floats(0.0, 1e6), _HUGE),
-    k2=st.one_of(st.just(0.0), st.floats(0.0, 1e6), _HUGE),
-    energy=st.one_of(_HUGE, st.floats(-1.7e308, 1.7e308)),
+    t0=st.one_of(st.just(0.0), st.floats(5e-324, 1e300)),
+    k2=st.floats(5e-324, 1e300),
+    energy=st.one_of(st.sampled_from([0.0, -0.0, 1e-320, -1e-320]),
+                     st.floats(allow_nan=False, allow_infinity=False)),
 )
-def test_an_overflowed_discriminant_gives_the_exact_root(t0, k2, energy):
-    # t0 = 0 at E = 0 is the 0/0 of a slack spring, nan whether or not disc overflows
-    assume(t0 > 0 or (k2 > 0 and energy != 0))
-    assume(not t0 * t0 + 2.0 * k2 * energy < math.inf)   # inf, or nan as inf - inf
+@example(t0=1e-170, k2=0.0, energy=1e-200)   # t0*t0 underflows
+@example(t0=0.0, k2=40.0, energy=0.0)   # no pretension at E = 0: T = 0
+# 2*E, and 2*k2*E, past the float range
+@example(t0=10.0, k2=0.0, energy=1e308)
+@example(t0=10.0, k2=1e-10, energy=1e308)
+@example(t0=10.0, k2=40.0, energy=1e307)   # 2.83e154 N
+@example(t0=1e200, k2=1e110, energy=-1e291)   # T**2 below zero: T = 0
+# t0 + a past the float range below E = 0, and 2*k2 past it
+@example(t0=1.7e308, k2=1e308, energy=-1e308)
+@example(t0=0.0, k2=1.7e308, energy=1.0)
+def test_tension_for_energy_is_the_energy_balance_root(t0, k2, energy):
     counter = CounterElement(t0, k2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = counter.payout_for_energy(energy)
-        column = counter.payout_for_energy(np.array([energy]))
-    assert struct.pack("<d", column[0]) == struct.pack("<d", got)
-    assert math.isfinite(got)
-    assert got == pytest.approx(_exact_payout(counter, energy), rel=1e-14, abs=1e-300)
-    if k2 == 0:
-        assert got == energy / t0
+        got = counter.tension_for_energy(energy)
+        column = counter.tension_for_energy(np.array([energy]))
+    assert type(got) is float and struct.pack("<d", column[0]) == struct.pack("<d", got)
+    want, square = _exact_tension(counter, energy)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if energy >= 0:
+            assert abs(Decimal(got) - want) <= 3 * Decimal(math.ulp(float(want)))
+        else:
+            assert abs(Decimal(got) ** 2 - square) <= 4 * Decimal(2) ** -52 * Decimal(t0) ** 2
 
 
 def test_weight_is_the_zero_stiffness_spring():
@@ -556,7 +570,7 @@ def test_weight_is_the_zero_stiffness_spring():
         panels = 0.5 * (tension[1:] + tension[:-1]) * np.diff(s)
         released = counter.released_energy(s)
         assert released == pytest.approx(np.concatenate(([0.0], np.cumsum(panels))), rel=1e-12)
-        assert counter.payout_for_energy(released) == pytest.approx(s, rel=1e-12, abs=0.0)
+        assert counter.tension_for_energy(released) == pytest.approx(tension, rel=1e-12, abs=0.0)
 
     lin = make_linear()
     profile = synthesize_weight_counter(lin, 0.02, 10.0)

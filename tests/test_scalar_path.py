@@ -95,7 +95,7 @@ IDS = [case[0] for case in CASES]
 COUNTER_CASES = [
     (f"{method}[{c}]", getattr(counter, method), hi, 0)
     for c, counter in COUNTERS.items()
-    for method, hi in [("tension", 1.0), ("released_energy", 1.0), ("payout_for_energy", 10.0)]
+    for method, hi in [("tension", 1.0), ("released_energy", 1.0), ("tension_for_energy", 10.0)]
 ]
 
 
