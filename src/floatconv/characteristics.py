@@ -138,14 +138,16 @@ class PiecewiseLinear:
     def at_and_integral(self, x) -> tuple:
         """(y at x, the integral from xs[0] to x): the integral is the knots'
         running sum plus the partial trapezoid, exact for the piecewise-linear curve."""
-        if type(x) is float:
+        y = self.at(x)
+        if type(x) is float or np.ndim(x) == 0:
             xp, fp, cum = self._lists
             i = min(max(bisect_right(xp, x) - 1, 0), len(xp) - 2)
-        else:
-            xp, fp, cum = self.xs, self.ys, self.cumulative
-            i = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
-        y = self.at(x)
-        return y, cum[i] + 0.5 * (fp[i] + y) * (x - xp[i])
+            return y, cum[i] + 0.5 * (fp[i] + y) * (x - xp[i])
+        # the same sum in two buffers (np.take's mode "raise" would copy its out)
+        i = np.searchsorted(self.xs[1:-1], x, side="right")   # the end panels run past the knots
+        part, run = 0.5 * (self.ys[i] + y), self.xs[i]
+        part *= np.subtract(x, run, out=run)
+        return y, np.add(np.take(self.cumulative, i, out=run, mode="clip"), part, out=run)
 
 
 def _shown(value, text=repr, size=80) -> str:
@@ -228,17 +230,30 @@ def _flag(label: str, value):
     return value
 
 
+def _frozen(*arrays) -> tuple:
+    """Mark arrays a producer just built read-only, so a record keeps them uncopied."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _columns(record, names, label: str, rows: int) -> list:
-    """Make the named fields of a frozen record read-only float copies, each read
-    by _reals: 1-d, one length and at least ``rows`` long."""
-    columns = [np.array(_reals(name, getattr(record, name))) for name in names]
+    """Store the named fields of a frozen record read-only, each read by _reals: 1-d, one
+    length and at least ``rows`` long. A read-only float64 array that owns its memory, or
+    the float copy _reals makes of another dtype, is kept; anything else is copied."""
+    columns = []
+    for name in names:
+        column = _reals(name, value := getattr(record, name))
+        if type(column) is float or not column.flags.owndata or column.flags.writeable and (
+                column is value or not isinstance(value, np.ndarray)):
+            column = np.array(column)
+        column.flags.writeable = False
+        object.__setattr__(record, name, column)
+        columns.append(column)
     if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
         raise ValidationError(f"{label} must be numeric, 1-d and share one length")
     if columns[0].size < rows:
         raise ValidationError(f"{label} need {rows} or more rows, got {columns[0].size}")
-    for name, column in zip(names, columns):
-        column.flags.writeable = False
-        object.__setattr__(record, name, column)
     return columns
 
 

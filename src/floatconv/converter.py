@@ -25,8 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .characteristics import (
-    ForceCharacteristic, _at_least, _columns, _count, _finite, _floats, _real, _slack,
-    clip_domain, cumulative_trapezoid,
+    ForceCharacteristic, _at_least, _columns, _count, _finite, _floats, _frozen, _real,
+    _slack, clip_domain, cumulative_trapezoid,
 )
 from .errors import (
     DomainError,
@@ -99,8 +99,12 @@ class FloatingConverter:
                 return spring, 0.0
             theta = min((us - self.gap_x) / R, profile.theta_max)
             return spring, profile._cable_force(self.counter, theta)
-        theta = np.minimum(np.maximum(us - self.gap_x, 0.0) / R, profile.theta_max)
-        counter = np.where(us >= self.gap_x, profile._cable_force(self.counter, theta), 0.0)
+        theta = us - self.gap_x
+        np.maximum(theta, 0.0, out=theta)
+        theta /= R
+        np.minimum(theta, profile.theta_max, out=theta)
+        counter = profile._cable_force(self.counter, theta)
+        counter[us < self.gap_x] = 0.0
         return spring, counter
 
     def operating_force(self, u):
@@ -124,7 +128,8 @@ class FloatingConverter:
         spring, counter = self.force_components(us)
         ideal = spring - counter
         band = self.friction_band(counter)
-        return SweepTable(us, spring, counter, ideal, ideal + band, ideal - band)
+        plus, minus = ideal + band, np.subtract(ideal, band, out=band)
+        return SweepTable(us, *_frozen(spring, counter, ideal, plus, minus))   # us: a view, copied
 
     # -- energy ------------------------------------------------------------
 
@@ -217,7 +222,7 @@ class SweepTable:
 
     def __post_init__(self):
         u = _columns(self, [field.name for field in fields(self)], "sweep columns", 1)[0]
-        if np.any(np.diff(u) <= 0):
+        if np.any(u[1:] <= u[:-1]):
             raise ValidationError("sweep displacements must be strictly increasing")
 
     # an overflowing ratio is reported by the bound check, not as a warning

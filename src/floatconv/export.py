@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .characteristics import _finite, _shown
+from .characteristics import _finite, _frozen, _shown
 from .converter import SweepTable
 from .errors import ParseError, ValidationError
 from .gripper import GraspTrace
@@ -260,11 +260,8 @@ def read_profile_csv(text: str, circular_radius_m: float = 1.0) -> PulleyProfile
     values = _decode(text)
     if values is None:
         values = _parse_rows(text)
-    return PulleyProfile(
-        circular_radius=circular_radius_m,
-        thetas=np.radians(values[0::2]),
-        radii=values[1::2] / 1000.0,
-    )
+    thetas, radii = _frozen(np.radians(values[0::2]), values[1::2] / 1000.0)
+    return PulleyProfile(circular_radius=circular_radius_m, thetas=thetas, radii=radii)
 
 
 # -- writers ----------------------------------------------------------------------

@@ -25,7 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .characteristics import _at_least, _columns, _count, _flag, _floats, _length, _real, _slack
+from .characteristics import (
+    _at_least, _columns, _count, _flag, _floats, _frozen, _length, _real, _slack,
+)
 from .converter import FloatingConverter
 from .errors import (
     ActuatorStall,
@@ -232,4 +234,4 @@ def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
     grip, actuator = (np.append(idle, column) for column in (grip, actuator))
     # the done row repeats the last row
     columns = [np.append(column, column[-1]) for column in (jaw, grip, actuator)]
-    return GraspTrace(*columns, n_position, model.latch_holds)
+    return GraspTrace(*_frozen(*columns), n_position, model.latch_holds)

@@ -34,6 +34,7 @@ from .characteristics import (
     _count,
     _finite,
     _floats,
+    _frozen,
     _real,
     _reals,
     clip_domain,
@@ -133,7 +134,7 @@ class PulleyProfile:
             raise ValidationError("profile samples must be finite")
         if abs(thetas[0]) > 1e-15:
             raise ValidationError(f"profile must start at theta=0, got {thetas[0]}")
-        if np.any(np.diff(thetas) <= 0):
+        if np.any(thetas[1:] <= thetas[:-1]):
             raise ValidationError("profile thetas must be strictly increasing")
         if np.any(radii < 0):
             raise ValidationError("profile radii must be non-negative")
@@ -218,7 +219,7 @@ class PulleyProfile:
         """
         clamped = np.clip(self.radii, *_window(r_min, r_max))
         slope = self.slope if np.array_equal(clamped, self.radii) else None
-        return PulleyProfile(self.circular_radius, self.thetas, clamped, slope)
+        return PulleyProfile(self.circular_radius, self.thetas, *_frozen(clamped), slope)
 
 
 def _window(r_min: float, r_max: float) -> tuple[float, float]:
@@ -241,9 +242,9 @@ def _synthesize(
 ) -> PulleyProfile:
     """r = R*F/T on n_samples nodes, with the counter tension T in closed form.
 
-    With ds/dtheta = r the balance r*T(s) = R*F integrates to an energy balance:
-    the counter releases the energy E(R*theta) the target stores, so T is
-    counter.tension_for_energy(E), 0 at theta = 0 without pretension. The profile
+    With ds/dtheta = r the balance r*T(s) = R*F integrates to an energy balance: the counter
+    releases the energy E(R*theta) the target stores, so T is counter.tension_for_energy(E)
+    (t0 for a dead weight, which needs no E), 0 at theta = 0 without pretension. The profile
     must reproduce the target within SPRING_SYNTHESIS_RTOL of the peak force.
     """
     R = _finite("circular_radius", R)
@@ -254,13 +255,13 @@ def _synthesize(
     forces = target.force_at(R * thetas)
     if np.any(forces < 0):
         raise ValidationError("counter synthesis requires a non-negative target force")
-    tension = counter.tension_for_energy(target.stored_energy(R * thetas))
+    tension = counter.tension_for_energy(target.stored_energy(R * thetas) if counter.k2 else 0.0)
     if np.any(tension <= 0):
         raise SingularityError("counter tension reached zero while recovering radii")
     radii = R * forces / tension
     # R * R, not R**2: a float ** raises OverflowError where * gives inf
     slope = target.k * (R * R) / counter.t0 if target.kind == LINEAR and counter.k2 == 0 else None
-    profile = PulleyProfile(R, thetas, radii, slope)
+    profile = PulleyProfile(R, thetas, *_frozen(radii), slope)
 
     realized = profile._at_samples(counter)
     peak = max(float(np.max(np.abs(forces))), 1e-300)

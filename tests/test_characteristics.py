@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -950,3 +951,61 @@ def test_array_records_hold_read_only_copies(record):
     for value in held:
         assert value.tolist() == [0.0, 1.0, 2.0]
         assert not value.flags.writeable
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
+
+
+def _held(built):
+    return [value for value in vars(built).values() if isinstance(value, np.ndarray)]
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_array_records_keep_a_frozen_column_that_owns_its_memory(record):
+    # the producer froze the column it built: the record takes it over uncopied
+    n, _, _, build = RECORDS[record]
+    columns = [_frozen(np.array([0.0, 1.0, 2.0])) for _ in range(n)]
+    held = _held(build(columns))
+    assert len(held) == n
+    for value, column in zip(held, columns):
+        assert value is column and np.shares_memory(value, column)
+
+
+# each a column that reads as [0, 1, 2] and must be copied
+COPIED_COLUMNS = {
+    "writeable": lambda: np.array([0.0, 1.0, 2.0]),
+    "read_only_view": lambda: np.broadcast_to(np.array([0.0, 1.0, 2.0]), (3,)),
+    "read_only_slice": lambda: _frozen(np.array([0.0, 1.0, 2.0, 3.0]))[:3],
+    "int": lambda: _frozen(np.array([0, 1, 2])),
+}
+
+
+@pytest.mark.parametrize("column", COPIED_COLUMNS)
+@pytest.mark.parametrize("record", RECORDS)
+def test_array_records_copy_any_other_column(record, column):
+    n, _, _, build = RECORDS[record]
+    columns = [COPIED_COLUMNS[column]() for _ in range(n)]
+    held = _held(build(columns))
+    assert len(held) == n
+    for value, given_column in zip(held, columns):
+        assert not np.shares_memory(value, given_column)
+        assert value.dtype == np.float64 and value.flags.owndata and not value.flags.writeable
+        assert value.tolist() == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_array_records_copy_a_column_of_another_dtype_once(record):
+    # one float copy per int column, not one by the float conversion and another after it
+    n, _, _, build = RECORDS[record]
+    rows = 2**16
+    columns = [np.arange(rows) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        built = build(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(value.tolist() == list(range(rows)) for value in _held(built))
+    assert peak < (n + 0.5) * rows * 8

@@ -1,7 +1,9 @@
 """Operating force, sweeps, friction bands, energy ledger, equilibrium."""
 
 import math
+import tracemalloc
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,10 +21,11 @@ from floatconv import (
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
-from floatconv.characteristics import _slack
+from floatconv.characteristics import PiecewiseLinear, _slack, cumulative_trapezoid
 from floatconv.converter import (
     _EQUILIBRIUM_SCAN, EQUILIBRIUM_U_TOL, MAX_SWEEP_ROWS, SweepTable,
 )
+from floatconv.pulley import PulleyProfile
 
 PROTO_THETA_MAX = math.radians(345.0)
 
@@ -172,6 +175,128 @@ def test_sweep_table_refuses_a_repeated_displacement():
 def test_sweep_rows_accept_a_numpy_integer():
     conv = matched_converter()
     assert conv.sweep(0.0, conv.u_max, np.int64(512)).u.size == 512
+
+
+# -- copy-free sweeps: the same bytes, a bounded peak ----------------------------
+
+
+@pytest.mark.parametrize("counter", ["weight", "spring"])
+def test_a_largest_sweep_peaks_at_eight_columns(counter):
+    # six output columns and the transients; the record copying every column, and a
+    # spring's payout keeping seven temporaries, took it to about 14 columns
+    law = ForceCharacteristic.linear(k=110.0, x_max=0.12)
+    if counter == "weight":
+        element = CounterElement.weight(10.0)
+        profile = synthesize_weight_counter(law, 0.02, 10.0)
+    else:
+        element = CounterElement.spring(10.0, 50.0)
+        profile = synthesize_spring_counter(law, 0.02, element, n_steps=512)
+    conv = FloatingConverter(law, profile, element, gap_x=0.01, friction_mu=0.005)
+    conv.sweep(0.0, conv.u_max, 2)   # the cached curves are built outside the count
+    tracemalloc.start()
+    try:
+        table = conv.sweep(0.0, conv.u_max, MAX_SWEEP_ROWS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.u.size == MAX_SWEEP_ROWS
+    assert peak <= 8 * MAX_SWEEP_ROWS * 8
+
+
+def _unfused_at_and_integral(xp, fp, x):
+    """PiecewiseLinear.at_and_integral as np.clip and fresh temporaries computed it."""
+    i = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
+    y = np.interp(x, xp, fp)
+    return y, cumulative_trapezoid(fp, xp)[i] + 0.5 * (fp[i] + y) * (x - xp[i])
+
+
+def _unfused_sweep(conv, n):
+    """FloatingConverter.sweep's columns as np.where and fresh temporaries computed them."""
+    us = np.linspace(0.0, conv.u_max, n)
+    spring = conv.left.force_at(us)
+    profile, element = conv.profile, conv.counter
+    R = profile.circular_radius
+    theta = np.minimum(np.maximum(us - conv.gap_x, 0.0) / R, profile.theta_max)
+    if element.k2 == 0:
+        cable = np.interp(theta, profile.thetas, profile.radii) * element.t0 / R
+    else:
+        radius, payout = _unfused_at_and_integral(profile.thetas, profile.radii, theta)
+        cable = radius * element.tension(payout) / R
+    counter = np.where(us >= conv.gap_x, cable, 0.0)
+    ideal = spring - counter
+    band = conv.friction_mu * np.abs(counter) + conv.friction_f0
+    return us, spring, counter, ideal, ideal + band, ideal - band
+
+
+def _bytes(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@st.composite
+def unfused_cases(draw):
+    """A converter of any law kind, under a weight or a spring, with a gap inside its
+    range and friction on or off; a sweep's row count; a curve and points to read it at."""
+    x_max = 0.12
+    kind = draw(st.sampled_from(["linear", "constant", "power_law", "tabulated"]))
+    if kind == "linear":
+        law = ForceCharacteristic.linear(draw(st.floats(1.0, 500.0)), x_max)
+    elif kind == "constant":
+        law = ForceCharacteristic.constant(draw(st.floats(0.0, 50.0)), x_max)
+    elif kind == "power_law":
+        p = draw(st.just(1.0) | st.floats(1.0, 3.0))
+        law = ForceCharacteristic.power_law(draw(st.floats(1e-3, 0.1)),
+                                            draw(st.floats(1e-3, 0.1)), p, x_max)
+    else:
+        inner = sorted(set(draw(st.lists(st.floats(1e-3, 0.119), max_size=5))))
+        xs = [0.0, *inner, x_max]
+        fs = draw(st.lists(st.floats(-5.0, 50.0), min_size=len(xs), max_size=len(xs)))
+        law = ForceCharacteristic.tabulated(list(zip(xs, fs)))
+    samples = draw(st.integers(2, 40))
+    thetas = np.linspace(0.0, draw(st.floats(1.0, 8.0)), samples)
+    radii = draw(st.lists(st.floats(0.0, 0.05), min_size=samples, max_size=samples))
+    profile = PulleyProfile(0.02, thetas, np.array(radii))
+    if draw(st.booleans()):
+        element = CounterElement.weight(draw(st.floats(1.0, 20.0)))
+    else:
+        element = CounterElement.spring(draw(st.floats(0.0, 20.0)), draw(st.floats(1.0, 100.0)))
+    friction = {"friction_mu": draw(st.just(0.0) | st.floats(1e-3, 0.5)),
+                "friction_f0": draw(st.just(0.0) | st.floats(0.0, 1.0))}
+    n = draw(st.integers(2, 200))
+    conv = FloatingConverter(law, profile, element, gap_x=draw(st.floats(1e-4, 0.1)), **friction)
+    if draw(st.booleans()):   # the gap on a row, where u == gap engages the counter
+        row = np.linspace(0.0, conv.u_max, n)[draw(st.integers(1, n - 1))]
+        conv = FloatingConverter(law, profile, element, gap_x=float(row), **friction)
+    ys = draw(st.lists(st.floats(-1.0, 1.0), min_size=samples, max_size=samples))
+    curve = PiecewiseLinear(thetas, np.array(ys))
+    inside = st.floats(-1.0, thetas[-1] + 1.0) | st.sampled_from(thetas.tolist())
+    points = np.array(draw(st.lists(inside, min_size=1, max_size=20)))
+    return conv, n, curve, points
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=unfused_cases())
+def test_copy_free_sweeps_are_the_unfused_formulas_bit_for_bit(case):
+    conv, n, curve, points = case
+    table = conv.sweep(0.0, conv.u_max, n)
+    want = _unfused_sweep(conv, n)
+    assert np.any(want[0] < conv.gap_x) and np.any(want[0] >= conv.gap_x)
+    assert [_bytes(column) for column in astuple(table)] == [_bytes(column) for column in want]
+    # the curve on an array, and on each point as a 0-d array
+    for got, want in [(curve.at_and_integral(points),
+                       _unfused_at_and_integral(curve.xs, curve.ys, points))] + [
+            (curve.at_and_integral(np.asarray(x)),
+             _unfused_at_and_integral(curve.xs, curve.ys, np.asarray(x))) for x in points]:
+        assert [_bytes(v) for v in got] == [_bytes(v) for v in want]
+    # the increasing-u check refuses what np.diff(u) <= 0 refused, and nothing else
+    j = n // 2
+    for value in (table.u[j], table.u[j - 1], math.nextafter(table.u[j - 1], -math.inf)):
+        u = table.u.copy()
+        u[j] = value
+        if np.any(np.diff(u) <= 0):
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                SweepTable(u, *astuple(table)[1:])
+        else:
+            SweepTable(u, *astuple(table)[1:])
 
 
 def test_sweep_summary_ratios():

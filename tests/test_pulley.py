@@ -635,3 +635,36 @@ def test_weight_synthesis_computes_no_payout():
     assert "cumulative" not in profile._radius.__dict__
     spring = synthesize_spring_counter(law, 0.02, CounterElement.spring(10.0, 40.0), 512)
     assert "cumulative" in spring._radius.__dict__
+
+
+SYNTHESIS_LAWS = {
+    "linear": ForceCharacteristic.linear(k=100.0, x_max=0.12),
+    "constant": ForceCharacteristic.constant(f0=10.0, x_max=0.12),
+    "power_law": ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12),
+    "tabulated": ForceCharacteristic.tabulated([(0.0, 0.0), (0.05, 3.0), (0.12, 7.5)]),
+}
+
+
+@pytest.mark.parametrize("kind", SYNTHESIS_LAWS)
+def test_weight_synthesis_never_evaluates_the_stored_energy(monkeypatch, kind):
+    # a dead weight's tension is t0 at any energy; a spring's needs the energy
+    law, R, load = SYNTHESIS_LAWS[kind], 0.02, 10.0
+    thetas = np.linspace(0.0, law.x_max / R, 512)
+    weight = CounterElement.weight(load)
+    # the radii as R*F/T with T read through the energy, as synthesis took them before
+    tension = weight.tension_for_energy(law.stored_energy(R * thetas))
+    before = R * law.force_at(R * thetas) / tension
+    calls = []
+    stored_energy = ForceCharacteristic.stored_energy
+    monkeypatch.setattr(ForceCharacteristic, "stored_energy",
+                        lambda self, x: calls.append(x) or stored_energy(self, x))
+    profiles = [
+        synthesize_weight_counter(law, R, load),
+        synthesize_spring_counter(law, R, CounterElement.spring(load, 0.0), n_steps=511),
+    ]
+    assert calls == []
+    for profile in profiles:
+        assert profile.thetas.tobytes() == thetas.tobytes()
+        assert profile.radii.tobytes() == before.tobytes()
+    synthesize_spring_counter(law, R, CounterElement.spring(load, 40.0), n_steps=511)
+    assert len(calls) == 1
