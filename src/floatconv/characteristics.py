@@ -347,17 +347,15 @@ class ForceCharacteristic:
 
     def _eval(self, xs):
         """The law at xs: a Python float for a float, else numpy values."""
-        scalar = type(xs) is float
         if self.kind == LINEAR:
             return self.k * xs
         if self.kind == CONSTANT:
-            return self.f0 if scalar else np.full_like(xs, self.f0)
+            return self.f0 if type(xs) is float else np.full_like(xs, self.f0)
         if self.kind == POWER_LAW:
-            if scalar:
-                # np.float64 keeps numpy's overflow to inf, where a Python
-                # float ** would raise OverflowError
-                return float(self.c / np.float64(xs + self.d) ** self.p)
-            return self.c / (xs + self.d) ** self.p
+            # np.float64 overflows a float to inf, where a Python float ** would
+            # raise OverflowError, and hands a float64 array back as itself
+            f = self.c / np.float64(xs + self.d) ** self.p
+            return float(f) if type(xs) is float else f
         return self._curve.at(xs)
 
     def force_at(self, x):

@@ -84,8 +84,7 @@ def _converter(cfg: RunConfig, gap_x: float = 0.0) -> FloatingConverter:
     )
 
 
-def _cmd_synthesize(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_synthesize(args, cfg: RunConfig) -> int:
     profile = synthesize_from_config(cfg)
     _write(args.out, export.profile_to_csv(profile))
     slope = "none" if profile.slope is None else fmt6(profile.slope)
@@ -98,8 +97,7 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_verify(args, cfg: RunConfig) -> int:
     profile = export.read_profile_csv(_read(args.profile), cfg.circular_radius_m)
     report = verify_profile(cfg, profile)
     clamped = ""
@@ -119,8 +117,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_sweep(args, cfg: RunConfig) -> int:
     gap_x = args.gap_mm / 1000.0
     conv = _converter(cfg, gap_x)
     table = conv.sweep(gap_x, conv.u_max, SWEEP_ROWS)
@@ -134,8 +131,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_grasp(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_grasp(args, cfg: RunConfig) -> int:
     if cfg.gripper is None:
         raise ValidationError("config: missing required key 'gripper'")
     # the plan's gap replaces the converter's
@@ -153,7 +149,7 @@ def _cmd_grasp(args) -> int:
     return 0
 
 
-def _cmd_export_svg(args) -> int:
+def _cmd_export_svg(args, cfg: None) -> int:
     profile = export.read_profile_csv(_read(args.profile))
     _write(args.out, export.profile_to_svg(profile, args.scale))
     return 0
@@ -175,25 +171,24 @@ def _build_parser() -> _Parser:
         description="Non-circular pulley synthesis and floating-converter simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the four subcommands that read a config share its flag
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
 
-    p = sub.add_parser("synthesize", help="build a pulley profile from a config")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("synthesize", parents=[config], help="build a pulley profile from a config")
     p.add_argument("--out", required=True, help="profile CSV path")
     p.set_defaults(func=_cmd_synthesize)
 
-    p = sub.add_parser("verify", help="check a profile against its config")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("verify", parents=[config], help="check a profile against its config")
     p.add_argument("--profile", required=True, help="profile CSV path")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sweep", help="displacement sweep of the converter")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("sweep", parents=[config], help="displacement sweep of the converter")
     p.add_argument("--gap-mm", type=float, default=0.0, help="gap x of the sweep (mm)")
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("grasp", help="plan and simulate a grasp")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("grasp", parents=[config], help="plan and simulate a grasp")
     p.add_argument("--target-force-n", type=float, required=True)
     p.add_argument("--out", required=True, help="trace CSV path")
     p.set_defaults(func=_cmd_grasp)
@@ -210,7 +205,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # the config is the first file a subcommand reads
+        return args.func(args, _load_config(args.config) if "config" in args else None)
     except FloatConvError as exc:
         print(f"ERR:{type(exc).__name__}:{exc}", file=sys.stderr)
         return exc.exit_code

@@ -55,7 +55,8 @@ REQUIRED = object()   # the default of a key that has none
 
 
 def _section(section, path: str, spec: dict) -> tuple:
-    """A config object's values in spec order; spec maps each key to (reader, default).
+    """A config object's values in spec order; spec maps each key to (reader, default),
+    and a reader that is itself a table reads a nested section.
 
     Rejects a non-object, then an unknown key, then a missing required key.
     """
@@ -69,7 +70,9 @@ def _section(section, path: str, spec: dict) -> tuple:
         if default is REQUIRED and key not in section:
             raise ValidationError(f"config: missing required key '{prefix}{key}'")
     return tuple(
-        reader(section[key], prefix + key) if key in section else default
+        default if key not in section
+        else _section(section[key], prefix + key, reader) if isinstance(reader, dict)
+        else reader(section[key], prefix + key)
         for key, (reader, default) in spec.items()
     )
 
@@ -129,16 +132,8 @@ def _pulley(section, path: str) -> tuple:
     return radius, theta_max, samples, None if r_min is None else _window(r_min, r_max)
 
 
-def _friction(section, path: str) -> tuple:
-    return _section(section, path, FRICTION)
-
-
-def _gripper(section, path: str) -> tuple:
-    return _section(section, path, GRIPPER)
-
-
-# the schema: each section maps its keys to (reader, default); a typed section
-# maps its "type" to (factory, keys), and the factory takes the values in order
+# the schema: each section maps its keys to (reader or nested table, default); a typed
+# section maps its "type" to (factory, keys), and the factory takes the values in order
 NUMBER = (_number, REQUIRED)
 LAWS = {
     "linear": (ForceCharacteristic.linear, {"k_n_per_m": NUMBER, "max_extension_m": NUMBER}),
@@ -170,8 +165,8 @@ CONFIG = {
     "spring": (parse_characteristic, REQUIRED),
     "counter": (_counter, REQUIRED),
     "pulley": (_pulley, REQUIRED),
-    "friction": (_friction, (0.0, 0.0)),
-    "gripper": (_gripper, None),
+    "friction": (FRICTION, (0.0, 0.0)),
+    "gripper": (GRIPPER, None),
 }
 
 

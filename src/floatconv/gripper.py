@@ -227,8 +227,7 @@ def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
 
     idle = np.zeros(n_position + 1)
     jaw = np.concatenate((
-        [0.0],
-        np.minimum(np.arange(1, n_position + 1) * step, stage_stop),
+        np.minimum(np.arange(n_position + 1) * step, stage_stop),
         stage_stop + np.minimum(us, plan.gap_x),
     ))
     grip, actuator = (np.append(idle, column) for column in (grip, actuator))

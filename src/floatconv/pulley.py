@@ -209,7 +209,7 @@ class PulleyProfile:
         profile; truncation shows up as a nonzero offset near theta = 0.
         """
         th = clip_domain(theta, self.theta_max)
-        return target.force_at(self.circular_radius * th) - self.realized_force(counter, th)
+        return target.force_at(self.circular_radius * th) - self._cable_force(counter, th)
 
     def truncated(self, r_min: float, r_max: float) -> "PulleyProfile":
         """Clamp every sample radius into [r_min, r_max] (fabrication bounds).

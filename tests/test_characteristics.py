@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floatconv import (
@@ -397,6 +397,60 @@ def test_validation_errors():
         ForceCharacteristic.power_law(c=1.0, d=0.0, p=2.0, x_max=0.1)
     with pytest.raises(ValidationError):
         ForceCharacteristic.power_law(c=1.0, d=0.1, p=0.5, x_max=0.1)
+
+
+# -- the power law's one expression -------------------------------------------------
+
+# (c, d, p, x_max): a huge c over a small d to a large p overflows the force to inf
+power_law_params = st.tuples(
+    st.floats(min_value=0.0, max_value=1e300),
+    st.floats(min_value=1e-300, max_value=10.0),
+    st.floats(min_value=1.0, max_value=400.0),
+    st.floats(min_value=1e-6, max_value=1e3),
+)
+# ((c, d, p, x_max), x, force): the float64 formula overflows, where Python floats
+# divide by a zero power, overflow the quotient to inf or raise in the power
+POWER_LAW_OVERFLOWS = [
+    ((1e300, 1e-10, 50.0, 1e-9), 0.0, math.inf),
+    ((1e300, 1e-3, 10.0, 1e-3), 0.0, math.inf),
+    ((1e300, 1e-3, 10.0, 1e-3), 1e-4, math.inf),
+    ((1.0, 2.0, 2000.0, 1.0), 0.5, 0.0),
+]
+
+
+@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@given(params=power_law_params, fraction=st.floats(min_value=0.0, max_value=1.0))
+@example(params=POWER_LAW_OVERFLOWS[0][0], fraction=0.0)
+@example(params=POWER_LAW_OVERFLOWS[1][0], fraction=0.0)
+def test_power_law_float_force_is_the_float64_formula_bit_for_bit(params, fraction):
+    c, d, p, x_max = params
+    law = ForceCharacteristic.power_law(c=c, d=d, p=p, x_max=x_max)
+    x = fraction * x_max
+    with np.errstate(all="ignore"):
+        assert _bits(law.force_at(x)) == _bits(float(c / np.float64(x + d) ** p))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@given(
+    params=power_law_params,
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
+)
+def test_power_law_array_force_is_the_formula_bit_for_bit(params, fractions):
+    c, d, p, x_max = params
+    law = ForceCharacteristic.power_law(c=c, d=d, p=p, x_max=x_max)
+    xs = np.array(fractions) * x_max
+    with np.errstate(all="ignore"):
+        force = law.force_at(xs)
+        expected = c / (xs + d) ** p
+    assert force.dtype == np.float64 and force.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("params, x, expected", POWER_LAW_OVERFLOWS)
+def test_power_law_float_force_overflows_without_raising(params, x, expected):
+    law = ForceCharacteristic.power_law(*params[:3], x_max=params[3])
+    with np.errstate(all="ignore"):
+        force = law.force_at(x)   # no OverflowError
+    assert type(force) is float and force == expected
 
 
 # -- the array domain check ------------------------------------------------------

@@ -545,6 +545,61 @@ def test_help_prints_usage_and_exits_0(capsys, argv):
     assert out.startswith("usage: floatconv") and err == ""
 
 
+# -- the texts --config appears in ----------------------------------------------------
+
+REQUIRED = "the following arguments are required:"
+# each config subcommand's whole ERR: line without its --config, with no other flag
+# and with every other required flag
+MISSING_CONFIG = [
+    (["synthesize"], f"floatconv synthesize: {REQUIRED} --config, --out"),
+    (["verify"], f"floatconv verify: {REQUIRED} --config, --profile"),
+    (["sweep"], f"floatconv sweep: {REQUIRED} --config, --out"),
+    (["grasp"], f"floatconv grasp: {REQUIRED} --config, --target-force-n, --out"),
+    (["synthesize", "--out", "x.csv"], f"floatconv synthesize: {REQUIRED} --config"),
+    (["verify", "--profile", "p.csv"], f"floatconv verify: {REQUIRED} --config"),
+    (["sweep", "--gap-mm", "1", "--out", "x.csv"], f"floatconv sweep: {REQUIRED} --config"),
+    (["grasp", "--target-force-n", "1", "--out", "x.csv"], f"floatconv grasp: {REQUIRED} --config"),
+    (["export-svg", "--config", "x", "--profile", "p.csv", "--out", "x.svg"],
+     "floatconv: unrecognized arguments: --config x"),
+]
+
+
+@pytest.mark.parametrize("argv, line", MISSING_CONFIG)
+def test_config_flag_usage_errors_are_pinned(tmp_path, monkeypatch, capsys, argv, line):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"ERR:ValidationError:{line}\n")
+    assert not any(tmp_path.iterdir())
+
+
+USAGE = {
+    "synthesize": "usage: floatconv synthesize [-h] --config CONFIG --out OUT\n",
+    "verify": "usage: floatconv verify [-h] --config CONFIG --profile PROFILE\n",
+    "sweep": "usage: floatconv sweep [-h] --config CONFIG [--gap-mm GAP_MM] --out OUT\n",
+    "grasp": "usage: floatconv grasp [-h] --config CONFIG --target-force-n TARGET_FORCE_N\n"
+             "                       --out OUT\n",
+    "export-svg": "usage: floatconv export-svg [-h] --profile PROFILE --out OUT [--scale SCALE]\n",
+}
+
+
+@pytest.mark.parametrize("command", USAGE)
+def test_subcommand_help_usage_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps usage to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.split("\n\n")[0] + "\n" == USAGE[command] and err == ""
+
+
+def test_verify_reads_the_config_before_the_profile(tmp_path, capsys):
+    config, profile = str(tmp_path / "no.json"), str(tmp_path / "no.csv")
+    assert main(["verify", "--config", config, "--profile", profile]) == 1
+    assert capsys.readouterr() == (
+        "", f"ERR:ValidationError:cannot read {config[:80]}: No such file or directory\n"
+    )
+
+
 def test_parser_carries_no_state_between_calls(tmp_path, capsys):
     assert _build_parser() is _build_parser()
     names = sorted(GOLDEN)
