@@ -28,7 +28,7 @@ from .config import (
     synthesize_from_config,
     verify_profile,
 )
-from .converter import FloatingConverter
+from .converter import MAX_SUMMARY_VALUE, FloatingConverter
 from .errors import FloatConvError, NumericalError, ValidationError
 from .export import fmt6
 from .gripper import GripperModel, plan_grasp, simulate_grasp
@@ -84,75 +84,65 @@ def _converter(cfg: RunConfig, gap_x: float = 0.0) -> FloatingConverter:
     )
 
 
-def _cmd_synthesize(args, cfg: RunConfig) -> int:
+def _summary(**pairs):
+    """Print the one summary line: key=value pairs, numbers in fmt6 and text as given."""
+    print(" ".join(f"{k}={v if isinstance(v, str) else fmt6(v)}" for k, v in pairs.items()))
+
+
+def _cmd_synthesize(args, cfg: RunConfig):
     profile = synthesize_from_config(cfg)
     _write(args.out, export.profile_to_csv(profile))
-    slope = "none" if profile.slope is None else fmt6(profile.slope)
-    print(
-        f"a_m_per_rad={slope} "
-        f"theta_max_deg={fmt6(math.degrees(profile.theta_max))} "
-        f"r_min_mm={fmt6(float(np.min(profile.radii)) * 1000.0)} "
-        f"r_max_mm={fmt6(float(np.max(profile.radii)) * 1000.0)}"
-    )
-    return 0
+    _summary(a_m_per_rad="none" if profile.slope is None else profile.slope,
+             theta_max_deg=math.degrees(profile.theta_max),
+             r_min_mm=float(np.min(profile.radii)) * 1000.0,
+             r_max_mm=float(np.max(profile.radii)) * 1000.0)
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args, cfg: RunConfig):
     profile = export.read_profile_csv(_read(args.profile), cfg.circular_radius_m)
     report = verify_profile(cfg, profile)
-    clamped = ""
-    if report.clamped_to is not None:
-        clamped = f" clamped_to_deg={fmt6(math.degrees(report.clamped_to))}"
-    print(
-        f"max_residual_n={report.max_residual:.3e} "
-        f"residual_tol_n={report.residual_tol:.3e} "
-        f"energy_error_rel={report.energy_error:.3e}{clamped}"
-    )
+    clamped = report.clamped_to
+    _summary(max_residual_n=f"{report.max_residual:.3e}",
+             residual_tol_n=f"{report.residual_tol:.3e}",
+             energy_error_rel=f"{report.energy_error:.3e}",
+             **({} if clamped is None else {"clamped_to_deg": math.degrees(clamped)}))
     if not report.passed:
         raise NumericalError(
             "verification tolerances exceeded "
             f"(residual {report.max_residual:.3e} N vs {report.residual_tol:.3e} N, "
             f"energy {report.energy_error:.3e} vs {VERIFY_ENERGY_RTOL:.0e})"
         )
-    return 0
 
 
-def _cmd_sweep(args, cfg: RunConfig) -> int:
+def _cmd_sweep(args, cfg: RunConfig):
     gap_x = args.gap_mm / 1000.0
     conv = _converter(cfg, gap_x)
     table = conv.sweep(gap_x, conv.u_max, SWEEP_ROWS)
     s = table.summary()
     _write(args.out, export.sweep_to_csv(table))
-    print(
-        f"op_force_const_n={fmt6(s.op_force_const)} "
-        f"ratio_peak={fmt6(s.ratio_peak)} "
-        f"ratio_point={fmt6(s.ratio_point)}"
-    )
-    return 0
+    _summary(op_force_const_n=s.op_force_const, ratio_peak=s.ratio_peak, ratio_point=s.ratio_point)
 
 
-def _cmd_grasp(args, cfg: RunConfig) -> int:
+def _cmd_grasp(args, cfg: RunConfig):
     if cfg.gripper is None:
         raise ValidationError("config: missing required key 'gripper'")
     # the plan's gap replaces the converter's
     model = GripperModel(_converter(cfg), *cfg.gripper)
     plan = plan_grasp(model, args.target_force_n)
     trace = simulate_grasp(model, plan)
+    amp = trace.amplification   # inf for a free converter: printed as "inf", not bounded
+    peaks = [float(np.max(np.abs(column))) for column in (trace.grip, trace.actuator)]
+    if not all(v <= MAX_SUMMARY_VALUE for v in (*peaks, 0.0 if amp == math.inf else abs(amp))):
+        raise NumericalError(f"grasp forces are not finite or exceed {MAX_SUMMARY_VALUE:g}: "
+                             f"grip={peaks[0]:g} N actuator={peaks[1]:g} N amplification={amp:g}")
     _write(args.out, export.trace_to_csv(trace))
-    amp = "inf" if math.isinf(trace.amplification) else fmt6(trace.amplification)
-    print(
-        f"amplification={amp} "
-        f"max_actuator_n={fmt6(trace.max_actuator)} "
-        f"final_grip_n={fmt6(trace.final_grip)} "
-        f"gap_x_mm={fmt6(plan.gap_x * 1000.0)}"
-    )
-    return 0
+    _summary(amplification=amp, max_actuator_n=trace.max_actuator,
+             final_grip_n=trace.final_grip, gap_x_mm=plan.gap_x * 1000.0)
 
 
-def _cmd_export_svg(args, cfg: None) -> int:
+def _cmd_export_svg(args, cfg: None):
     profile = export.read_profile_csv(_read(args.profile))
     _write(args.out, export.profile_to_svg(profile, args.scale))
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -206,7 +196,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         # the config is the first file a subcommand reads
-        return args.func(args, _load_config(args.config) if "config" in args else None)
+        args.func(args, _load_config(args.config) if "config" in args else None)
     except FloatConvError as exc:
         print(f"ERR:{type(exc).__name__}:{exc}", file=sys.stderr)
         return exc.exit_code
+    return 0

@@ -215,19 +215,19 @@ def verify_profile(cfg: RunConfig, profile: PulleyProfile) -> VerifyReport:
     for a spring, plus the floor of the CSV's 6-decimal columns.
     """
     R, target, counter = cfg.circular_radius_m, cfg.spring, cfg.counter
-    thetas = profile.thetas
-    realized, payout = profile._at_samples(counter), profile._radius.cumulative
+    thetas, radius, payout = profile.thetas, profile.radii, profile._radius.cumulative
     # the CSV's 6-decimal degrees can round theta_max a hair past the spring's
     # range; pull samples inside that quantum back onto it and interpolate there
     theta_end = target.x_max / R
     if 0 < thetas[-1] - theta_end <= CSV_ANGLE_QUANTUM:
         k = int(np.searchsorted(thetas, theta_end, side="right"))
         thetas = np.minimum(thetas, theta_end)
-        realized = np.append(realized[:k], profile._cable_force(counter, thetas[k:]))
+        radius = np.append(radius[:k], profile._radius.at(thetas[k:]))
         payout = np.append(payout[:k], profile.payout(thetas[k:]))
     xs = R * thetas
     force = target.force_at(xs)
     tension = counter.tension(payout)
+    realized = radius * tension / R
 
     withheld = np.zeros_like(force)   # force the truncation clamp withholds
     if cfg.truncation_bounds is not None:

@@ -230,25 +230,27 @@ class SweepTable:
     def summary(self) -> "SweepSummary":
         """Scalar summary: plateau force and both force-ratio normalizations.
 
-        Raises NumericalError when a value is not finite or exceeds
-        MAX_SUMMARY_VALUE in magnitude, as when a friction band dwarfs the
-        spring force.
+        Raises NumericalError when a value, or a force column, is not finite
+        or exceeds MAX_SUMMARY_VALUE in magnitude, as when a friction band
+        dwarfs the spring force.
         """
-        peak = float(np.max(np.abs(self.spring_force)))
+        spring = np.abs(self.spring_force)
+        peak = float(np.max(spring))
         op_const = float(np.max(np.abs(self.op_force_ideal)))
         banded = np.maximum(np.abs(self.op_force_plus), np.abs(self.op_force_minus))
         ratio_peak = float(np.max(banded) / peak) if peak > 0 else 0.0
-        nonzero = np.abs(self.spring_force) > 1e-12 * max(peak, 1.0)
-        if np.any(nonzero):
-            ratio_point = float(np.max(banded[nonzero] / np.abs(self.spring_force[nonzero])))
-        else:
-            ratio_point = 0.0
+        nonzero = spring > 1e-12 * max(peak, 1.0)
+        ratio_point = float(np.max(banded[nonzero] / spring[nonzero], initial=0.0))
         if not all(abs(v) <= MAX_SUMMARY_VALUE for v in (op_const, ratio_peak, ratio_point)):
             raise NumericalError(
                 f"sweep summary is not finite or exceeds {MAX_SUMMARY_VALUE:g}: "
                 f"op_force_const={op_const:g} N "
                 f"ratio_peak={ratio_peak:g} ratio_point={ratio_point:g}"
             )
+        counter, band = float(np.max(np.abs(self.counter_force))), float(np.max(banded))
+        if not all(v <= MAX_SUMMARY_VALUE for v in (peak, counter, band)):
+            raise NumericalError(f"sweep forces are not finite or exceed {MAX_SUMMARY_VALUE:g}: "
+                                 f"spring={peak:g} N counter={counter:g} N banded={band:g} N")
         return SweepSummary(op_const, ratio_peak, ratio_point)
 
 

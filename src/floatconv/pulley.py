@@ -189,12 +189,6 @@ class PulleyProfile:
         """
         return self._cable_force(counter, clip_domain(theta, self.theta_max))
 
-    def _at_samples(self, counter: CounterElement):
-        """r*T(s)/R at the own samples: the sample radii and, under a spring,
-        the cached payout sum, which a dead weight's force never computes."""
-        tension = counter.t0 if counter.k2 == 0 else counter.tension(self._radius.cumulative)
-        return self.radii * tension / self.circular_radius
-
     def _cable_force(self, counter: CounterElement, th):
         """r(th) * T(s(th)) / R at a theta already clipped into [0, theta_max]."""
         if counter.k2 == 0:   # a dead weight's tension needs no payout lookup
@@ -263,7 +257,9 @@ def _synthesize(
     slope = target.k * (R * R) / counter.t0 if target.kind == LINEAR and counter.k2 == 0 else None
     profile = PulleyProfile(R, thetas, *_frozen(radii), slope)
 
-    realized = profile._at_samples(counter)
+    # the forward check r*T/R: a dead weight's T is t0, and needs no payout sum
+    T = counter.t0 if counter.k2 == 0 else counter.tension(profile._radius.cumulative)
+    realized = radii * T / R
     peak = max(float(np.max(np.abs(forces))), 1e-300)
     residual = float(np.max(np.abs(realized - forces))) / peak
     if residual > SPRING_SYNTHESIS_RTOL:

@@ -222,6 +222,17 @@ def test_sweep_friction_only_ratio(tmp_path, capsys):
     assert summary["op_force_const_n"] == pytest.approx(0.0, abs=1e-6)
 
 
+def test_sweep_with_no_spring_force_prints_zero_ratios(tmp_path, capsys):
+    # no row passes the spring-force threshold, so ratio_point is the empty case's 0
+    cfg = ratio_sweep_config()
+    cfg["spring"] = {"type": "constant", "f0_n": 0.0, "max_extension_m": 0.12}
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "op_force_const_n=0.000000 ratio_peak=0.000000 ratio_point=0.000000\n"
+    )
+
+
 # -- grasp ------------------------------------------------------------------------
 
 
@@ -234,6 +245,15 @@ def test_grasp_success(tmp_path, capsys):
     assert summary["max_actuator_n"] == pytest.approx(1.0, abs=5e-7)
     assert summary["final_grip_n"] == pytest.approx(10.0, abs=5e-7)
     assert out.read_text().startswith("tick,phase,jaw_mm,")
+
+
+def test_grasp_to_zero_force_prints_an_infinite_amplification(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    argv = ["grasp", "--config", str(CONFIGS / "gripper.json"), "--target-force-n", "0"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "amplification=inf max_actuator_n=0.000000 final_grip_n=0.000000 gap_x_mm=10.000000\n"
+    )
 
 
 def test_grasp_stall_exit_2(tmp_path, capsys):

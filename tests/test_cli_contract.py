@@ -31,6 +31,14 @@ CONSTANT_LAW = {"type": "constant", "f0_n": 1e-200, "max_extension_m": 0.1205}
 HUGE_DOMAIN = {"type": "constant", "f0_n": 1.0, "max_extension_m": 1e300}
 HUGE_STAGE = [("gripper.stage_step_m", 1e290), ("gripper.stage_travel_m", 1e300),
               ("gripper.object_position_m", 1.5e290)]
+# finite but huge forces under small summaries: a 1e300 N law balanced by a 1e300 N
+# weight, a balanced 1e14 N law under a 1e16 N friction offset, and a 1e300 N/m grasp
+HUGE_BALANCE = [("spring", {"type": "constant", "f0_n": 1e300, "max_extension_m": 0.12}),
+                ("counter.load_n", 1e300)]
+WIDE_BAND = [("spring", {"type": "constant", "f0_n": 1e14, "max_extension_m": 0.12}),
+             ("counter.load_n", 1e14), ("friction.offset_n", 1e16)]
+HUGE_GRASP = [("spring.k_n_per_m", 1e300), ("counter.load_n", 1e300),
+              ("gripper.actuator_cap_n", 1e308)]
 # the longest number a successful run may print or write
 MAX_TOKEN = 25
 NUMBER = re.compile(r"[-+]?\d[\d.]*(?:e[-+]?\d+)?")
@@ -127,6 +135,12 @@ def assert_contract(code, stdout, stderr, out: Path):
         ("gripper", "sweep", [("spring", CONSTANT_LAW), ("friction.offset_n", 0.01)], 2,
          "ERR:NumericalError:sweep summary is not finite or exceeds 1e+15: "
          "op_force_const=0 N ratio_peak=1e+198 ratio_point=0\n"),
+        ("gripper", "sweep", HUGE_BALANCE, 2,
+         "ERR:NumericalError:sweep forces are not finite or exceed 1e+15: "
+         "spring=1e+300 N counter=1e+300 N banded=0 N\n"),
+        ("gripper", "sweep", WIDE_BAND, 2,
+         "ERR:NumericalError:sweep forces are not finite or exceed 1e+15: "
+         "spring=1e+14 N counter=1e+14 N banded=1e+16 N\n"),
         # finite but huge lengths: a law's domain and a stage's travel are bounded
         ("gripper", "synthesize", [("spring", HUGE_DOMAIN)], 1,
          "ERR:ValidationError:x_max must be <= 1e+06, got 1e+300\n"),
@@ -146,6 +160,7 @@ def assert_contract(code, stdout, stderr, out: Path):
     ids=[
         "inverted_window", "huge_r_min", "subnormal_radius_sweep", "subnormal_radius_verify",
         "huge_radius_verify", "huge_friction_offset", "tiny_constant_force",
+        "huge_balanced_forces", "huge_friction_band",
         "huge_domain_synthesize", "huge_domain_sweep", "huge_stage_grasp",
         "huge_radius_synthesize", "gap_key_synthesize", "gap_key_verify", "gap_key_sweep",
         "gap_key_grasp",
@@ -159,6 +174,19 @@ def test_refusal_is_one_error_line_and_no_file(tmp_path, name, command, edits, c
     before = sorted(tmp_path.iterdir())
     proc = run_module(*argv_for(command, config, profile, out, None), cwd=tmp_path)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_grasp_to_a_huge_force_is_one_error_line_and_no_file(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(edited("gripper", HUGE_GRASP)))
+    before = sorted(tmp_path.iterdir())
+    proc = run_module(*argv_for("grasp", config, None, tmp_path / "out.csv", 1e298),
+                      cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "ERR:NumericalError:grasp forces are not finite or exceed 1e+15: "
+        "grip=1e+298 N actuator=1e+298 N amplification=1\n"
+    )
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -199,6 +227,8 @@ def workdir(tmp_path_factory):
 @example(case=("gripper", [("spring", HUGE_DOMAIN)]), command="synthesize", flag=None)
 @example(case=("gripper", [("spring", HUGE_DOMAIN)]), command="sweep", flag=None)
 @example(case=("gripper", HUGE_STAGE), command="grasp", flag=None)
+@example(case=("gripper", HUGE_BALANCE), command="sweep", flag=None)
+@example(case=("gripper", HUGE_GRASP), command="grasp", flag=1e298)
 @example(case=("gripper", [("pulley.circular_radius_m", 1e10)]), command="synthesize", flag=None)
 def test_every_run_succeeds_cleanly_or_is_one_error_line(workdir, case, command, flag):
     name, edits = case

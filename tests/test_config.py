@@ -238,7 +238,7 @@ def test_own_sample_evaluation_equals_the_interpolating_formula(
         profile = read_profile_csv(profile_to_csv(profile), radius)
     assert verify_profile(cfg, profile) == parent_verify_profile(cfg, profile)
     # the own-sample force and payout are the interpolating ones
-    realized = profile._at_samples(cfg.counter)
+    realized = profile.radii * cfg.counter.tension(profile._radius.cumulative) / radius
     assert np.array_equal(realized, profile.realized_force(cfg.counter, profile.thetas))
     assert np.array_equal(profile._radius.cumulative, profile.payout(profile.thetas))
 
