@@ -91,21 +91,19 @@ class FloatingConverter:
         against u_max, which lies inside both the law's and the pulley's range.
         """
         us = clip_domain(u, self.u_max)
-        spring = self.left._eval(us)
         profile = self.profile
         R = profile.circular_radius
         if type(us) is float:
-            if us < self.gap_x:
-                return spring, 0.0
-            theta = min((us - self.gap_x) / R, profile.theta_max)
-            return spring, profile._cable_force(self.counter, theta)
-        theta = us - self.gap_x
-        np.maximum(theta, 0.0, out=theta)
-        theta /= R
-        np.minimum(theta, profile.theta_max, out=theta)
-        counter = profile._cable_force(self.counter, theta)
-        counter[us < self.gap_x] = 0.0
-        return spring, counter
+            counter = 0.0 if us < self.gap_x else profile._cable_force(
+                self.counter, min((us - self.gap_x) / R, profile.theta_max))
+        else:
+            theta = us - self.gap_x
+            np.maximum(theta, 0.0, out=theta)
+            theta /= R
+            np.minimum(theta, profile.theta_max, out=theta)
+            counter = profile._cable_force(self.counter, theta)
+            counter[us < self.gap_x] = 0.0
+        return self.left._eval(us), counter   # the spring last: not alive in the payout search
 
     def operating_force(self, u):
         """External force (N) to hold the balance point at displacement u."""
@@ -115,7 +113,7 @@ class FloatingConverter:
     # -- sweeps ------------------------------------------------------------
 
     def sweep(self, u_min: float, u_max: float, n: int) -> "SweepTable":
-        """Uniform displacement sweep with ideal and friction-banded forces."""
+        """Uniform displacement sweep: spring, counter and friction-band columns."""
         _count("sweep rows", n, 2, MAX_SWEEP_ROWS)
         u_min, u_max = _real("u_min", u_min), _real("u_max", u_max)
         if not 0 <= u_min < u_max:
@@ -126,10 +124,8 @@ class FloatingConverter:
             )
         us = np.linspace(u_min, u_max, n)
         spring, counter = self.force_components(us)
-        ideal = spring - counter
         band = self.friction_band(counter)
-        plus, minus = ideal + band, np.subtract(ideal, band, out=band)
-        return SweepTable(us, *_frozen(spring, counter, ideal, plus, minus))   # us: a view, copied
+        return SweepTable(us, *_frozen(spring, counter, band))   # us: a view, copied
 
     # -- energy ------------------------------------------------------------
 
@@ -209,21 +205,34 @@ class FloatingConverter:
         return float(us[i] if resid[i] == 0.0 else 0.5 * (us[i] + us[i + 1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Rows of a displacement sweep; the +/- columns add the friction band."""
+    """Rows of a displacement sweep: the four columns it measures, and three operating
+    forces read-only from the first read on: spring - counter, and that +/- the band."""
 
     u: np.ndarray
     spring_force: np.ndarray
     counter_force: np.ndarray
-    op_force_ideal: np.ndarray
-    op_force_plus: np.ndarray
-    op_force_minus: np.ndarray
+    friction_band: np.ndarray   # N, half-width of the band around the ideal force
 
     def __post_init__(self):
         u = _columns(self, [field.name for field in fields(self)], "sweep columns", 1)[0]
+        if not np.all(np.isfinite(u)):
+            raise ValidationError("sweep displacements must be finite")
         if np.any(u[1:] <= u[:-1]):
             raise ValidationError("sweep displacements must be strictly increasing")
+
+    @cached_property
+    def op_force_ideal(self) -> np.ndarray:
+        return _frozen(self.spring_force - self.counter_force)[0]
+
+    @cached_property
+    def op_force_plus(self) -> np.ndarray:
+        return _frozen(self.op_force_ideal + self.friction_band)[0]
+
+    @cached_property
+    def op_force_minus(self) -> np.ndarray:
+        return _frozen(self.op_force_ideal - self.friction_band)[0]
 
     # an overflowing ratio is reported by the bound check, not as a warning
     @np.errstate(over="ignore", invalid="ignore")

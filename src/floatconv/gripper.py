@@ -93,7 +93,7 @@ class GraspPlan:
         _at_least("converter_stroke", self.converter_stroke, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraspTrace:
     """A grasp's rows as columns: tick 0, the positioning ticks, the
     gripping ticks and a closing ``done`` row that repeats the last one.
@@ -111,6 +111,8 @@ class GraspTrace:
 
     def __post_init__(self):
         jaw = _columns(self, ("jaw", "grip", "actuator"), "trace columns", 2)[0]
+        if not np.all(np.isfinite(jaw)):
+            raise ValidationError("trace jaw must be finite")
         _count("n_positioning", self.n_positioning, 0, jaw.size - 2)
         _flag("latch_holds", self.latch_holds)
 

@@ -113,7 +113,7 @@ class CounterElement:
         return float(tension) if type(energy) is float else tension
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulleyProfile:
     """Sampled polar curve (theta_i, r_i) plus the circular-pulley radius.
 

@@ -950,7 +950,7 @@ def test_an_unknown_kind_is_shown_cut(kind, shown):
 # for every column
 RECORDS = {
     "profile": (2, "profile columns", 2, lambda cols: PulleyProfile(0.02, *cols)),
-    "sweep": (6, "sweep columns", 1, lambda cols: SweepTable(*cols)),
+    "sweep": (4, "sweep columns", 1, lambda cols: SweepTable(*cols)),
     "trace": (3, "trace columns", 2, lambda cols: GraspTrace(*cols, 0, True)),
 }
 SHAPES = {
@@ -1063,3 +1063,46 @@ def test_array_records_copy_a_column_of_another_dtype_once(record):
         tracemalloc.stop()
     assert all(value.tolist() == list(range(rows)) for value in _held(built))
     assert peak < (n + 0.5) * rows * 8
+
+
+@pytest.mark.parametrize("row", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("record, coordinate", [("sweep", "sweep displacements"),
+                                                ("trace", "trace jaw")])
+def test_array_records_refuse_a_coordinate_that_is_not_finite(record, coordinate, value, row):
+    # NaN compares false, so the order check alone let it through; the force columns
+    # may still hold one, which the summaries refuse
+    n, _, _, build = RECORDS[record]
+    first = [0.0, 1.0, 2.0]
+    first[row] = value
+    with pytest.raises(ValidationError, match=f"^{coordinate} must be finite$"):
+        build([first] + [[0.0, 1.0, 2.0]] * (n - 1))
+    build([[0.0, 1.0, 2.0]] + [first] * (n - 1))
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_array_records_compare_by_identity(record):
+    n, _, _, build = RECORDS[record]
+    a, b = build([[0.0, 1.0, 2.0]] * n), build([[0.0, 1.0, 2.0]] * n)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert a in [b, a] and a not in [b]
+    assert hash(a) == hash(a)
+    assert {a: "a", b: "b"}[a] == "a"
+
+
+def test_records_holding_a_profile_compare_by_it():
+    law = ForceCharacteristic.linear(100.0, 0.12)
+    one, other = (synthesize_weight_counter(law, 0.02, 10.0) for _ in range(2))
+    conv = FloatingConverter(law, one, CounterElement.weight(10.0))
+    same = FloatingConverter(law, one, CounterElement.weight(10.0))
+    apart = FloatingConverter(law, other, CounterElement.weight(10.0))
+    assert conv == same and not conv != same and hash(conv) == hash(same)
+    assert conv != apart and not conv == apart
+    assert same in [apart, conv] and apart not in [conv]
+    assert {conv: "conv", apart: "apart"}[same] == "conv"
+    models = [GripperModel(c, stage_travel=0.1, stage_step=0.01, latch_holds=True,
+                           actuator_force_cap=2.0, object_position=0.05)
+              for c in (conv, same, apart)]
+    assert models[0] == models[1] and models[0] != models[2]
+    assert {models[0]: 0, models[2]: 2}[models[1]] == 0

@@ -167,7 +167,7 @@ def test_sweep_rows_rejected_before_allocation(monkeypatch, n):
 
 
 def test_sweep_table_refuses_a_repeated_displacement():
-    columns = [[0.0, 0.01, 0.01]] * 6
+    columns = [[0.0, 0.01, 0.01]] * 4
     with pytest.raises(ValidationError, match="^sweep displacements must be strictly increasing$"):
         SweepTable(*columns)
 
@@ -182,8 +182,9 @@ def test_sweep_rows_accept_a_numpy_integer():
 
 @pytest.mark.parametrize("counter", ["weight", "spring"])
 def test_a_largest_sweep_peaks_at_eight_columns(counter):
-    # six output columns and the transients; the record copying every column, and a
-    # spring's payout keeping seven temporaries, took it to about 14 columns
+    # four stored columns and the transients; the record copying every column, and a
+    # spring's payout keeping seven temporaries, took it to about 14 columns, and the
+    # three operating-force columns, stored as well, to about 7
     law = ForceCharacteristic.linear(k=110.0, x_max=0.12)
     if counter == "weight":
         element = CounterElement.weight(10.0)
@@ -196,11 +197,19 @@ def test_a_largest_sweep_peaks_at_eight_columns(counter):
     tracemalloc.start()
     try:
         table = conv.sweep(0.0, conv.u_max, MAX_SWEEP_ROWS)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
+        table.spring_force, table.counter_force, table.friction_band
+        still = tracemalloc.get_traced_memory()[0]
+        table.op_force_ideal
+        derived = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    column = MAX_SWEEP_ROWS * 8
     assert table.u.size == MAX_SWEEP_ROWS
-    assert peak <= 8 * MAX_SWEEP_ROWS * 8
+    assert peak <= (5.25 if counter == "weight" else 6.1) * column
+    # the table holds its four stored columns until a derived one is read
+    assert 4 * column <= held <= still < 4.25 * column
+    assert 5 * column <= derived < 5.25 * column
 
 
 def _unfused_at_and_integral(xp, fp, x):
@@ -225,7 +234,7 @@ def _unfused_sweep(conv, n):
     counter = np.where(us >= conv.gap_x, cable, 0.0)
     ideal = spring - counter
     band = conv.friction_mu * np.abs(counter) + conv.friction_f0
-    return us, spring, counter, ideal, ideal + band, ideal - band
+    return us, spring, counter, band, ideal, ideal + band, ideal - band
 
 
 def _bytes(value):
@@ -280,7 +289,9 @@ def test_copy_free_sweeps_are_the_unfused_formulas_bit_for_bit(case):
     table = conv.sweep(0.0, conv.u_max, n)
     want = _unfused_sweep(conv, n)
     assert np.any(want[0] < conv.gap_x) and np.any(want[0] >= conv.gap_x)
-    assert [_bytes(column) for column in astuple(table)] == [_bytes(column) for column in want]
+    derived = table.op_force_ideal, table.op_force_plus, table.op_force_minus
+    assert [_bytes(column) for column in astuple(table) + derived] == [
+        _bytes(column) for column in want]
     # the curve on an array, and on each point as a 0-d array
     for got, want in [(curve.at_and_integral(points),
                        _unfused_at_and_integral(curve.xs, curve.ys, points))] + [
