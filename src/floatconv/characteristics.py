@@ -196,10 +196,10 @@ def _finite(name: str, value) -> float:
     return number
 
 
-def _floats(record, *names):
-    """Check each named field of a frozen record with _finite and store the float."""
+def _floats(record, *names, number=float):
+    """Check each named field of a frozen record with _finite and store it as ``number``."""
     for name in names:
-        object.__setattr__(record, name, _finite(name, getattr(record, name)))
+        object.__setattr__(record, name, number(_finite(name, getattr(record, name))))
 
 
 def _at_least(label: str, value, bound: float, strict: bool = False):

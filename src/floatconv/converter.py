@@ -19,7 +19,7 @@ across workers and merged in deterministic row order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -63,11 +63,9 @@ class FloatingConverter:
     friction_f0: float = 0.0   # N, constant friction offset
 
     def __post_init__(self):
-        _floats(self, "gap_x", "friction_mu", "friction_f0")
+        _floats(self, "gap_x")
         _at_least("gap_x", self.gap_x, 0)
-        if not 0 <= self.friction_mu < 1:
-            raise ValidationError(f"friction_mu must be in [0, 1), got {self.friction_mu}")
-        _at_least("friction_f0", self.friction_f0, 0)
+        _friction(self)
 
     @cached_property
     def u_max(self) -> float:
@@ -113,7 +111,7 @@ class FloatingConverter:
     # -- sweeps ------------------------------------------------------------
 
     def sweep(self, u_min: float, u_max: float, n: int) -> "SweepTable":
-        """Uniform displacement sweep: spring, counter and friction-band columns."""
+        """Uniform displacement sweep: spring and counter columns, and the converter's friction."""
         _count("sweep rows", n, 2, MAX_SWEEP_ROWS)
         u_min, u_max = _real("u_min", u_min), _real("u_max", u_max)
         if not 0 <= u_min < u_max:
@@ -124,8 +122,7 @@ class FloatingConverter:
             )
         us = np.linspace(u_min, u_max, n)
         spring, counter = self.force_components(us)
-        band = self.friction_band(counter)
-        return SweepTable(us, *_frozen(spring, counter, band))   # us: a view, copied
+        return SweepTable(us, *_frozen(spring, counter), self.friction_mu, self.friction_f0)
 
     # -- energy ------------------------------------------------------------
 
@@ -205,22 +202,36 @@ class FloatingConverter:
         return float(us[i] if resid[i] == 0.0 else 0.5 * (us[i] + us[i + 1]))
 
 
+def _friction(record, number=float):
+    """Check a record's friction_mu and friction_f0 as a converter does; store each as number."""
+    _floats(record, "friction_mu", "friction_f0", number=number)
+    if not 0 <= record.friction_mu < 1:
+        raise ValidationError(f"friction_mu must be in [0, 1), got {record.friction_mu}")
+    _at_least("friction_f0", record.friction_f0, 0)
+
+
 @dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Rows of a displacement sweep: the four columns it measures, and three operating
-    forces read-only from the first read on: spring - counter, and that +/- the band."""
+    """Rows of a displacement sweep: its three measured columns and the converter's friction;
+    the band, spring - counter and that +/- the band are derived read-only on first read."""
 
     u: np.ndarray
     spring_force: np.ndarray
     counter_force: np.ndarray
-    friction_band: np.ndarray   # N, half-width of the band around the ideal force
+    friction_mu: np.float64 = 0.0   # fraction of counter force lost to friction
+    friction_f0: np.float64 = 0.0   # N, constant friction offset
 
     def __post_init__(self):
-        u = _columns(self, [field.name for field in fields(self)], "sweep columns", 1)[0]
+        u = _columns(self, ("u", "spring_force", "counter_force"), "sweep columns", 1)[0]
         if not np.all(np.isfinite(u)):
             raise ValidationError("sweep displacements must be finite")
         if np.any(u[1:] <= u[:-1]):
             raise ValidationError("sweep displacements must be strictly increasing")
+        _friction(self, np.float64)   # a numpy float: each field is a buffer
+
+    @cached_property
+    def friction_band(self) -> np.ndarray:   # N, by the converter's formula
+        return _frozen(FloatingConverter.friction_band(self, self.counter_force))[0]
 
     @cached_property
     def op_force_ideal(self) -> np.ndarray:

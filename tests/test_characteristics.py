@@ -950,7 +950,7 @@ def test_an_unknown_kind_is_shown_cut(kind, shown):
 # for every column
 RECORDS = {
     "profile": (2, "profile columns", 2, lambda cols: PulleyProfile(0.02, *cols)),
-    "sweep": (4, "sweep columns", 1, lambda cols: SweepTable(*cols)),
+    "sweep": (3, "sweep columns", 1, lambda cols: SweepTable(*cols)),
     "trace": (3, "trace columns", 2, lambda cols: GraspTrace(*cols, 0, True)),
 }
 SHAPES = {

@@ -1,9 +1,10 @@
 """Operating force, sweeps, friction bands, energy ledger, equilibrium."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, fields
 
 import numpy as np
 import pytest
@@ -167,9 +168,56 @@ def test_sweep_rows_rejected_before_allocation(monkeypatch, n):
 
 
 def test_sweep_table_refuses_a_repeated_displacement():
-    columns = [[0.0, 0.01, 0.01]] * 4
+    columns = [[0.0, 0.01, 0.01]] * 3
     with pytest.raises(ValidationError, match="^sweep displacements must be strictly increasing$"):
         SweepTable(*columns)
+
+
+FRICTION_REFUSALS = {
+    "mu_nan": ("friction_mu", math.nan, "friction_mu must be finite, got nan"),
+    "mu_inf": ("friction_mu", math.inf, "friction_mu must be finite, got inf"),
+    "mu_minus_inf": ("friction_mu", -math.inf, "friction_mu must be finite, got -inf"),
+    "mu_negative": ("friction_mu", -0.1, "friction_mu must be in [0, 1), got -0.1"),
+    "mu_one": ("friction_mu", 1.0, "friction_mu must be in [0, 1), got 1.0"),
+    "mu_bool": ("friction_mu", True, "friction_mu must be a real number, got True"),
+    "f0_nan": ("friction_f0", math.nan, "friction_f0 must be finite, got nan"),
+    "f0_inf": ("friction_f0", math.inf, "friction_f0 must be finite, got inf"),
+    "f0_negative": ("friction_f0", -1e-9, "friction_f0 must be >= 0, got -1e-09"),
+}
+
+
+@pytest.mark.parametrize("record", ["converter", "sweep"])
+@pytest.mark.parametrize("case", FRICTION_REFUSALS)
+def test_converter_and_sweep_table_refuse_the_same_friction(record, case):
+    name, value, message = FRICTION_REFUSALS[case]
+    conv = matched_converter()
+    table = conv.sweep(0.0, conv.u_max, 3)
+    with pytest.raises(ValidationError) as info:
+        if record == "converter":
+            FloatingConverter(conv.left, conv.profile, conv.counter, **{name: value})
+        else:
+            SweepTable(table.u, table.spring_force, table.counter_force, **{name: value})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("source", ["hand_built", "sweep"])
+def test_every_sweep_table_field_hashes_as_a_buffer(source):
+    # a digest hashes each field's buffer, which a plain float has not
+    conv = matched_converter(gap_x=0.01, mu=0.005, f0=0.02)
+    table = conv.sweep(0.0, conv.u_max, 64)
+    if source == "hand_built":
+        table = SweepTable(table.u.tolist(), table.spring_force.tolist(),
+                           table.counter_force.tolist(), 0.005, 0.02)
+    for field in fields(table):
+        hashlib.sha256().update(getattr(table, field.name))
+    assert (table.friction_mu, table.friction_f0) == (0.005, 0.02)
+    band = table.friction_band
+    assert _bytes(band) == _bytes(conv.friction_band(table.counter_force))
+    assert table.friction_band is band and not band.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        band[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        table.friction_band = band
 
 
 def test_sweep_rows_accept_a_numpy_integer():
@@ -182,9 +230,9 @@ def test_sweep_rows_accept_a_numpy_integer():
 
 @pytest.mark.parametrize("counter", ["weight", "spring"])
 def test_a_largest_sweep_peaks_at_eight_columns(counter):
-    # four stored columns and the transients; the record copying every column, and a
-    # spring's payout keeping seven temporaries, took it to about 14 columns, and the
-    # three operating-force columns, stored as well, to about 7
+    # three stored columns and the transients; the record copying every column, and a
+    # spring's payout keeping seven temporaries, took it to about 14 columns, the three
+    # operating-force columns, stored as well, to about 7, and a stored band to about 5
     law = ForceCharacteristic.linear(k=110.0, x_max=0.12)
     if counter == "weight":
         element = CounterElement.weight(10.0)
@@ -198,7 +246,7 @@ def test_a_largest_sweep_peaks_at_eight_columns(counter):
     try:
         table = conv.sweep(0.0, conv.u_max, MAX_SWEEP_ROWS)
         held, peak = tracemalloc.get_traced_memory()
-        table.spring_force, table.counter_force, table.friction_band
+        table.spring_force, table.counter_force, table.friction_mu, table.friction_f0
         still = tracemalloc.get_traced_memory()[0]
         table.op_force_ideal
         derived = tracemalloc.get_traced_memory()[0]
@@ -206,10 +254,10 @@ def test_a_largest_sweep_peaks_at_eight_columns(counter):
         tracemalloc.stop()
     column = MAX_SWEEP_ROWS * 8
     assert table.u.size == MAX_SWEEP_ROWS
-    assert peak <= (5.25 if counter == "weight" else 6.1) * column
-    # the table holds its four stored columns until a derived one is read
-    assert 4 * column <= held <= still < 4.25 * column
-    assert 5 * column <= derived < 5.25 * column
+    assert peak <= (4.25 if counter == "weight" else 6.1) * column
+    # the table holds its three stored columns until a derived one is read
+    assert 3 * column <= held <= still < 3.25 * column
+    assert 4 * column <= derived < 4.25 * column
 
 
 def _unfused_at_and_integral(xp, fp, x):
@@ -234,7 +282,8 @@ def _unfused_sweep(conv, n):
     counter = np.where(us >= conv.gap_x, cable, 0.0)
     ideal = spring - counter
     band = conv.friction_mu * np.abs(counter) + conv.friction_f0
-    return us, spring, counter, band, ideal, ideal + band, ideal - band
+    return (us, spring, counter, conv.friction_mu, conv.friction_f0,
+            band, ideal, ideal + band, ideal - band)
 
 
 def _bytes(value):
@@ -289,7 +338,7 @@ def test_copy_free_sweeps_are_the_unfused_formulas_bit_for_bit(case):
     table = conv.sweep(0.0, conv.u_max, n)
     want = _unfused_sweep(conv, n)
     assert np.any(want[0] < conv.gap_x) and np.any(want[0] >= conv.gap_x)
-    derived = table.op_force_ideal, table.op_force_plus, table.op_force_minus
+    derived = table.friction_band, table.op_force_ideal, table.op_force_plus, table.op_force_minus
     assert [_bytes(column) for column in astuple(table) + derived] == [
         _bytes(column) for column in want]
     # the curve on an array, and on each point as a 0-d array

@@ -388,20 +388,25 @@ _EDGE = [0.0, -0.0, -4.9e-7, 4.9e-7, 5e-7, -5e-7, 5.0000001e-7, 1e15, -1e15, 123
 _VALUES = st.sampled_from(_EDGE) | st.floats(-1e16, 1e16, allow_nan=False)
 
 
+# friction coefficients a converter accepts: mu in [0, 1), f0 >= 0
+_MU = st.sampled_from([0.0, 0.5, math.nextafter(1.0, 0.0)]) | st.floats(0.0, 1.0, exclude_max=True)
+_F0 = st.sampled_from([0.0, 4.9e-7, 5e-7, 1e15]) | st.floats(0.0, 1e16)
+
+
 @settings(deadline=None, max_examples=100)
-@given(rows=st.lists(st.tuples(*[_VALUES] * 4), min_size=1, max_size=40))
-def test_sweep_csv_matches_per_value_writer(rows):
+@given(rows=st.lists(st.tuples(*[_VALUES] * 3), min_size=1, max_size=40), mu=_MU, f0=_F0)
+def test_sweep_csv_matches_per_value_writer(rows, mu, f0):
     columns = np.array(rows).T
     u, first = np.unique(columns[0] / 1000.0, return_index=True)
-    table = SweepTable(u, *columns[1:, first])
+    table = SweepTable(u, *columns[1:, first], mu, f0)
     assert sweep_to_csv(table).encode() == ref_sweep_csv(table).encode()
 
 
 def test_sweep_csv_writes_non_finite_values_as_before():
     table = SweepTable(
-        [0.0, 1.0, 2.0], [math.inf, -math.inf, math.nan], [-0.0, 1e300, -5e-7],
-        [1e300, -5e-7, 0.0],
+        [0.0, 1.0, 2.0], [math.inf, -math.inf, math.nan], [-0.0, 1e300, -5e-7], 0.5, 0.25,
     )
+    assert table.friction_band.tolist() == [0.25, 5e299, 0.5 * 5e-7 + 0.25]
     assert sweep_to_csv(table) == ref_sweep_csv(table)
 
 
