@@ -36,7 +36,6 @@ from .errors import (
 )
 from .export import profile_to_csv, profile_to_svg, read_profile_csv
 from .gripper import (
-    GraspPlan,
     GraspTrace,
     GripperModel,
     plan_grasp,
@@ -60,7 +59,6 @@ __all__ = [
     "SweepSummary",
     "EnergyLedger",
     "GripperModel",
-    "GraspPlan",
     "GraspTrace",
     "synthesize_weight_counter",
     "synthesize_spring_counter",

@@ -129,7 +129,7 @@ def _cmd_grasp(args, cfg: RunConfig):
     # the plan's gap replaces the converter's
     model = GripperModel(_converter(cfg), *cfg.gripper)
     plan = plan_grasp(model, args.target_force_n)
-    trace = simulate_grasp(model, plan)
+    trace = simulate_grasp(plan)
     amp = trace.amplification   # inf for a free converter: printed as "inf", not bounded
     peaks = [float(np.max(np.abs(column))) for column in (trace.grip, trace.actuator)]
     if not all(v <= MAX_SUMMARY_VALUE for v in (*peaks, 0.0 if amp == math.inf else abs(amp))):

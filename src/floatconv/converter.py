@@ -35,10 +35,10 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .pulley import CounterElement, PulleyProfile
+from .pulley import SPRING_SYNTHESIS_RTOL, CounterElement, PulleyProfile
 
-# Operating force treated as constant / matching the applied force when
-# within this band (N).
+# Operating force treated as constant / matching the applied force when within
+# this band (N), or within SPRING_SYNTHESIS_RTOL of the law's peak if wider.
 EQUILIBRIUM_FORCE_TOL = 1e-9
 # Width of the final bracketing cell around the balance-point displacement (m).
 EQUILIBRIUM_U_TOL = 1e-9
@@ -177,12 +177,16 @@ class FloatingConverter:
             raise ValidationError("converter has no engaged displacement range")
         us = np.linspace(lo, hi, _EQUILIBRIUM_SCAN + 1)
         resid = self.operating_force(us) - applied
-        if float(np.max(np.abs(resid))) <= EQUILIBRIUM_FORCE_TOL:
+        # synthesis balances the counter only to SPRING_SYNTHESIS_RTOL of the law's
+        # peak; an infinite peak sets no scale, and the absolute band stands alone
+        peak = float(np.max(np.abs(self.left._eval(us))))
+        tol = max(EQUILIBRIUM_FORCE_TOL, SPRING_SYNTHESIS_RTOL * peak if peak < np.inf else 0.0)
+        if float(np.max(np.abs(resid))) <= tol:
             raise IndeterminateEquilibrium(
                 f"operating force equals {applied:g} N everywhere; "
                 "every displacement is an equilibrium"
             )
-        if float(np.max(resid) - np.min(resid)) <= EQUILIBRIUM_FORCE_TOL:
+        if float(np.max(resid) - np.min(resid)) <= tol:
             raise NoRootError(
                 f"operating force is constant at {float(np.mean(resid)) + applied:g} N "
                 f"and never crosses {applied:g} N"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,17 +81,14 @@ class GripperModel:
             )
 
 
-@dataclass(frozen=True)
-class GraspPlan:
-    """Offset gap left by the stage and the converter stroke to the target grip."""
+class GraspPlan(NamedTuple):
+    """plan_grasp's answer for its model, built by it alone: the stage stop in
+    whole steps, the gap that stop leaves and the converter stroke to the grip."""
 
-    gap_x: float            # m
+    model: GripperModel
+    n_stop: int
+    gap_x: float             # m
     converter_stroke: float  # m
-
-    def __post_init__(self):
-        _floats(self, "gap_x", "converter_stroke")
-        _at_least("gap_x", self.gap_x, 0)
-        _at_least("converter_stroke", self.converter_stroke, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,9 +153,9 @@ def plan_grasp(model: GripperModel, target_grip: float) -> GraspPlan:
     """Stage stop, remaining gap and converter stroke for a target grip force.
 
     The stage halts at the last whole step strictly before the object (and
-    never past its travel), leaving gap_x in (0, stage_step] under normal
-    geometry. The stroke is the inverse of the working characteristic at
-    the target force.
+    never past its travel), leaving gap_x in (0, stage_step * (1 + 1e-9)]
+    under normal geometry. The stroke is the inverse of the working
+    characteristic at the target force.
     """
     target_grip = _real("target_grip", target_grip)
     if not math.isfinite(target_grip):
@@ -181,11 +179,11 @@ def plan_grasp(model: GripperModel, target_grip: float) -> GraspPlan:
             f"object at {model.object_position:g} m beyond stage travel "
             f"{model.stage_travel:g} m plus stroke {stroke:g} m"
         )
-    return GraspPlan(gap_x=gap_x, converter_stroke=stroke)
+    return GraspPlan(model, n_stop, gap_x, stroke)
 
 
-def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
-    """Tick-by-tick grasp: positioning, then gripping, then done.
+def simulate_grasp(plan: GraspPlan) -> GraspTrace:
+    """Tick-by-tick grasp of the plan's model: positioning, then gripping, then done.
 
     During gripping the balance point advances one stage step per tick
     (last tick clamped onto the stroke), grip force follows the working
@@ -193,19 +191,15 @@ def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
     force plus the friction band. Exceeds of the force cap raise
     ActuatorStall; any grip reaction without a latch raises BackdriveFault;
     the first tick past the pulley's or the law's range raises DomainError.
-    The plan's gap, which may not pass the object, replaces the converter's.
+    The plan's gap replaces the converter's.
     """
-    if plan.gap_x > model.object_position:
-        raise ValidationError(f"gap_x {plan.gap_x:g} m past object at {model.object_position:g} m")
-    conv = replace(model.converter, gap_x=plan.gap_x)
+    model, n_position, gap_x, stroke = plan
+    conv = replace(model.converter, gap_x=gap_x)
     step = model.stage_step
-    stage_stop = model.object_position - plan.gap_x
-    n_position = round(stage_stop / step)
-    # the ticks only up to the first past the converter's domain: its
-    # force_components call raises DomainError, unless an earlier tick faults
-    end = conv.u_max + _slack(conv.u_max)
-    n_grip = math.ceil(min(plan.converter_stroke, end + step) / step - 1e-9)
-    us = np.minimum(np.arange(1, n_grip + 1) * step, plan.converter_stroke)
+    stage_stop = model.object_position - gap_x
+    # the stroke is at most the law's x_max, which the model caps at MAX_GRASP_TICKS steps
+    n_grip = math.ceil(stroke / step - 1e-9)
+    us = np.minimum(np.arange(1, n_grip + 1) * step, stroke)
 
     cap = model.actuator_force_cap * (1 + 1e-12)
     # a grip above this back-drives the stage: none does while the latch holds
@@ -230,7 +224,7 @@ def simulate_grasp(model: GripperModel, plan: GraspPlan) -> GraspTrace:
     idle = np.zeros(n_position + 1)
     jaw = np.concatenate((
         np.minimum(np.arange(n_position + 1) * step, stage_stop),
-        stage_stop + np.minimum(us, plan.gap_x),
+        stage_stop + np.minimum(us, gap_x),
     ))
     grip, actuator = (np.append(idle, column) for column in (grip, actuator))
     # the done row repeats the last row

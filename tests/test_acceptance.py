@@ -270,18 +270,18 @@ def test_c08_gripper_amplification_and_faults():
     strong = model(cap=2.0, latch=True)
     plan = plan_grasp(strong, 10.0)
     assert plan.gap_x == pytest.approx(0.01, rel=1e-9)
-    trace = simulate_grasp(strong, plan)
+    trace = simulate_grasp(plan)
     assert trace.max_actuator == pytest.approx(1.0, rel=1e-9)
     assert trace.final_grip == pytest.approx(10.0, abs=1e-6)
     assert trace.amplification == pytest.approx(10.0, rel=1e-9)
 
     weak = model(cap=0.5, latch=True)
     with pytest.raises(ActuatorStall):
-        simulate_grasp(weak, plan_grasp(weak, 10.0))
+        simulate_grasp(plan_grasp(weak, 10.0))
 
     unlatched = model(cap=2.0, latch=False)
     with pytest.raises(BackdriveFault):
-        simulate_grasp(unlatched, plan_grasp(unlatched, 10.0))
+        simulate_grasp(plan_grasp(unlatched, 10.0))
     _report("8 gripper amplification and faults")
 
 

@@ -68,7 +68,7 @@ def test_grasp_evaluates_the_converter_once_per_gripping_tick(monkeypatch):
     model = _grasp_model()
     plan = plan_grasp(model, 9.0)
     calls = _count_force_components(monkeypatch)
-    trace = simulate_grasp(model, plan)
+    trace = simulate_grasp(plan)
     counts = dict(trace.phase_counts)
     assert counts["gripping"] == 23   # ceil(0.09 m / 0.004 m)
     assert len(calls) == counts["gripping"]
@@ -82,5 +82,5 @@ def test_grasp_fault_on_the_first_tick_evaluates_the_converter_once(monkeypatch,
     plan = plan_grasp(model, 9.0)
     calls = _count_force_components(monkeypatch)
     with pytest.raises(getattr(floatconv, fault), match=r"^tick 13: "):
-        simulate_grasp(model, plan)
+        simulate_grasp(plan)
     assert len(calls) == 1

@@ -17,7 +17,6 @@ from floatconv import (
     FloatConvError,
     FloatingConverter,
     ForceCharacteristic,
-    GraspPlan,
     GraspTrace,
     GripperModel,
     PulleyProfile,
@@ -26,7 +25,6 @@ from floatconv import (
     ValidationError,
     plan_grasp,
     profile_to_svg,
-    simulate_grasp,
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
@@ -670,10 +668,6 @@ def _real_number_arguments():
                lambda v, name=name: GripperModel(conv, **{**grip, name: v}, latch_holds=True),
                grip[name])
               for name in grip]
-    plan = {"gap_x": 0.01, "converter_stroke": 0.02}
-    cases += [(f"GraspPlan.{name}", name, lambda v, name=name: GraspPlan(**{**plan, name: v}),
-               plan[name])
-              for name in plan]
     return cases
 
 
@@ -755,12 +749,6 @@ def test_one_sided_bounds_name_the_stored_float():
         (lambda: gripper(stage_step=0), "stage_step must be > 0, got 0.0"),
         (lambda: gripper(stage_travel=-1), "stage_travel must be >= 0, got -1.0"),
         (lambda: gripper(actuator_force_cap=0), "actuator_force_cap must be > 0, got 0.0"),
-        (lambda: GraspPlan(gap_x=-1, converter_stroke=0), "gap_x must be >= 0, got -1.0"),
-        (lambda: GraspPlan(gap_x=0, converter_stroke=-1),
-         "converter_stroke must be >= 0, got -1.0"),
-        # a 0.06 m gap on an object 0.05 m away would put the stage behind its start
-        (lambda: simulate_grasp(gripper(), GraspPlan(gap_x=0.06, converter_stroke=0.01)),
-         "gap_x 0.06 m past object at 0.05 m"),
         (lambda: PulleyProfile(0, thetas, radii), "circular-pulley radius must be > 0, got 0.0"),
         (lambda: PulleyProfile(math.nan, thetas, radii),
          "circular_radius must be finite, got nan"),
@@ -789,7 +777,7 @@ KNOTS = ((0, 0), (1, 4), (2, 5))
 
 
 def _records(num):
-    """(record, its numeric scalar fields) for each of the six records, built by
+    """(record, its numeric scalar fields) for each of the five records, built by
     its raw constructor from num of every number."""
     laws = [ForceCharacteristic(kind=kind, **{k: num(v) for k, v in fields.items()})
             for kind, fields in LAW_FIELDS.items()]
@@ -807,7 +795,6 @@ def _records(num):
         (profile, ["circular_radius"]),
         (conv, ["gap_x", "friction_mu", "friction_f0"]),
         (model, ["stage_travel", "stage_step", "actuator_force_cap", "object_position"]),
-        (GraspPlan(num(1), num(2)), ["gap_x", "converter_stroke"]),
     ]
 
 

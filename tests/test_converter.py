@@ -1,10 +1,12 @@
 """Operating force, sweeps, friction bands, energy ledger, equilibrium."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import FrozenInstanceError, astuple, fields
+from dataclasses import FrozenInstanceError, astuple, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +25,14 @@ from floatconv import (
     synthesize_weight_counter,
 )
 from floatconv.characteristics import PiecewiseLinear, _slack, cumulative_trapezoid
+from floatconv.config import parse_config, synthesize_from_config
 from floatconv.converter import (
     _EQUILIBRIUM_SCAN, EQUILIBRIUM_U_TOL, MAX_SWEEP_ROWS, SweepTable,
 )
 from floatconv.pulley import PulleyProfile
 
 PROTO_THETA_MAX = math.radians(345.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def matched_converter(k=100.0, R=0.02, load=10.0, gap_x=0.0, mu=0.0, f0=0.0, x_max=None):
@@ -493,6 +497,59 @@ def test_equilibrium_refuses_a_non_finite_applied_force(applied):
     conv = matched_converter(gap_x=0.01)
     with pytest.raises(ValidationError, match=f"^applied must be finite, got {applied}$"):
         conv.equilibrium_displacement(applied)
+
+
+def shipped_converter(name, scale=1.0):
+    """configs/<name>.json's converter at zero gap, as the CLI builds it, with its
+    law's force scaled by ``scale`` against the pulley synthesized for the law."""
+    cfg = parse_config(json.loads((CONFIGS / f"{name}.json").read_text(encoding="utf-8")))
+    field = {"linear": "k", "constant": "f0", "power_law": "c"}[cfg.spring.kind]
+    law = replace(cfg.spring, **{field: scale * getattr(cfg.spring, field)})
+    return FloatingConverter(law, synthesize_from_config(cfg), cfg.counter,
+                             friction_mu=cfg.friction_mu, friction_f0=cfg.friction_f0_n)
+
+
+@pytest.mark.parametrize("name", ["gripper", "spring_counter", "ib_magnet"])
+def test_a_shipped_balanced_converter_is_indeterminate_at_zero_force(name):
+    # synthesis balances the counter to SPRING_SYNTHESIS_RTOL of the law's peak:
+    # a few uN of residual on the spring counter and the magnet, which alone
+    # would read as sign changes, and so as a root at u = 0
+    with pytest.raises(IndeterminateEquilibrium,
+                       match="^operating force equals 0 N everywhere; "):
+        shipped_converter(name).equilibrium_displacement(0.0)
+
+
+@pytest.mark.parametrize("name", ["gripper", "spring_counter", "ib_magnet"])
+def test_a_shipped_balanced_converter_is_constant_off_its_balance(name):
+    # its residual moves by less than the synthesis tolerance: constant, not a root
+    with pytest.raises(NoRootError, match="^operating force is constant at .* never crosses 1 N$"):
+        shipped_converter(name).equilibrium_displacement(1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("applied", [0.0, 1e10])
+def test_a_law_infinite_at_its_start_sets_no_equilibrium_tolerance(applied):
+    # c / d**p overflows at u = 0, so the scan's peak is inf: a tolerance scaled by it
+    # would call any residual balanced
+    law = ForceCharacteristic.power_law(c=1e300, d=1e-10, p=2.0, x_max=0.1)
+    profile = synthesize_weight_counter(ForceCharacteristic.linear(100.0, 0.1), 0.02, 10.0)
+    conv = FloatingConverter(law, profile, CounterElement.weight(10.0))
+    with pytest.raises(NoRootError) as info:
+        conv.equilibrium_displacement(applied)
+    assert str(info.value) == f"operating force never crosses {applied:g} N"
+
+
+def test_the_shipped_truncated_pulley_balances_where_its_clamp_begins():
+    root = shipped_converter("truncated_pulley").equilibrium_displacement(0.0)
+    assert root == pytest.approx(0.0403, abs=5e-5)
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIGS.glob("*.json")))
+def test_a_shipped_pulley_under_a_law_a_tenth_stronger_has_one_root(name):
+    conv = shipped_converter(name, 1.1)
+    u = 0.5 * conv.u_max
+    root = conv.equilibrium_displacement(float(conv.operating_force(u)))
+    assert abs(root - u) <= EQUILIBRIUM_U_TOL
 
 
 def test_equilibrium_root_at_truncation_boundary():

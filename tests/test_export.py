@@ -204,7 +204,7 @@ def test_trace_csv_format():
         actuator_force_cap=2.0,
         object_position=0.05,
     )
-    text = trace_to_csv(simulate_grasp(model, plan_grasp(model, 10.0)))
+    text = trace_to_csv(simulate_grasp(plan_grasp(model, 10.0)))
     lines = text.split("\n")
     assert lines[0] == "tick,phase,jaw_mm,grip_n,actuator_n,latch"
     assert lines[1] == "0,positioning,0.000000,0.000000,0.000000,0"

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import floatconv
@@ -19,7 +19,6 @@ from floatconv import (
     FloatConvError,
     FloatingConverter,
     ForceCharacteristic,
-    GraspPlan,
     GraspTrace,
     GripperModel,
     PulleyProfile,
@@ -146,13 +145,47 @@ def test_plan_unreachable_object():
         plan_grasp(model, 1.0)  # stroke 0.01 m, object 0.055 m past travel
 
 
+STOP_MODEL = make_model()
+
+
+@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@given(step=st.floats(1e-4, 0.05), obj=st.floats(1e-4, 0.5), travel=st.floats(0.0, 0.5))
+def test_the_planned_stop_is_the_gap_it_leaves_in_whole_steps(step, obj, travel):
+    # a stop short of the object, or at the end of a travel that falls short of it
+    assume(obj <= travel + STOP_MODEL.converter.left.x_max)
+    model = replace(STOP_MODEL, stage_step=step, object_position=obj, stage_travel=travel)
+    plan = plan_grasp(model, 12.0)   # the law's end: a 0.12 m stroke
+    assert plan.n_stop == round((obj - plan.gap_x) / step)
+    assert plan.n_stop * step <= travel + _slack(travel)
+    # the planner's 1e-9 guard counts an object within 1e-9 steps past a step as on it
+    within_a_step = 0 < plan.gap_x <= step * (1 + 1e-9)
+    assert within_a_step or plan.n_stop * step + step > travel + _slack(travel)
+
+
+@pytest.mark.parametrize("law", [
+    ForceCharacteristic.linear(k=100.0, x_max=0.12),
+    ForceCharacteristic.tabulated([(0.0, 0.0), (0.05, 2.0), (0.12, 10.0)]),
+    ForceCharacteristic.power_law(c=0.02, d=0.03, p=1.6, x_max=0.12),
+], ids=["linear", "tabulated", "power_law"])
+def test_the_longest_planned_stroke_is_the_laws_extension(law):
+    # so the gripping grid is at most x_max / stage_step ticks, which the model caps
+    conv = FloatingConverter(law, synthesize_weight_counter(law, 0.02, 10.0),
+                             CounterElement.weight(10.0))
+    model = GripperModel(conv, 0.1, 0.01, True, 1e9, 0.05)
+    plan = plan_grasp(model, float(law.force_at(law.x_max)))
+    assert plan.converter_stroke == pytest.approx(law.x_max, rel=1e-12)
+    trace = simulate_grasp(plan)
+    assert dict(trace.phase_counts)["gripping"] == 12
+    assert trace.final_grip == pytest.approx(float(law.force_at(law.x_max)), rel=1e-12)
+
+
 # -- simulation -------------------------------------------------------------------
 
 
 def test_grasp_completes_with_amplification():
     model = make_model(cap=2.0)
     plan = plan_grasp(model, 10.0)
-    trace = simulate_grasp(model, plan)
+    trace = simulate_grasp(plan)
     assert trace.max_actuator == pytest.approx(1.0, rel=1e-9)
     assert trace.final_grip == pytest.approx(10.0, abs=1e-6)
     assert trace.amplification == pytest.approx(10.0, rel=1e-9)
@@ -167,7 +200,7 @@ def test_grasp_completes_with_amplification():
 
 def test_grip_force_zero_while_positioning_and_monotone_while_gripping():
     model = make_model()
-    trace = simulate_grasp(model, plan_grasp(model, 10.0))
+    trace = simulate_grasp(plan_grasp(model, 10.0))
     (_, positioning), (_, gripping), _ = trace.phase_counts
     assert np.all(trace.grip[:positioning] == 0.0)
     assert np.all(np.diff(trace.grip[positioning:positioning + gripping]) > 0)
@@ -175,7 +208,7 @@ def test_grip_force_zero_while_positioning_and_monotone_while_gripping():
 
 def test_jaw_position_non_decreasing_with_latch():
     model = make_model()
-    trace = simulate_grasp(model, plan_grasp(model, 10.0))
+    trace = simulate_grasp(plan_grasp(model, 10.0))
     jaw = trace.jaw
     assert np.all(np.diff(jaw) >= 0)
     assert jaw[-1] == pytest.approx(model.object_position, rel=1e-12)
@@ -183,7 +216,7 @@ def test_jaw_position_non_decreasing_with_latch():
 
 def test_trace_rows_are_plain_tuples_zipped_from_the_columns():
     model = make_model()
-    trace = simulate_grasp(model, plan_grasp(model, 10.0))
+    trace = simulate_grasp(plan_grasp(model, 10.0))
     assert len(trace.rows) == trace.jaw.size
     assert all(type(row) is tuple for row in trace.rows)
     ticks, phases, jaw, grip, actuator, latch = map(list, zip(*trace.rows))
@@ -200,23 +233,46 @@ def test_trace_row_record_is_gone():
     assert "TraceRow" not in floatconv.__all__
 
 
+def test_a_plan_is_private_and_runs_the_model_it_was_made_for():
+    assert not hasattr(floatconv, "GraspPlan") and "GraspPlan" not in floatconv.__all__
+    model = make_model()
+    plan = plan_grasp(model, 10.0)
+    assert plan.model is model and plan.n_stop == 4
+    with pytest.raises(TypeError):
+        simulate_grasp(model, plan)
+
+
+@pytest.mark.parametrize("travel, n_stop", [(0.0, 0), (0.025, 2), (0.03, 3)])
+def test_a_travel_short_of_the_object_grasps_from_its_last_whole_step(travel, n_stop):
+    # the stage stops at its travel's last whole step, more than a step short
+    model = make_model(cap=10.0, travel=travel)
+    plan = plan_grasp(model, 10.0)
+    assert plan.n_stop == n_stop
+    assert plan.gap_x == pytest.approx(0.05 - 0.01 * n_stop, rel=1e-12)
+    trace = simulate_grasp(plan)
+    assert trace.rows == reference_simulate_grasp(plan)
+    assert dict(trace.phase_counts)["positioning"] == n_stop + 1
+    assert trace.max_actuator == pytest.approx(100.0 * plan.gap_x, rel=1e-9)
+    assert trace.jaw[-1] == pytest.approx(0.05, rel=1e-12)
+
+
 def test_weak_actuator_stalls_at_first_gripping_tick():
     model = make_model(cap=0.5)
     plan = plan_grasp(model, 10.0)
     with pytest.raises(ActuatorStall):
-        simulate_grasp(model, plan)
+        simulate_grasp(plan)
 
 
 def test_no_latch_faults_on_first_grip_reaction():
     model = make_model(latch=False)
     plan = plan_grasp(model, 10.0)
     with pytest.raises(BackdriveFault):
-        simulate_grasp(model, plan)
+        simulate_grasp(plan)
 
 
 def test_latch_column_set_only_during_grip():
     model = make_model()
-    trace = simulate_grasp(model, plan_grasp(model, 10.0))
+    trace = simulate_grasp(plan_grasp(model, 10.0))
     for _, phase, _, _, _, latch in trace.rows:
         assert latch is (phase != "positioning")
 
@@ -228,7 +284,7 @@ def test_actuator_force_adds_the_friction_band():
     conv = replace(model.converter, friction_mu=0.004, friction_f0=0.02)
     model = replace(model, converter=conv)
     plan = plan_grasp(model, 10.0)
-    efforts = [row[4] for row in simulate_grasp(model, plan).rows if row[1] == "gripping"]
+    efforts = [row[4] for row in simulate_grasp(plan).rows if row[1] == "gripping"]
     us = np.minimum(0.01 * np.arange(1, len(efforts) + 1), plan.converter_stroke)
     spring, counter = replace(model.converter, gap_x=plan.gap_x).force_components(us)
     expected = np.abs(spring - counter) + 0.004 * np.abs(counter) + 0.02
@@ -241,7 +297,7 @@ def test_smaller_gap_needs_less_actuator_force():
     for step in (0.005, 0.01, 0.02):
         model = make_model(step=step, obj=0.04)
         plan = plan_grasp(model, 10.0)
-        trace = simulate_grasp(model, plan)
+        trace = simulate_grasp(plan)
         assert plan.gap_x == pytest.approx(step, rel=1e-9)
         forces.append(trace.max_actuator)
     assert forces[0] < forces[1] < forces[2]
@@ -254,7 +310,7 @@ def test_amplification_equals_stroke_over_gap(target):
     # actuator plateau is k * gap_x
     model = make_model(cap=5.0)
     plan = plan_grasp(model, target)
-    trace = simulate_grasp(model, plan)
+    trace = simulate_grasp(plan)
     assert plan.converter_stroke >= plan.gap_x
     assert trace.amplification == pytest.approx(
         plan.converter_stroke / plan.gap_x, rel=1e-9
@@ -267,7 +323,7 @@ def test_short_stroke_never_engages_counter():
     model = make_model(cap=5.0)
     plan = plan_grasp(model, 0.5)
     assert plan.converter_stroke < plan.gap_x
-    trace = simulate_grasp(model, plan)
+    trace = simulate_grasp(plan)
     assert trace.amplification == pytest.approx(1.0, rel=1e-9)
 
 
@@ -323,9 +379,10 @@ def test_stroke_beyond_pulley_range_rejected():
         actuator_force_cap=5.0,
         object_position=0.05,
     )
-    bad_plan = GraspPlan(gap_x=0.01, converter_stroke=0.1)
+    plan = plan_grasp(model, 10.0)
+    assert (plan.gap_x, plan.converter_stroke) == pytest.approx((0.01, 0.1), rel=1e-12)
     with pytest.raises(DomainError):
-        simulate_grasp(model, bad_plan)
+        simulate_grasp(plan)
 
 
 def _short_pulley_model(mu):
@@ -353,8 +410,8 @@ def test_a_stroke_past_the_pulley_faults_at_the_first_failing_tick(mu, want):
     model = _short_pulley_model(mu)
     plan = plan_grasp(model, 10.0)
     assert (plan.gap_x, plan.converter_stroke) == pytest.approx((0.01, 0.1), rel=1e-12)
-    assert _outcome(simulate_grasp, model, plan) == want
-    assert _outcome(reference_simulate_grasp, model, plan) == want
+    assert _outcome(simulate_grasp, plan) == want
+    assert _outcome(reference_simulate_grasp, plan) == want
 
 
 # One end rule: a length up to _slack(end) past an end is accepted, the next float refused.
@@ -437,7 +494,7 @@ def test_latch_accepts_a_bool_or_a_numpy_bool(latch):
     model = replace(make_model(), latch_holds=latch)
     assert GraspTrace(*THREE_ROWS, 1, latch).latch.tolist() == [False, latch, latch]
     if latch:
-        assert simulate_grasp(model, plan_grasp(model, 10.0)).final_grip == pytest.approx(10.0)
+        assert simulate_grasp(plan_grasp(model, 10.0)).final_grip == pytest.approx(10.0)
 
 
 def test_grasp_trace_accepts_a_numpy_integer_count():
@@ -448,16 +505,19 @@ def test_grasp_trace_accepts_a_numpy_integer_count():
 # -- the columnar trace against the per-tick loop ---------------------------------
 
 
-def reference_simulate_grasp(model, plan):
+def reference_simulate_grasp(plan):
     """The per-tick loop that built one row per tick, kept as the oracle of
     the columnar simulate_grasp: it yields (tick, phase, jaw_m, grip_n,
     actuator_n, latch) tuples. Its force chain is spelled out through the
-    public, clip-checked force_at and realized_force."""
+    public, clip-checked force_at and realized_force, and its stage stop is
+    derived again from the gap, which must give the plan's."""
+    model = plan.model
     conv = replace(model.converter, gap_x=plan.gap_x)
     R = conv.profile.circular_radius
     step = model.stage_step
     stage_stop = model.object_position - plan.gap_x
     n_position = round(stage_stop / step)
+    assert plan.n_stop == n_position
     rows = [(0, "positioning", 0.0, 0.0, 0.0, False)]
     for i in range(1, n_position + 1):
         jaw = min(i * step, stage_stop)
@@ -502,21 +562,24 @@ GRASP_COUNTERS = {
     "weight": CounterElement.weight(10.0),
     "spring": CounterElement.spring(t0=10.0, k2=40.0),
 }
+# each law over a pulley for its whole extension, and over one for half of it, whose
+# range ends the converter's short of the strokes to the larger grips
 GRASP_CONVERTERS = {
-    (law_name, counter_name): FloatingConverter(
+    (law_name, counter_name, pulley): FloatingConverter(
         law,
-        synthesize_spring_counter(law, 0.02, counter),
+        synthesize_spring_counter(law, 0.02, counter, theta_max=turns * law.x_max / 0.02),
         counter,
     )
     for law_name, law in GRASP_LAWS.items()
     for counter_name, counter in GRASP_COUNTERS.items()
+    for pulley, turns in (("full", 1.0), ("short", 0.5))
 }
 
 
-def _outcome(simulate, model, plan):
+def _outcome(simulate, plan):
     """The trace rows, or the type and message of the fault."""
     try:
-        return simulate(model, plan)
+        return simulate(plan)
     except FloatConvError as exc:
         return type(exc), str(exc)
 
@@ -530,7 +593,7 @@ def _outcome(simulate, model, plan):
     step=st.floats(min_value=0.002, max_value=0.02),
     n_position=st.sampled_from([0, 0, 1, 2, 7, 20]),
     place=st.floats(min_value=0.05, max_value=1.0),
-    reach=st.one_of(st.sampled_from([0.0, 1.0, 1.01]), st.floats(0.0, 1.02)),
+    reach=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     data=st.data(),
 )
 def test_columnar_trace_matches_per_tick_loop(
@@ -539,30 +602,29 @@ def test_columnar_trace_matches_per_tick_loop(
     conv = replace(GRASP_CONVERTERS[key], friction_mu=mu, friction_f0=f0)
     obj = (n_position + place) * step
     model = GripperModel(conv, obj + 0.01, step, latch, 1e9, obj)
-    # the planner's gap, or any gap a caller's own plan may leave: then the
-    # stage stop is off the step grid and the last positioning tick is clipped
-    gap_x = data.draw(st.one_of(st.just(plan_grasp(model, 0.0).gap_x), st.floats(1e-6, obj)))
-    # reach 0 is a zero stroke; past 1 the stroke leaves the converter's range
-    plan = GraspPlan(gap_x, reach * replace(conv, gap_x=gap_x).u_max)
+    # the grip the law gives at a drawn share of its extension: reach 0 is a zero
+    # stroke, and a short pulley's range ends before the strokes to the larger grips
+    target = float(conv.left.force_at(reach * conv.left.x_max))
+    plan = plan_grasp(model, target)
 
-    reference = _outcome(reference_simulate_grasp, model, plan)
+    reference = _outcome(reference_simulate_grasp, plan)
     if isinstance(reference[0], tuple):
         # cap the actuator at a drawn gripping tick's effort: it stalls at the
         # first tick whose effort exceeds that cap, or never
         efforts = [row[4] for row in reference if row[1] == "gripping"]
         if efforts:
             cap = max(data.draw(st.sampled_from(efforts)), 1e-9)
-            model = replace(model, actuator_force_cap=cap)
-            reference = _outcome(reference_simulate_grasp, model, plan)
+            plan = plan_grasp(replace(model, actuator_force_cap=cap), target)
+            reference = _outcome(reference_simulate_grasp, plan)
 
-    got = _outcome(lambda m, p: simulate_grasp(m, p).rows, model, plan)
+    got = _outcome(lambda p: simulate_grasp(p).rows, plan)
     assert got == reference
     if isinstance(reference[0], type):
         if reference[0] in (ActuatorStall, BackdriveFault):
             tick = int(re.match(r"tick (\d+): ", reference[1]).group(1))
-            assert tick > round((obj - gap_x) / step)   # a gripping tick
+            assert tick > plan.n_stop   # a gripping tick
         return
-    trace = simulate_grasp(model, plan)
+    trace = simulate_grasp(plan)
     assert trace.max_actuator == max(row[4] for row in reference)
     assert trace.final_grip == reference[-1][3]
     peak = max(row[3] for row in reference)
@@ -572,20 +634,25 @@ def test_columnar_trace_matches_per_tick_loop(
         assert trace.amplification == math.inf
 
 
-def _long_pulley_model(x_max, step, obj):
-    """A linear law on [0, x_max] over a 1e6 rad pulley of 1 m radius: the law's
-    domain, not the pulley's range, ends the converter's at u_max = x_max."""
-    profile = PulleyProfile(1.0, [0.0, 1e6], [0.0, 0.01])
-    conv = FloatingConverter(ForceCharacteristic.linear(100.0, x_max), profile,
-                             CounterElement.weight(10.0))
-    return GripperModel(conv, 1.0, step, True, 1e9, obj)
+def _short_pulley_plan(u_max, step, stroke):
+    """The plan to a grip of ``stroke`` N on a linear 1 N/m law over [0, stroke] m,
+    for an object one step out: the stage stays put and leaves a one-step gap. The
+    pulley, of 1 m radius, ends the converter's range at u_max, short of the stroke."""
+    law = ForceCharacteristic.linear(1.0, stroke)
+    profile = PulleyProfile(1.0, [0.0, u_max - step], [0.0, 0.01])
+    conv = FloatingConverter(law, profile, CounterElement.weight(10.0))
+    plan = plan_grasp(GripperModel(conv, 1.0, step, True, 1e9, step), stroke)
+    assert (plan.n_stop, plan.gap_x, plan.converter_stroke) == (0, step, stroke)
+    assert replace(conv, gap_x=step).u_max == u_max
+    return plan
 
 
 @pytest.mark.parametrize(
-    "x_max, step, stroke, text",
+    "u_max, step, stroke, text",
     [
-        # a 2e4 m stroke at a 0.01 m step: the grid used to hold 2,000,000 ticks
-        (0.12, 0.01, 2e4, "value range [0.13, 0.13] outside domain [0, 0.12]"),
+        # a stroke 800 times the converter's range: the grid ends at the stroke,
+        # which the law's x_max bounds, but the ticks stop at the first refused one
+        (0.12, 0.01, 100.0, "value range [0.13, 0.13] outside domain [0, 0.12]"),
         # the third tick, 3 * 0.1, lands an ulp past u_max = 0.3, inside the slack
         # the domain accepts: the fourth is the first it refuses
         (0.3, 0.1, 0.5, "value range [0.4, 0.4] outside domain [0, 0.3]"),
@@ -594,14 +661,13 @@ def _long_pulley_model(x_max, step, obj):
     ],
     ids=["long_stroke", "tick_in_the_slack", "step_inside_the_slack"],
 )
-def test_stroke_past_u_max_stops_at_the_first_refused_tick(x_max, step, stroke, text):
-    model = _long_pulley_model(x_max, step, step)
-    plan = GraspPlan(step, stroke)
-    assert _outcome(reference_simulate_grasp, model, plan) == (DomainError, text)
+def test_stroke_past_u_max_stops_at_the_first_refused_tick(u_max, step, stroke, text):
+    plan = _short_pulley_plan(u_max, step, stroke)
+    assert _outcome(reference_simulate_grasp, plan) == (DomainError, text)
     tracemalloc.start()
     try:
         with pytest.raises(DomainError) as info:
-            simulate_grasp(model, plan)
+            simulate_grasp(plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
