@@ -141,7 +141,8 @@ def _cmd_grasp(args, cfg: RunConfig):
 
 
 def _cmd_export_svg(args, cfg: None):
-    profile = export.read_profile_csv(_read(args.profile))
+    # the drawing reads only the radii and angles, not R: any R serves
+    profile = export.read_profile_csv(_read(args.profile), 1.0)
     _write(args.out, export.profile_to_svg(profile, args.scale))
 
 

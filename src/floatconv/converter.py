@@ -176,10 +176,11 @@ class FloatingConverter:
         if not lo < hi:
             raise ValidationError("converter has no engaged displacement range")
         us = np.linspace(lo, hi, _EQUILIBRIUM_SCAN + 1)
-        resid = self.operating_force(us) - applied
+        spring, counter = self.force_components(us)
+        resid = spring - counter - applied
         # synthesis balances the counter only to SPRING_SYNTHESIS_RTOL of the law's
         # peak; an infinite peak sets no scale, and the absolute band stands alone
-        peak = float(np.max(np.abs(self.left._eval(us))))
+        peak = float(np.max(np.abs(spring)))
         tol = max(EQUILIBRIUM_FORCE_TOL, SPRING_SYNTHESIS_RTOL * peak if peak < np.inf else 0.0)
         if float(np.max(np.abs(resid))) <= tol:
             raise IndeterminateEquilibrium(
@@ -217,7 +218,7 @@ def _friction(record, number=float):
 @dataclass(frozen=True, eq=False)
 class SweepTable:
     """Rows of a displacement sweep: its three measured columns and the converter's friction;
-    the band, spring - counter and that +/- the band are derived read-only on first read."""
+    the band and spring - counter are derived read-only on first read."""
 
     u: np.ndarray
     spring_force: np.ndarray
@@ -241,14 +242,6 @@ class SweepTable:
     def op_force_ideal(self) -> np.ndarray:
         return _frozen(self.spring_force - self.counter_force)[0]
 
-    @cached_property
-    def op_force_plus(self) -> np.ndarray:
-        return _frozen(self.op_force_ideal + self.friction_band)[0]
-
-    @cached_property
-    def op_force_minus(self) -> np.ndarray:
-        return _frozen(self.op_force_ideal - self.friction_band)[0]
-
     # an overflowing ratio is reported by the bound check, not as a warning
     @np.errstate(over="ignore", invalid="ignore")
     def summary(self) -> "SweepSummary":
@@ -261,7 +254,7 @@ class SweepTable:
         spring = np.abs(self.spring_force)
         peak = float(np.max(spring))
         op_const = float(np.max(np.abs(self.op_force_ideal)))
-        banded = np.maximum(np.abs(self.op_force_plus), np.abs(self.op_force_minus))
+        banded = np.abs(self.op_force_ideal) + self.friction_band   # the grasp's effort
         ratio_peak = float(np.max(banded) / peak) if peak > 0 else 0.0
         nonzero = spring > 1e-12 * max(peak, 1.0)
         ratio_point = float(np.max(banded[nonzero] / spring[nonzero], initial=0.0))

@@ -250,12 +250,11 @@ def _parse_rows(text: str) -> np.ndarray:
     return np.array(values)
 
 
-def read_profile_csv(text: str, circular_radius_m: float = 1.0) -> PulleyProfile:
+def read_profile_csv(text: str, circular_radius_m: float) -> PulleyProfile:
     """Parse a profile CSV back into a PulleyProfile.
 
-    The file format does not carry the circular-pulley radius, so force
-    analysis needs it passed in; geometry-only consumers may keep the
-    default.
+    The file format does not carry the circular-pulley radius R, so the
+    caller passes it: the counter force r * T / R scales with it.
     """
     values = _decode(text)
     if values is None:
@@ -311,13 +310,10 @@ def profile_to_svg(profile: PulleyProfile, scale: float = 10.0) -> str:
 
 
 def sweep_to_csv(table: SweepTable) -> str:
+    """The sweep's rows, then spring - counter and that plus and minus the friction band."""
+    ideal, band = table.op_force_ideal, table.friction_band
     values = np.column_stack([
-        table.u * 1000.0,
-        table.spring_force,
-        table.counter_force,
-        table.op_force_ideal,
-        table.op_force_plus,
-        table.op_force_minus,
+        table.u * 1000.0, table.spring_force, table.counter_force, ideal, ideal + band, ideal - band
     ])
     return SWEEP_CSV_HEADER + "\n" + _encode(values, (6,) * 6, (",",) * 5 + ("\n",))
 

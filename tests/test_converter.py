@@ -20,14 +20,17 @@ from floatconv import (
     ForceCharacteristic,
     IndeterminateEquilibrium,
     NoRootError,
+    NumericalError,
     ValidationError,
     synthesize_spring_counter,
     synthesize_weight_counter,
 )
+from floatconv import export
 from floatconv.characteristics import PiecewiseLinear, _slack, cumulative_trapezoid
 from floatconv.config import parse_config, synthesize_from_config
 from floatconv.converter import (
-    _EQUILIBRIUM_SCAN, EQUILIBRIUM_U_TOL, MAX_SWEEP_ROWS, SweepTable,
+    _EQUILIBRIUM_SCAN, EQUILIBRIUM_U_TOL, MAX_SUMMARY_VALUE, MAX_SWEEP_ROWS, SweepSummary,
+    SweepTable,
 )
 from floatconv.pulley import PulleyProfile
 
@@ -121,15 +124,28 @@ def test_friction_band_ratio():
     conv = matched_converter(mu=0.003)
     table = conv.sweep(0.0, 0.1, 2)
     assert table.spring_force[1] == pytest.approx(10.0, rel=1e-12)
-    band = table.op_force_plus[1] - table.op_force_ideal[1]
+    band = table.friction_band[1]
     assert band == pytest.approx(0.003 * table.counter_force[1], rel=1e-12)
     assert band == pytest.approx(0.03, rel=1e-9)
 
 
-def test_friction_band_symmetry():
+def test_friction_band_symmetry(monkeypatch):
+    # the plus and minus columns exist only as the sweep CSV writes them: read the
+    # matrix its encoder is handed, before the 6-decimal rounding
     conv = matched_converter(gap_x=0.005, mu=0.01, f0=0.05)
     table = conv.sweep(0.005, conv.u_max, 33)
-    mid = 0.5 * (table.op_force_plus + table.op_force_minus)
+    written, encode = [], export._encode
+
+    def recording_encode(values, *args):
+        written.append(values)
+        return encode(values, *args)
+
+    monkeypatch.setattr(export, "_encode", recording_encode)
+    export.sweep_to_csv(table)
+    (values,) = written
+    ideal, plus, minus = values[:, 3:].T
+    assert np.array_equal(ideal, table.op_force_ideal)
+    mid = 0.5 * (plus + minus)
     scale = max(float(np.max(np.abs(table.spring_force))), 1.0)
     assert np.max(np.abs(mid - table.op_force_ideal)) <= 1e-14 * scale
 
@@ -286,8 +302,7 @@ def _unfused_sweep(conv, n):
     counter = np.where(us >= conv.gap_x, cable, 0.0)
     ideal = spring - counter
     band = conv.friction_mu * np.abs(counter) + conv.friction_f0
-    return (us, spring, counter, conv.friction_mu, conv.friction_f0,
-            band, ideal, ideal + band, ideal - band)
+    return us, spring, counter, conv.friction_mu, conv.friction_f0, band, ideal
 
 
 def _bytes(value):
@@ -342,7 +357,7 @@ def test_copy_free_sweeps_are_the_unfused_formulas_bit_for_bit(case):
     table = conv.sweep(0.0, conv.u_max, n)
     want = _unfused_sweep(conv, n)
     assert np.any(want[0] < conv.gap_x) and np.any(want[0] >= conv.gap_x)
-    derived = table.friction_band, table.op_force_ideal, table.op_force_plus, table.op_force_minus
+    derived = table.friction_band, table.op_force_ideal
     assert [_bytes(column) for column in astuple(table) + derived] == [
         _bytes(column) for column in want]
     # the curve on an array, and on each point as a 0-d array
@@ -369,6 +384,65 @@ def test_sweep_summary_ratios():
     s = table.summary()
     assert s.op_force_const == pytest.approx(1.2455, rel=1e-9)
     assert s.ratio_peak == pytest.approx(0.05, rel=1e-9)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _summary_by_plus_minus(table):
+    """SweepTable.summary with its banded force max(|ideal + band|, |ideal - band|)."""
+    spring = np.abs(table.spring_force)
+    peak = float(np.max(spring))
+    op_const = float(np.max(np.abs(table.op_force_ideal)))
+    ideal, band = table.op_force_ideal, table.friction_band
+    banded = np.maximum(np.abs(ideal + band), np.abs(ideal - band))
+    ratio_peak = float(np.max(banded) / peak) if peak > 0 else 0.0
+    nonzero = spring > 1e-12 * max(peak, 1.0)
+    ratio_point = float(np.max(banded[nonzero] / spring[nonzero], initial=0.0))
+    if not all(abs(v) <= MAX_SUMMARY_VALUE for v in (op_const, ratio_peak, ratio_point)):
+        raise NumericalError(
+            f"sweep summary is not finite or exceeds {MAX_SUMMARY_VALUE:g}: "
+            f"op_force_const={op_const:g} N "
+            f"ratio_peak={ratio_peak:g} ratio_point={ratio_point:g}"
+        )
+    counter, band = float(np.max(np.abs(table.counter_force))), float(np.max(banded))
+    if not all(v <= MAX_SUMMARY_VALUE for v in (peak, counter, band)):
+        raise NumericalError(f"sweep forces are not finite or exceed {MAX_SUMMARY_VALUE:g}: "
+                             f"spring={peak:g} N counter={counter:g} N banded={band:g} N")
+    return SweepSummary(op_const, ratio_peak, ratio_point)
+
+
+def _outcome(summarize, table):
+    try:
+        return tuple(float(v).hex() for v in astuple(summarize(table)))
+    except NumericalError as exc:
+        return "NumericalError", str(exc)
+
+
+# signed zeros and the smallest subnormal and normal; forces past the summary bound
+_SMALL_FORCES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+                 | st.floats(-100.0, 100.0))
+_HUGE_FORCES = st.sampled_from([1e300, -1e300, math.inf, -math.inf]) | st.floats(allow_nan=False)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(_SMALL_FORCES, _SMALL_FORCES), min_size=2, max_size=8),
+       huge=st.lists(st.tuples(_HUGE_FORCES | _SMALL_FORCES, _HUGE_FORCES), max_size=2),
+       mu=st.sampled_from([0.0, 0.5, math.nextafter(1.0, 0.0)]) | st.floats(0.0, 0.99),
+       f0=st.sampled_from([0.0, 5e-324, 1e300]) | st.floats(0.0, 100.0))
+def test_summary_banded_force_is_the_plus_minus_maximum(rows, huge, mu, f0):
+    # |ideal| + band, the grasp's effort, is max(|ideal + band|, |ideal - band|) bit for
+    # bit when band >= 0, but for ideal = +-inf under an infinite band: inf, not nan
+    spring, counter = np.array(rows + huge).T
+    table = SweepTable(np.arange(spring.size, dtype=float), spring, counter, mu, f0)
+    with np.errstate(over="ignore", invalid="ignore"):   # inf - inf, 0 * inf
+        ideal, band = table.op_force_ideal, table.friction_band
+    # with mu = 0 an infinite counter makes a nan band: no band is negative
+    assert not np.any(band < 0)
+    got, want = _outcome(SweepTable.summary, table), _outcome(_summary_by_plus_minus, table)
+    if np.any(np.isinf(ideal) & (band == math.inf)):
+        # both refuse the infinite counter; a printed nan may read inf
+        assert got[0] == want[0] == "NumericalError"
+    else:
+        assert got == want
 
 
 # -- energy ledger -----------------------------------------------------------
@@ -524,6 +598,23 @@ def test_a_shipped_balanced_converter_is_constant_off_its_balance(name):
     # its residual moves by less than the synthesis tolerance: constant, not a root
     with pytest.raises(NoRootError, match="^operating force is constant at .* never crosses 1 N$"):
         shipped_converter(name).equilibrium_displacement(1.0)
+
+
+@pytest.mark.parametrize("applied, error", [(0.0, IndeterminateEquilibrium), (1.0, NoRootError)])
+@pytest.mark.parametrize("name", ["gripper", "spring_counter", "ib_magnet"])
+def test_the_equilibrium_scan_evaluates_the_law_once(monkeypatch, name, applied, error):
+    # the first scan takes the residual and the peak from one force_components call
+    conv = shipped_converter(name)
+    calls, law_eval = [], ForceCharacteristic._eval
+
+    def counting_eval(self, xs):
+        calls.append(np.size(xs))
+        return law_eval(self, xs)
+
+    monkeypatch.setattr(ForceCharacteristic, "_eval", counting_eval)
+    with pytest.raises(error):
+        conv.equilibrium_displacement(applied)
+    assert calls == [_EQUILIBRIUM_SCAN + 1]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -84,19 +84,19 @@ def test_profile_round_trip_lossless_for_synthesized_profiles(k, R, load):
 
 def test_read_profile_rejects_bad_header():
     with pytest.raises(ParseError) as err:
-        read_profile_csv("theta_deg,radius_mm\n0.000000,1.000000\n")
+        read_profile_csv("theta_deg,radius_mm\n0.000000,1.000000\n", 0.02)
     assert err.value.line == 1
 
 
 def test_read_profile_rejects_bad_rows():
     with pytest.raises(ParseError) as err:
-        read_profile_csv("theta_deg,r_mm\n0.000000,1.000000\n1.0\n")
+        read_profile_csv("theta_deg,r_mm\n0.000000,1.000000\n1.0\n", 0.02)
     assert err.value.line == 3
     with pytest.raises(ParseError) as err:
-        read_profile_csv("theta_deg,r_mm\n0.000000,abc\n1.000000,2.000000\n")
+        read_profile_csv("theta_deg,r_mm\n0.000000,abc\n1.000000,2.000000\n", 0.02)
     assert err.value.line == 2
     with pytest.raises(ParseError):
-        read_profile_csv("theta_deg,r_mm\n0.000000,1.000000\n")  # single row
+        read_profile_csv("theta_deg,r_mm\n0.000000,1.000000\n", 0.02)  # single row
 
 
 def test_empty_profile_rejected():
@@ -242,15 +242,15 @@ def ref_sweep_csv(table):
     lines = [
         "u_mm,spring_force_n,counter_force_n,op_force_ideal_n,op_force_plus_n,op_force_minus_n"
     ]
-    for u, sf, cf, ideal, plus, minus in zip(
+    for u, sf, cf, ideal, band in zip(
         table.u,
         table.spring_force,
         table.counter_force,
         table.op_force_ideal,
-        table.op_force_plus,
-        table.op_force_minus,
+        table.friction_band,
     ):
-        lines.append(",".join(ref_fmt6(v) for v in (u * 1000.0, sf, cf, ideal, plus, minus)))
+        row = (u * 1000.0, sf, cf, ideal, ideal + band, ideal - band)
+        lines.append(",".join(ref_fmt6(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -274,7 +274,7 @@ def ref_svg_path(profile, scale):
     return " ".join(steps)
 
 
-def ref_read_profile_csv(text, circular_radius_m=1.0):
+def ref_read_profile_csv(text, circular_radius_m):
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines = lines[:-1]
@@ -364,7 +364,7 @@ def test_read_profile_matches_row_loop(text):
 @pytest.mark.parametrize("text", LONG_LINES, ids=["header", "row"])
 def test_a_parse_error_cuts_the_line_it_echoes(text):
     with pytest.raises(ParseError) as info:
-        read_profile_csv(text)
+        read_profile_csv(text, 0.02)
     assert len(str(info.value)) <= 200
 
 
@@ -424,7 +424,7 @@ def test_profile_writers_match_per_value_writers(r0, samples, scale):
     profile = PulleyProfile(0.02, np.cumsum((0.0,) + steps), np.array((r0,) + radii))
     text = ref_profile_csv(profile)
     try:
-        ref_read_profile_csv(text)
+        ref_read_profile_csv(text, 0.02)
     except ValidationError:
         # thetas less than 1e-6 degrees apart print alike: the file would not read back
         with pytest.raises(ValidationError, match="strictly increasing at 6 decimals"):
