@@ -10,7 +10,7 @@ table per section, read by the one function _section.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ VERIFY_ENERGY_RTOL = 1e-6
 MIN_CIRCULAR_RADIUS = 1e-6
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     spring: ForceCharacteristic
     circular_radius_m: float
     theta_max_rad: float | None
@@ -188,8 +187,7 @@ def synthesize_from_config(cfg: RunConfig) -> PulleyProfile:
     return profile
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """How closely a profile realizes its configuration."""
 
     max_residual: float        # N, worst departure from the expected force

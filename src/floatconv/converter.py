@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -271,8 +272,7 @@ class SweepTable:
         return SweepSummary(op_const, ratio_peak, ratio_point)
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     """Plateau operating force plus peak- and pointwise-normalized ratios.
 
     ``ratio_peak`` divides the worst banded operating force by the peak
@@ -286,8 +286,7 @@ class SweepSummary:
     ratio_point: float
 
 
-@dataclass(frozen=True)
-class EnergyLedger:
+class EnergyLedger(NamedTuple):
     """Energy moved while the balance point travelled u0 -> u1 (joules)."""
 
     delta_spring: float

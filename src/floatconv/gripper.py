@@ -191,8 +191,11 @@ def simulate_grasp(plan: GraspPlan) -> GraspTrace:
     force plus the friction band. Exceeds of the force cap raise
     ActuatorStall; any grip reaction without a latch raises BackdriveFault;
     the first tick past the pulley's or the law's range raises DomainError.
-    The plan's gap replaces the converter's.
+    The plan's gap replaces the converter's. Anything but a GraspPlan is refused.
     """
+    if not isinstance(plan, GraspPlan):   # a hand-made n_stop would size the trace unbounded
+        raise ValidationError(f"simulate_grasp takes the GraspPlan plan_grasp returns, "
+                              f"got a {type(plan).__name__}")
     model, n_position, gap_x, stroke = plan
     conv = replace(model.converter, gap_x=gap_x)
     step = model.stage_step

@@ -1,8 +1,12 @@
 """Config parsing branches not exercised by the CLI round trips."""
 
 import copy
+import dataclasses
+import importlib
 import json
 import math
+import pkgutil
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from floatconv import FloatConvError, PulleyProfile, ValidationError
+import floatconv
+from floatconv import FloatConvError, FloatingConverter, PulleyProfile, ValidationError
 from floatconv.characteristics import cumulative_trapezoid
 from floatconv.config import (
     CONFIG,
@@ -619,3 +624,57 @@ def test_readme_config_example_parses_and_names_every_key():
     assert cfg.gripper is not None and cfg.truncation_bounds is not None
     for key in SCHEMA_KEYS:
         assert f"`{key}`" in section or f'"{key}"' in section, key
+
+
+# -- records -----------------------------------------------------------------------------
+
+
+def _frozen_dataclasses():
+    for info in pkgutil.iter_modules(floatconv.__path__):
+        if info.name == "__main__":   # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"floatconv.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
+                yield cls
+
+
+def test_a_frozen_dataclass_checks_or_caches():
+    # a record that does neither is a NamedTuple: a dataclass costs its import a class build
+    found = list(_frozen_dataclasses())
+    assert {"FloatingConverter", "GripperModel", "SweepTable"} <= {cls.__name__ for cls in found}
+    for cls in found:
+        body = vars(cls)
+        assert "__post_init__" in body or any(
+            isinstance(value, cached_property) for value in body.values()
+        ), cls.__qualname__
+
+
+def _records():
+    cfg = parse_config(base_config())
+    profile = synthesize_from_config(cfg)
+    conv = FloatingConverter(cfg.spring, profile, cfg.counter, gap_x=0.01)
+    return {
+        "SweepSummary": conv.sweep(0.01, conv.u_max, 64).summary(),
+        "EnergyLedger": conv.energy_ledger(0.01, 0.11),
+        "VerifyReport": verify_profile(cfg, profile),
+        "RunConfig": cfg,
+    }
+
+
+@pytest.mark.parametrize("name, fields", [
+    ("SweepSummary", ("op_force_const", "ratio_peak", "ratio_point")),
+    ("EnergyLedger", ("delta_spring", "delta_counter", "operator_work")),
+    ("VerifyReport", ("max_residual", "residual_tol", "energy_error", "clamped_to")),
+    ("RunConfig", ("spring", "circular_radius_m", "theta_max_rad", "samples",
+                   "truncation_bounds", "counter", "friction_mu", "friction_f0_n", "gripper")),
+])
+def test_a_plain_result_is_a_named_tuple_that_unpacks_in_field_order(name, fields):
+    record = _records()[name]
+    assert type(record).__name__ == name and isinstance(record, tuple)
+    assert type(record)._fields == fields
+    assert tuple(record) == tuple(getattr(record, field) for field in fields)
+    for field in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)

@@ -412,7 +412,7 @@ def _summary_by_plus_minus(table):
 
 def _outcome(summarize, table):
     try:
-        return tuple(float(v).hex() for v in astuple(summarize(table)))
+        return tuple(float(v).hex() for v in summarize(table))
     except NumericalError as exc:
         return "NumericalError", str(exc)
 

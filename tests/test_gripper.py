@@ -242,6 +242,14 @@ def test_a_plan_is_private_and_runs_the_model_it_was_made_for():
         simulate_grasp(model, plan)
 
 
+@pytest.mark.parametrize("n_stop", [-5, 2.5], ids=["negative", "fractional"])
+def test_a_hand_made_plan_is_refused(n_stop):
+    # before, -5 reached np.zeros as a bare ValueError and 2.5 np.arange as a TypeError
+    with pytest.raises(ValidationError, match=r"^simulate_grasp takes the GraspPlan plan_grasp "
+                                              r"returns, got a tuple$"):
+        simulate_grasp((make_model(), n_stop, 0.01, 0.1))
+
+
 @pytest.mark.parametrize("travel, n_stop", [(0.0, 0), (0.025, 2), (0.03, 3)])
 def test_a_travel_short_of_the_object_grasps_from_its_last_whole_step(travel, n_stop):
     # the stage stops at its travel's last whole step, more than a step short

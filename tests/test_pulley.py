@@ -3,7 +3,6 @@
 import math
 import struct
 import warnings
-from dataclasses import astuple
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -585,7 +584,7 @@ def test_weight_is_the_zero_stiffness_spring():
         )
         for c in (weight, relaxed)
     ]
-    for a, b in zip(astuple(ledgers[0]), astuple(ledgers[1])):
+    for a, b in zip(*ledgers):
         assert a == pytest.approx(b, rel=1e-12)
     # the slack cable pays out nothing below the gap; the weight then
     # releases load * payout
