@@ -6,20 +6,22 @@ formatting and a locale-independent '.' separator, and every writer is a
 pure text generator, so output is byte-for-byte deterministic and
 golden-file friendly. Line endings are LF.
 
-One codec serves every file. The encoder turns each value into its
-integer quantum round(v * 1e6), rounded half to even on the exact product
-as ``"%.6f"`` rounds, and splits it into whole part and decimals by
-10**6; a 0-decimal column (the trace's tick and latch) holds whole
-numbers and writes its whole part alone. Each block of rows becomes one
-matrix of NUL-padded 4-byte words from lookup tables, as many words per
-column as that column's widest number needs, and one ``bytes.translate``
-deletes the NULs. The bytes are those ``"%.6f"`` writes, with
-"-0.000000" normalized to "0.000000"; a document holding a non-finite
+One codec serves every file, and it works in blocks of at most _BLOCK
+rows: a profile writer or reader holds its result, one more copy of it
+and one block's temporaries, never a whole column of them. The encoder
+turns each value into its integer quantum round(v * 1e6), rounded half
+to even on the exact product as ``"%.6f"`` rounds, and splits it into
+whole part and decimals by 10**6; a 0-decimal column (the trace's tick
+and latch) holds whole numbers and writes its whole part alone. Each
+block becomes one matrix of NUL-padded 4-byte words from lookup tables,
+as many words per column as that column's widest number needs, and one
+``bytes.translate`` deletes the NULs. The bytes are those ``"%.6f"`` writes, with
+"-0.000000" normalized to "0.000000"; a block holding a non-finite
 value or one of 2**52/1e6 or more in magnitude is %-formatted instead.
-The decoder reads a profile CSV whose every field is
-``-?\\d{1,9}\\.\\d{6}`` as integers over 1e6, which is float() of each
-field bit for bit; any other text goes to a row-by-row parse that names
-the first bad line.
+The decoder reads a profile CSV, in blocks cut just after a LF, whose
+every field is ``-?\\d{1,9}\\.\\d{6}`` as integers over 1e6, which is
+float() of each field bit for bit; any other text goes to a row-by-row
+parse that names the first bad line.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ _QUADS, _LEADS_UNITS, _LEADS, _POINT_TRIPLES, _TRIPLES = (
     )
 )
 _MINUS_WORD = np.frombuffer(b"\0\0\0-", np.uint32)[0]
-_BLOCK = 2**14   # rows a block: its int64 temporaries are 128 KiB a column
+_BLOCK = 2**14   # rows a block, 128 KiB a column of int64; decoding, 16 characters a row
 
 
 def _quanta(values: np.ndarray) -> np.ndarray | None:
@@ -117,7 +119,7 @@ def _encode(values: np.ndarray, decimals: tuple[int, ...], seps: tuple[str, ...]
     """An (n, c) float matrix as text, row by row: column j with
     ``decimals[j]`` (6 or 0) decimals, then ``seps[j]``; a 0-decimal
     column holds whole numbers. ``quanta`` is ``_quanta(values)`` when
-    the caller has it.
+    the caller has it. A block is %-formatted alone, to the same bytes.
 
     Up to _BLOCK rows are one matrix of NUL-padded 4-byte words, sized
     column by column: a sign word if the column holds a negative quantum;
@@ -126,13 +128,14 @@ def _encode(values: np.ndarray, decimals: tuple[int, ...], seps: tuple[str, ...]
     the separator. Every quantum splits by the scalar 10**6, which numpy
     vectorises. One ``bytes.translate`` deletes the NULs.
     """
+    if len(values) > _BLOCK:
+        return "".join(_encode(values[i:i + _BLOCK], decimals, seps,
+                               None if quanta is None else quanta[i:i + _BLOCK])
+                       for i in range(0, len(values), _BLOCK))
     q = _quanta(values) if quanta is None else quanta
     if q is None:
         row = "".join(f"%.{d}f{sep}" for d, sep in zip(decimals, seps))
         return _unsigned_zero((row * len(values)) % tuple(values.ravel().tolist()))
-    if len(q) > _BLOCK:
-        return "".join(_encode(values[i:i + _BLOCK], decimals, seps, q[i:i + _BLOCK])
-                       for i in range(0, len(q), _BLOCK))
     words = []   # in row order: an array of one word per row, or one word for all rows
     for column, d, sep in zip(q.T, decimals, seps):
         frac = np.abs(column)
@@ -169,17 +172,24 @@ def profile_to_csv(profile: PulleyProfile) -> str:
     strictly increasing, as when samples less than 1e-6 degrees apart
     print alike: read_profile_csv would refuse the file.
     """
-    values = np.column_stack([np.degrees(profile.thetas), profile.radii * 1000.0])
-    q = _quanta(values)
-    read = q[:, 0] / 1e6 if q is not None else np.array([float(fmt6(v)) for v in values[:, 0]])
-    bad = np.flatnonzero(np.diff(np.radians(read)) <= 0)
-    if bad.size:
-        i = int(bad[0])
-        raise ValidationError(
-            "profile thetas must be strictly increasing at 6 decimals of a degree: "
-            f"samples {i} and {i + 1} are written as {fmt6(read[i])} and {fmt6(read[i + 1])}"
-        )
-    return PROFILE_CSV_HEADER + "\n" + _encode(values, (6, 6), (",", "\n"), q)
+    blocks, last = [PROFILE_CSV_HEADER + "\n"], -math.inf   # the theta written last
+    for i in range(0, profile.thetas.size, _BLOCK):
+        values = np.column_stack([np.degrees(profile.thetas[i:i + _BLOCK]),
+                                  profile.radii[i:i + _BLOCK] * 1000.0])
+        q = _quanta(values)
+        read = q[:, 0] / 1e6 if q is not None else [float(fmt6(v)) for v in values[:, 0]]
+        read = np.append(last, read)
+        bad = np.flatnonzero(np.diff(np.radians(read)) <= 0)
+        if bad.size:
+            j = int(bad[0])
+            raise ValidationError(
+                "profile thetas must be strictly increasing at 6 decimals of a degree: "
+                f"samples {i + j - 1} and {i + j} are written as "
+                f"{fmt6(read[j])} and {fmt6(read[j + 1])}"
+            )
+        last = read[-1]
+        blocks.append(_encode(values, (6, 6), (",", "\n"), q))
+    return "".join(blocks)
 
 
 # -- decoder ----------------------------------------------------------------------
@@ -197,34 +207,41 @@ def _decode(text: str) -> np.ndarray | None:
     head = PROFILE_CSV_HEADER + "\n"
     if not (text.startswith(head) and text.endswith("\n") and text.isascii()):
         return None
-    raw = np.frombuffer(text.encode("ascii"), np.uint8)[len(head):]
-    ends = np.flatnonzero(raw < ord("-"))   # the separators, and any other byte below '-'
-    n = ends.size
-    # they must alternate ",\n,\n...", ending in the final LF: one comma per row
-    if n < 4 or np.any(raw[ends[0::2]] != ord(",")) or np.any(raw[ends[1::2]] != ord("\n")):
-        return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    neg = raw[starts] == ord("-")
-    whole = ends - starts - 7 - neg   # digits before the point
-    # a point 7 bytes before each end; besides it, the separator and a
-    # leading minus, every byte is a digit
-    if (
-        np.any(whole < 1)
-        or np.any(whole > 9)
-        or np.any(raw[ends - 7] != ord("."))
-        or np.count_nonzero(raw - np.uint8(ord("0")) < 10) != raw.size - 2 * n - neg.sum()
-    ):
-        return None
-    # one take per digit column, counted back from each field's end
-    number = np.zeros(n, np.int64)
-    for place in range(6):
-        number += (raw[ends - 1 - place].astype(np.int64) - ord("0")) * 10**place
-    for place in range(int(whole.max())):
-        digit = raw.take(ends - 8 - place, mode="clip").astype(np.int64) - ord("0")
-        number += np.where(whole > place, digit, 0) * 10 ** (6 + place)
-    values = number / 1e6
-    values[neg] *= -1.0
-    return values
+    values = np.empty(2 * text.count("\n") - 2)   # two fields a row below the header
+    at, start = 0, len(head)
+    while values.size >= 4 and start < len(text):
+        # a block ends just after the first LF _BLOCK * 16 characters on, or at the end
+        stop = text.find("\n", start + 16 * _BLOCK) + 1 or len(text)
+        raw = np.frombuffer(text[start:stop].encode("ascii"), np.uint8)
+        start = stop
+        ends = np.flatnonzero(raw < ord("-"))   # the separators, and any other byte below '-'
+        n = ends.size
+        # they must alternate ",\n,\n...", ending in the block's last LF: one comma per row
+        if np.any(raw[ends[0::2]] != ord(",")) or np.any(raw[ends[1::2]] != ord("\n")):
+            return None
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        neg = raw[starts] == ord("-")
+        whole = ends - starts - 7 - neg   # digits before the point
+        # a point 7 bytes before each end; besides it, the separator and a
+        # leading minus, every byte is a digit
+        if (
+            np.any(whole < 1)
+            or np.any(whole > 9)
+            or np.any(raw[ends - 7] != ord("."))
+            or np.count_nonzero(raw - np.uint8(ord("0")) < 10) != raw.size - 2 * n - neg.sum()
+        ):
+            return None
+        # one take per digit column, counted back from each field's end
+        number = np.zeros(n, np.int64)
+        for place in range(6):
+            number += (raw[ends - 1 - place].astype(np.int64) - ord("0")) * 10**place
+        for place in range(int(whole.max())):
+            digit = raw.take(ends - 8 - place, mode="clip").astype(np.int64) - ord("0")
+            number += np.where(whole > place, digit, 0) * 10 ** (6 + place)
+        np.divide(number, 1e6, out=values[at:at + n])
+        values[at:at + n][neg] *= -1.0
+        at += n
+    return values if values.size >= 4 else None
 
 
 def _parse_rows(text: str) -> np.ndarray:
@@ -280,33 +297,34 @@ def profile_to_svg(profile: PulleyProfile, scale: float = 10.0) -> str:
         raise ValidationError(
             f"scale must be in [{SVG_SCALE_MIN:g}, {SVG_SCALE_MAX:g}] px/mm, got {sc}"
         )
-    r_mm = profile.radii * 1000.0
-    r_max_mm = float(np.max(r_mm))
+    r_max_mm = float(np.max(profile.radii)) * 1000.0   # x 1000 is monotone: the max of r_mm
     if r_max_mm * sc > SVG_MAX_PX:
         raise ValidationError(
             f"largest radius x scale must be <= {SVG_MAX_PX:g} px, "
             f"got {r_max_mm:g} mm x {sc:g} px/mm = {r_max_mm * sc:g} px"
         )
-    xs = r_mm * np.cos(profile.thetas)
-    ys = -r_mm * np.sin(profile.thetas)  # screen y grows downward
+    path, lo, hi = [], math.inf, -math.inf   # the path's blocks; the curve's (x, y) bounds
+    for i in range(0, profile.thetas.size, _BLOCK):
+        thetas, r_mm = profile.thetas[i:i + _BLOCK], profile.radii[i:i + _BLOCK] * 1000.0
+        # (x, y) as rows, screen y growing downward: each reduces along contiguous memory
+        xy = np.array([r_mm * np.cos(thetas), -r_mm * np.sin(thetas)])
+        lo, hi = np.minimum(lo, xy.min(axis=1)), np.maximum(hi, xy.max(axis=1))
+        path.append(_encode(xy.T * sc, (6, 6), (" ", " L ")))
+    path[-1] = path[-1][:-3]   # no " L " after the last point
 
-    x0 = (float(np.min(xs)) - SVG_MARGIN_MM) * sc
-    y0 = (float(np.min(ys)) - SVG_MARGIN_MM) * sc
-    width = (float(np.max(xs)) - float(np.min(xs)) + 2 * SVG_MARGIN_MM) * sc
-    height = (float(np.max(ys)) - float(np.min(ys)) + 2 * SVG_MARGIN_MM) * sc
-
-    path = "M " + _encode(np.column_stack([xs * sc, ys * sc]), (6, 6), (" ", " L "))[:-3]
+    x0, y0 = (lo - SVG_MARGIN_MM) * sc
+    width, height = (hi - lo + 2 * SVG_MARGIN_MM) * sc
     marker_r = 0.5 * sc  # 0.5 mm dot at the rotation axis
-    return (
+    return "".join([
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{fmt6(width)}" height="{fmt6(height)}" '
         f'viewBox="{fmt6(x0)} {fmt6(y0)} {fmt6(width)} {fmt6(height)}">\n'
-        f'  <path d="{path}" fill="none" stroke="black" '
+        '  <path d="M ', *path, '" fill="none" stroke="black" '
         f'stroke-width="{fmt6(SVG_STROKE_PX)}"/>\n'
         f'  <circle cx="0.000000" cy="0.000000" r="{fmt6(marker_r)}" fill="black"/>\n'
         "</svg>\n"
-    )
+    ])
 
 
 def sweep_to_csv(table: SweepTable) -> str:

@@ -191,12 +191,18 @@ def simulate_grasp(plan: GraspPlan) -> GraspTrace:
     force plus the friction band. Exceeds of the force cap raise
     ActuatorStall; any grip reaction without a latch raises BackdriveFault;
     the first tick past the pulley's or the law's range raises DomainError.
-    The plan's gap replaces the converter's. Anything but a GraspPlan is refused.
+    The plan's gap replaces the converter's. Anything but a GraspPlan is refused, as
+    is an n_stop off [0, MAX_GRASP_TICKS] or a converter_stroke off [0, x_max].
     """
-    if not isinstance(plan, GraspPlan):   # a hand-made n_stop would size the trace unbounded
+    if not isinstance(plan, GraspPlan):
         raise ValidationError(f"simulate_grasp takes the GraspPlan plan_grasp returns, "
                               f"got a {type(plan).__name__}")
     model, n_position, gap_x, stroke = plan
+    # both size the trace: bound a hand-edited plan's before any array is built
+    _count("plan n_stop", n_position, 0, MAX_GRASP_TICKS)
+    x_max = model.converter.left.x_max
+    if not 0 <= (stroke := _real("plan converter_stroke", stroke)) <= x_max + _slack(x_max):
+        raise ValidationError(f"plan converter_stroke must be in [0, {x_max:g}] m, got {stroke}")
     conv = replace(model.converter, gap_x=gap_x)
     step = model.stage_step
     stage_stop = model.object_position - gap_x

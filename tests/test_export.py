@@ -2,11 +2,12 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from floatconv import (
@@ -24,6 +25,7 @@ from floatconv import (
     simulate_grasp,
     synthesize_weight_counter,
 )
+from floatconv import export
 from floatconv.converter import SweepTable
 from floatconv.export import (
     SVG_MAX_PX,
@@ -36,7 +38,7 @@ from floatconv.export import (
     trace_to_csv,
 )
 from floatconv.gripper import GraspTrace, GripperModel
-from floatconv.pulley import MAX_PROFILE_RADIUS
+from floatconv.pulley import MAX_PROFILE_RADIUS, MAX_PROFILE_SAMPLES
 
 THETA_MAX = math.radians(345.0)
 
@@ -44,6 +46,20 @@ THETA_MAX = math.radians(345.0)
 def prototype_profile():
     spring = ForceCharacteristic.linear(k=124.55, x_max=0.02 * THETA_MAX)
     return synthesize_weight_counter(spring, 0.02, 10.0).truncated(0.010, 0.040)
+
+
+@pytest.fixture(params=[None, 3], ids=["own-blocks", "3-row-blocks"])
+def block_rows(request, monkeypatch):
+    """The codec's block size in rows: its own, then 3, so that every text of a few
+    rows spans several blocks."""
+    if request.param:
+        monkeypatch.setattr(export, "_BLOCK", request.param)
+    return export._BLOCK
+
+
+# block_rows is a function fixture, which hypothesis flags under @given: it sets
+# one block size for all of a test's examples, as it should
+ONE_BLOCK_SIZE = [HealthCheck.function_scoped_fixture]
 
 
 # -- profile CSV ---------------------------------------------------------------
@@ -274,6 +290,25 @@ def ref_svg_path(profile, scale):
     return " ".join(steps)
 
 
+def ref_svg(profile, scale):
+    r_mm = profile.radii * 1000.0
+    xs = r_mm * np.cos(profile.thetas)
+    ys = -r_mm * np.sin(profile.thetas)
+    (x_lo, x_hi), (y_lo, y_hi) = ((float(np.min(c)), float(np.max(c))) for c in (xs, ys))
+    x0, y0 = (x_lo - 5.0) * scale, (y_lo - 5.0) * scale
+    width, height = (x_hi - x_lo + 10.0) * scale, (y_hi - y_lo + 10.0) * scale
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{ref_fmt6(width)}" height="{ref_fmt6(height)}" '
+        f'viewBox="{ref_fmt6(x0)} {ref_fmt6(y0)} {ref_fmt6(width)} {ref_fmt6(height)}">\n'
+        f'  <path d="{ref_svg_path(profile, scale)}" fill="none" stroke="black" '
+        'stroke-width="1.000000"/>\n'
+        f'  <circle cx="0.000000" cy="0.000000" r="{ref_fmt6(0.5 * scale)}" fill="black"/>\n'
+        "</svg>\n"
+    )
+
+
 def ref_read_profile_csv(text, circular_radius_m):
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -357,7 +392,7 @@ LONG_LINES = ["x" * 100_000 + "\n0.0,10.0\n1.0,11.0\n",
         *LONG_LINES,
     ],
 )
-def test_read_profile_matches_row_loop(text):
+def test_read_profile_matches_row_loop(block_rows, text):
     assert read_outcome(read_profile_csv, text) == read_outcome(ref_read_profile_csv, text)
 
 
@@ -375,9 +410,9 @@ _CELLS = st.sampled_from(
 _ROWS = st.none() | _CELLS | st.tuples(_CELLS, _CELLS).map(",".join)
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=200, suppress_health_check=ONE_BLOCK_SIZE)
 @given(rows=st.lists(_ROWS, max_size=6), ending=st.sampled_from(["", "\n", "\r\n", "\n\n"]))
-def test_read_profile_matches_row_loop_on_generated_text(rows, ending):
+def test_read_profile_matches_row_loop_on_generated_text(block_rows, rows, ending):
     body = "\n".join(f"{1.5 * i},10.0" if row is None else row for i, row in enumerate(rows))
     text = HEADER + body + ending
     assert read_outcome(read_profile_csv, text) == read_outcome(ref_read_profile_csv, text)
@@ -413,13 +448,13 @@ def test_sweep_csv_writes_non_finite_values_as_before():
 _RADII = st.sampled_from([0.0, -0.0, 4.9e-10, 5e-10, 1e12]) | st.floats(0.0, 1e3)
 
 
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=100, suppress_health_check=ONE_BLOCK_SIZE)
 @given(
     r0=_RADII,
     samples=st.lists(st.tuples(st.floats(1e-9, 1.0), _RADII), min_size=1, max_size=40),
     scale=st.sampled_from([1e-3, 0.37, 10.0, 1e6]),
 )
-def test_profile_writers_match_per_value_writers(r0, samples, scale):
+def test_profile_writers_match_per_value_writers(block_rows, r0, samples, scale):
     steps, radii = zip(*samples)
     profile = PulleyProfile(0.02, np.cumsum((0.0,) + steps), np.array((r0,) + radii))
     text = ref_profile_csv(profile)
@@ -435,14 +470,13 @@ def test_profile_writers_match_per_value_writers(r0, samples, scale):
         with pytest.raises(ValidationError, match="largest radius x scale"):
             profile_to_svg(profile, scale=scale)
     else:
-        svg = profile_to_svg(profile, scale=scale)
-        assert f'<path d="{ref_svg_path(profile, scale)}" ' in svg
+        assert profile_to_svg(profile, scale=scale).encode() == ref_svg(profile, scale).encode()
 
 
-def test_profile_writers_match_per_value_writers_on_synthesized_profile():
+def test_profile_writers_match_per_value_writers_on_synthesized_profile(block_rows):
     profile = prototype_profile()
     assert profile_to_csv(profile) == ref_profile_csv(profile)
-    assert f'<path d="{ref_svg_path(profile, 10.0)}" ' in profile_to_svg(profile)
+    assert profile_to_svg(profile) == ref_svg(profile, 10.0)
 
 
 @settings(deadline=None, max_examples=50)
@@ -540,9 +574,10 @@ _WIDE = st.floats(-2 * FAST_MAX, 2 * FAST_MAX) | st.floats(-1e3, 1e3) | st.sampl
 )
 
 
-@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@settings(deadline=None, max_examples=300, derandomize=True, database=None,
+          suppress_health_check=ONE_BLOCK_SIZE)
 @given(rows=st.lists(st.tuples(_WIDE, _WIDE, st.integers(0, 2**20)), max_size=12))
-def test_encoder_matches_percent_format_on_matrices(rows):
+def test_encoder_matches_percent_format_on_matrices(block_rows, rows):
     values = np.array(rows, dtype=float).reshape(-1, 3)
     want = "".join(f"{ref_fmt6(a)} L {ref_fmt6(b)},{tick}\n" for a, b, tick in rows)
     assert _encode(values, (6, 6, 0), (" L ", ",", "\n")) == want
@@ -557,9 +592,10 @@ _FIXED6 = st.tuples(st.sampled_from(["", "-"]), st.text(_NUMERALS, max_size=1),
                     st.text(_NUMERALS, min_size=7, max_size=15))
 
 
-@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@settings(deadline=None, max_examples=300, derandomize=True, database=None,
+          suppress_health_check=ONE_BLOCK_SIZE)
 @given(rows=st.lists(st.tuples(_FIXED6, _FIXED6), min_size=2, max_size=8))
-def test_decoder_reads_fixed6_fields_as_float_does(rows):
+def test_decoder_reads_fixed6_fields_as_float_does(block_rows, rows):
     parts = [(sign, lead + digits[:-6], digits[-6:]) for row in rows for sign, lead, digits in row]
     fields = [f"{sign}{whole}.{frac}" for sign, whole, frac in parts]
     text = HEADER + "".join(f"{a},{b}\n" for a, b in zip(fields[0::2], fields[1::2]))
@@ -587,7 +623,7 @@ NEAR_FIXED6 = [
 
 @pytest.mark.parametrize("field", NEAR_FIXED6)
 @pytest.mark.parametrize("row", ["{},10.000000", "1.000000,{}"])
-def test_read_profile_matches_row_loop_on_one_near_fixed6_field(field, row):
+def test_read_profile_matches_row_loop_on_one_near_fixed6_field(block_rows, field, row):
     text = HEADER + "0.000000,10.000000\n" + row.format(field) + "\n2.000000,12.000000\n"
     assert read_outcome(read_profile_csv, text) == read_outcome(ref_read_profile_csv, text)
 
@@ -597,11 +633,89 @@ _NEAR_FIXED6 = st.sampled_from(NEAR_FIXED6)
 _NEAR_ROWS = st.none() | st.tuples(_NEAR_FIXED6, _NEAR_FIXED6).map(",".join) | _NEAR_FIXED6
 
 
-@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@settings(deadline=None, max_examples=300, derandomize=True, database=None,
+          suppress_health_check=ONE_BLOCK_SIZE)
 @given(rows=st.lists(_NEAR_ROWS, max_size=6), ending=st.sampled_from(["", "\n", "\n\n"]))
-def test_read_profile_matches_row_loop_on_near_fixed6_text(rows, ending):
+def test_read_profile_matches_row_loop_on_near_fixed6_text(block_rows, rows, ending):
     body = "\n".join(
         f"{i}.000000,1{i}.000000" if row is None else row for i, row in enumerate(rows)
     )
     text = HEADER + body + ending
     assert read_outcome(read_profile_csv, text) == read_outcome(ref_read_profile_csv, text)
+
+
+# -- the codec's blocks ------------------------------------------------------------
+#
+# The codec reads and writes a profile in blocks of rows. The oracles above run
+# with 3-row blocks too; these put an edge case at every row of a text some blocks
+# long, so that it also falls just after a cut.
+
+FIXED6_ROW = "1.000000,10.000000\n"
+
+
+def test_a_bad_row_in_a_later_block_names_its_line(block_rows):
+    for k in range(12):
+        rows = [f"{i}.000000,1{i}.000000\n" for i in range(12)]
+        rows[k] = rows[k].replace("0000,", "0a00,")
+        text = HEADER + "".join(rows)
+        assert read_outcome(read_profile_csv, text) == read_outcome(ref_read_profile_csv, text)
+        with pytest.raises(ParseError, match=r"^line \d+: non-numeric field") as info:
+            read_profile_csv(text, 0.02)
+        assert info.value.line == k + 2
+
+
+@pytest.mark.parametrize("field", ["-0.000000", "123456789.000000", "-999999999.999999"])
+def test_decoder_reads_an_edge_field_at_every_row(block_rows, field):
+    for k in range(12):
+        fields = FIXED6_ROW[:-1].split(",") * 6
+        fields[k] = field
+        text = HEADER + "".join(f"{a},{b}\n" for a, b in zip(fields[0::2], fields[1::2]))
+        assert _decode(text).tobytes() == np.array([float(f) for f in fields]).tobytes()
+
+
+@pytest.mark.parametrize("value", [-0.0, -4.9e-7, 123456789.5, -999999999.999999, math.inf])
+def test_encoder_writes_an_edge_value_at_every_row(block_rows, value):
+    for k in range(7):
+        values = np.full((7, 2), 1.25)
+        values[k, 1] = value
+        want = "".join(f"{ref_fmt6(a)},{ref_fmt6(b)}\n" for a, b in values.tolist())
+        assert _encode(values, (6, 6), (",", "\n")) == want
+
+
+def test_thetas_that_print_alike_across_a_cut_are_named(block_rows):
+    for k in range(7):
+        degrees = np.arange(8.0)
+        degrees[k + 1] = k + 1e-8   # written as k.000000, like sample k
+        profile = PulleyProfile(0.02, np.radians(degrees), np.full(8, 0.01))
+        with pytest.raises(ValidationError) as info:
+            profile_to_csv(profile)
+        assert str(info.value) == (
+            "profile thetas must be strictly increasing at 6 decimals of a degree: "
+            f"samples {k} and {k + 1} are written as {k}.000000 and {k}.000000"
+        )
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_profile_io_holds_no_whole_column_of_temporaries():
+    # the largest profile a config can request: each call's peak is its result and a
+    # copy of it, the list of blocks the document is joined from or the decoded fields
+    # the profile's arrays are cut from, plus a block's temporaries. Whole-column
+    # temporaries took the peak to 4.0x (CSV), 4.4x (SVG) and 7.5x (read).
+    spring = ForceCharacteristic.linear(k=124.55, x_max=0.02 * THETA_MAX)
+    profile = synthesize_weight_counter(spring, 0.02, 10.0, MAX_PROFILE_SAMPLES)
+    text, peak = traced_peak(lambda: profile_to_csv(profile))
+    assert peak < 3 * len(text)
+    svg, peak = traced_peak(lambda: profile_to_svg(profile))
+    assert peak < 3 * len(svg)
+    read, peak = traced_peak(lambda: read_profile_csv(text, 0.02))
+    assert peak < 3 * (read.thetas.nbytes + read.radii.nbytes)
+    assert profile_to_csv(read) == text

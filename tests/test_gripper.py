@@ -31,7 +31,7 @@ from floatconv import (
     synthesize_weight_counter,
 )
 from floatconv.characteristics import MAX_LENGTH, _slack, clip_domain
-from floatconv.gripper import GRIP_FORCE_TOL
+from floatconv.gripper import GRIP_FORCE_TOL, MAX_GRASP_TICKS
 
 THETA_MAX = math.radians(345.0)
 
@@ -248,6 +248,34 @@ def test_a_hand_made_plan_is_refused(n_stop):
     with pytest.raises(ValidationError, match=r"^simulate_grasp takes the GraspPlan plan_grasp "
                                               r"returns, got a tuple$"):
         simulate_grasp((make_model(), n_stop, 0.01, 0.1))
+
+
+@pytest.mark.parametrize("field, value, text", [
+    ("n_stop", -5, "plan n_stop must be in [0, 1048576], got -5"),
+    ("n_stop", 2.5, "plan n_stop must be an integer"),
+    ("n_stop", MAX_GRASP_TICKS + 1, "plan n_stop must be in [0, 1048576], got 1048577"),
+    ("converter_stroke", 1e6, "plan converter_stroke must be in [0, 0.120428] m, got 1000000.0"),
+], ids=["negative", "fractional", "past-the-cap", "past-the-law"])
+def test_a_hand_edited_plan_is_refused_before_any_array(field, value, text):
+    # before, -5 reached np.zeros as a bare ValueError, 2.5 np.arange as a TypeError,
+    # and a huge n_stop or stroke sized the trace with no bound
+    plan = plan_grasp(make_model(), 9.0)._replace(**{field: value})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as info:
+            simulate_grasp(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == text
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("stroke", [0.0, 0.02 * THETA_MAX * (1 + 1e-13)], ids=["zero", "slack"])
+def test_a_hand_edited_stroke_inside_the_law_still_runs(stroke):
+    plan = plan_grasp(make_model(cap=1e9), 9.0)._replace(converter_stroke=stroke)
+    trace = simulate_grasp(plan)
+    assert trace.rows == reference_simulate_grasp(plan)
 
 
 @pytest.mark.parametrize("travel, n_stop", [(0.0, 0), (0.025, 2), (0.03, 3)])
