@@ -7,12 +7,13 @@ pure text generator, so output is byte-for-byte deterministic and
 golden-file friendly. Line endings are LF.
 
 One codec serves every file, and it works in blocks of at most _BLOCK
-rows: a profile writer or reader holds its result, one more copy of it
-and one block's temporaries, never a whole column of them. The encoder
-turns each value into its integer quantum round(v * 1e6), rounded half
-to even on the exact product as ``"%.6f"`` rounds, and splits it into
-whole part and decimals by 10**6; a 0-decimal column (the trace's tick
-and latch) holds whole numbers and writes its whole part alone. Each
+rows: a writer, the trace's phase by phase, or the reader holds its result,
+one more copy of it and one block's temporaries, never a whole column of
+them. The encoder turns each value into its integer quantum round(v * 1e6);
+where the float product lands on a half quantum, ``"%.6f" % v``, which
+rounds the exact product half to even, decides it. It splits the quantum
+into whole part and decimals by 10**6; a 0-decimal column (the trace's
+tick and latch) holds whole numbers and writes its whole part alone. Each
 block becomes one matrix of NUL-padded 4-byte words from lookup tables,
 as many words per column as that column's widest number needs, and one
 ``bytes.translate`` deletes the NULs. The bytes are those ``"%.6f"`` writes, with
@@ -69,7 +70,6 @@ def fmt6(value: float) -> str:
 
 # -- encoder ----------------------------------------------------------------------
 
-_SPLIT = 134217729.0         # 2**27 + 1: splits a float64 into two 26-bit halves
 _FAST_MAX = 2.0**52 / 1e6    # below it a quantum and a half-quantum are exact floats
 _Q = np.arange(10**4, dtype=np.uint16)
 _DIGITS = np.stack([_Q // 1000, _Q // 100 % 10, _Q // 10 % 10, _Q % 10], axis=-1) + ord("0")
@@ -94,23 +94,16 @@ _BLOCK = 2**14   # rows a block, 128 KiB a column of int64; decoding, 16 charact
 
 
 def _quanta(values: np.ndarray) -> np.ndarray | None:
-    """round(v * 1e6), half to even on the exact product, as int64; None
-    when a value is non-finite or |v| >= _FAST_MAX."""
+    """round(v * 1e6) as int64, half to even on the exact product, ``"%.6f"``
+    deciding a float tie; None when a value is non-finite or |v| >= _FAST_MAX."""
     if not np.all(np.abs(values) < _FAST_MAX):   # false for nan, too
         return None
     p = values * 1e6
     q = np.rint(p)
-    # p is v * 1e6 rounded: only where p is itself a tie can the
-    # rounding error of p decide the quantum
+    # p is v * 1e6 rounded: only where p is a tie can its rounding error decide
     tie = np.abs(p - q) == 0.5
     if tie.any():
-        v, pt, qt = values[tie], p[tie], q[tie]
-        # Dekker: hi and v - hi have 26 bits and 1e6 has 14, so both
-        # products are exact and p + err == v * 1e6 exactly
-        t = v * _SPLIT
-        hi = t - (t - v)
-        err = (hi * 1e6 - pt) + (v - hi) * 1e6
-        q[tie] = np.where(err * (pt - qt) > 0, 2 * pt - qt, qt)
+        q[tie] = [int((_F6 % v).replace(".", "")) for v in values[tie].tolist()]
     return q.astype(np.int64)
 
 
@@ -337,13 +330,14 @@ def sweep_to_csv(table: SweepTable) -> str:
 
 
 def trace_to_csv(trace: GraspTrace) -> str:
-    """One encoded block per phase, whose name is the tick's separator."""
-    values = np.column_stack([
-        np.arange(trace.jaw.size), trace.jaw * 1000.0, trace.grip, trace.actuator, trace.latch
-    ])
-    blocks, at = [TRACE_CSV_HEADER + "\n"], 0
+    """Each phase in blocks of at most _BLOCK rows; the phase's name is the tick's separator."""
+    blocks, at, latch = [TRACE_CSV_HEADER + "\n"], 0, trace.latch
     for phase, n in trace.phase_counts:
         seps = (f",{phase},", ",", ",", ",", "\n")
-        blocks.append(_encode(values[at:at + n], (0, 6, 6, 6, 0), seps))
+        for i in range(at, at + n, _BLOCK):
+            j = min(i + _BLOCK, at + n)
+            values = np.column_stack([np.arange(i, j), trace.jaw[i:j] * 1000.0, trace.grip[i:j],
+                                      trace.actuator[i:j], latch[i:j]])
+            blocks.append(_encode(values, (0, 6, 6, 6, 0), seps))
         at += n
     return "".join(blocks)

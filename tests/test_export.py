@@ -37,7 +37,7 @@ from floatconv.export import (
     sweep_to_csv,
     trace_to_csv,
 )
-from floatconv.gripper import GraspTrace, GripperModel
+from floatconv.gripper import MAX_GRASP_TICKS, GraspTrace, GripperModel
 from floatconv.pulley import MAX_PROFILE_RADIUS, MAX_PROFILE_SAMPLES
 
 THETA_MAX = math.radians(345.0)
@@ -479,13 +479,14 @@ def test_profile_writers_match_per_value_writers_on_synthesized_profile(block_ro
     assert profile_to_svg(profile) == ref_svg(profile, 10.0)
 
 
-@settings(deadline=None, max_examples=50)
+@settings(deadline=None, max_examples=50, suppress_health_check=ONE_BLOCK_SIZE)
 @given(
     columns=st.lists(st.tuples(_VALUES, _VALUES, _VALUES), min_size=2, max_size=30),
     data=st.data(),
     latch_holds=st.booleans(),
 )
-def test_trace_csv_matches_per_value_writer(columns, data, latch_holds):
+def test_trace_csv_matches_per_value_writer(block_rows, columns, data, latch_holds):
+    # at 3-row blocks a phase is cut into blocks, its last one full or short
     n_positioning = data.draw(st.integers(0, len(columns) - 2))
     trace = GraspTrace(*np.array(columns).T, n_positioning, latch_holds)
     assert trace_to_csv(trace).encode() == ref_trace_csv(trace).encode()
@@ -496,9 +497,9 @@ _FORCES = [-2.5, 0.0, -0.0, 3.125, -4.9e-7, 5e-7, 1234.5678915, -1e6, 7.0, -0.25
 
 
 @pytest.mark.parametrize("latch_holds", [True, False])
-def test_trace_csv_matches_per_value_writer_on_a_long_trace(latch_holds):
+def test_trace_csv_matches_per_value_writer_on_a_long_trace(block_rows, latch_holds):
     # the positioning ticks run past 9,999 and past 2**14 rows, so the tick
-    # column gains a word inside a phase block
+    # column gains a word inside a phase, and the phase spans blocks
     n = 20_002
     trace = GraspTrace(
         np.linspace(0.0, 0.05, n), np.resize(_FORCES, n), np.resize(_FORCES[::-1], n), 16_500,
@@ -682,6 +683,20 @@ def test_encoder_writes_an_edge_value_at_every_row(block_rows, value):
         assert _encode(values, (6, 6), (",", "\n")) == want
 
 
+def test_encoder_writes_a_block_of_exact_ties(block_rows):
+    # one full block of odd multiples of 2**-7 of both signs, whose products
+    # v * 1e6 = k * 7812.5 are exact ties, with the near-halves at every 7th value
+    rng = np.random.default_rng(35)
+    k = 2 * rng.integers(0, 2 ** rng.integers(1, 38, 2 * 2**14)) + 1
+    values = k * 2.0**-7 * rng.choice([-1.0, 1.0], k.size)
+    values[::7] = np.resize([s * x for x in _NEAR_HALVES for s in (1.0, -1.0)], values[::7].size)
+    values = values.reshape(2**14, 2)
+    p = values * 1e6
+    assert np.count_nonzero(np.abs(p - np.rint(p)) == 0.5) > 0.85 * values.size
+    want = "".join(f"{ref_fmt6(a)},{ref_fmt6(b)}\n" for a, b in values.tolist())
+    assert _encode(values, (6, 6), (",", "\n")) == want
+
+
 def test_thetas_that_print_alike_across_a_cut_are_named(block_rows):
     for k in range(7):
         degrees = np.arange(8.0)
@@ -719,3 +734,14 @@ def test_profile_io_holds_no_whole_column_of_temporaries():
     read, peak = traced_peak(lambda: read_profile_csv(text, 0.02))
     assert peak < 3 * (read.thetas.nbytes + read.radii.nbytes)
     assert profile_to_csv(read) == text
+
+
+def test_trace_csv_holds_no_whole_trace_matrix():
+    # the longest trace a grasp can write: the peak is the document, the list of
+    # blocks it is joined from and a block's temporaries. The whole five-column
+    # matrix, built before encoding, took it to 2.84x.
+    n = MAX_GRASP_TICKS
+    grip = np.concatenate([np.zeros(n // 2 + 1), np.linspace(0.0, 10.0, n - n // 2 - 1)])
+    trace = GraspTrace(np.linspace(0.0, 0.1, n), grip, np.linspace(0.0, 12.0, n), n // 2, True)
+    text, peak = traced_peak(lambda: trace_to_csv(trace))
+    assert peak < 2.25 * len(text)
