@@ -11,6 +11,7 @@ output bytes.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -68,7 +69,8 @@ def _load_config(path: str) -> RunConfig:
 def _write(path: str, text: str):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for i in range(0, len(text), 1 << 20):   # no whole encoded copy of the text
+                fh.write(text[i:i + (1 << 20)])
     except OSError as exc:
         raise ValidationError(f"cannot write {_shown(path, str)}: {exc.strerror}") from exc
 
@@ -193,7 +195,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _keep_heap():
+    try:
+        mallopt = ctypes.CDLL(None).mallopt   # glibc's; absent on macOS and Windows
+        mallopt(-2, 16 << 20)   # M_TOP_PAD
+        mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD: the pad turns off its dynamic rule
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
 def main(argv=None) -> int:
+    """Run one command; return its exit code. On glibc the first call in a process keeps
+    16 MiB past the heap top, so later commands reuse touched pages (a repeated 65,536-sample
+    chain faults 0-2 pages, not ~4,400, at up to 16 MiB more RSS). Elsewhere it does nothing."""
+    _keep_heap()
     try:
         args = _build_parser().parse_args(argv)
         # the config is the first file a subcommand reads

@@ -225,19 +225,18 @@ def verify_profile(cfg: RunConfig, profile: PulleyProfile) -> VerifyReport:
     xs = R * thetas
     force = target.force_at(xs)
     tension = counter.tension(payout)
-    realized = radius * tension / R
-
-    withheld = np.zeros_like(force)   # force the truncation clamp withholds
+    residual = force - radius * tension / R
+    stored = target.stored_energy(xs)
+    release, clamped_to = stored, None
     if cfg.truncation_bounds is not None:
         ideal = R * force / tension
         expected = np.clip(ideal, *cfg.truncation_bounds)
         withheld = np.where(expected != ideal, force - expected * tension / R, 0.0)
-    clamped = np.nonzero(withheld)[0]
-    residual = force - realized - withheld
-
-    stored = target.stored_energy(xs)
+        residual -= withheld
+        if (clamped := np.nonzero(withheld)[0]).size:
+            release = stored - cumulative_trapezoid(withheld, xs)
+            clamped_to = float(thetas[clamped[-1]])
     e_scale = max(float(stored[-1]), 1e-300)
-    release = stored - cumulative_trapezoid(withheld, xs) if clamped.size else stored
     energy_error = float(np.max(np.abs(counter.released_energy(payout) - release))) / e_scale
 
     peak = max(float(np.max(np.abs(force))), 1e-300)
@@ -250,5 +249,5 @@ def verify_profile(cfg: RunConfig, profile: PulleyProfile) -> VerifyReport:
         max_residual=float(np.max(np.abs(residual))),
         residual_tol=rtol * peak + quantization,
         energy_error=energy_error,
-        clamped_to=float(thetas[clamped[-1]]) if clamped.size else None,
+        clamped_to=clamped_to,
     )

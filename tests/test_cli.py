@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from test_golden import GOLDEN, pipeline, run
 
 import floatconv
+from floatconv import cli
 from floatconv.cli import _build_parser, main
 from floatconv.config import MAX_PROFILE_SAMPLES
 
@@ -657,17 +659,86 @@ def test_parser_carries_no_state_between_calls(tmp_path, capsys):
     capsys.readouterr()
 
 
+# -- the heap setup ----------------------------------------------------------------
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setup acts on glibc only")
+def test_a_repeated_design_chain_faults_in_no_fresh_pages(tmp_path, capsys):
+    import resource
+
+    cfg = json.loads(Path(GRIPPER).read_text())
+    cfg["pulley"]["samples"] = 65536
+    argvs = [argv for sub, (argv, _) in pipeline(write_config(tmp_path, cfg), tmp_path).items()
+             if sub in ("synthesize", "verify", "export-svg")]
+    assert [main(argv) for argv in argvs] == [0, 0, 0]
+    # without the top pad glibc trims the heap after each large free, and the chain
+    # faults in about 4,400 pages again
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    codes = [main(argv) for argv in argvs]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert codes == [0, 0, 0]
+    assert faults < 500
+    capsys.readouterr()
+
+
+class _NoMallopt:
+    """A C library without glibc's mallopt, as on macOS."""
+
+
+def _no_library(name):
+    raise OSError("no C library")   # what CDLL raises where dlopen finds nothing
+
+
+@pytest.mark.parametrize("cdll", [_no_library, lambda name: _NoMallopt()],
+                         ids=["no_library", "no_mallopt"])
+def test_heap_setup_without_mallopt_changes_no_output(tmp_path, monkeypatch, cdll):
+    loads = []
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: loads.append(name) or cdll(name))
+    cli._keep_heap.cache_clear()
+    try:
+        # the first main call runs the setup, which returns quietly
+        runs = pipeline(CONFIGS / "gripper.json", tmp_path)
+        assert {sub: run(argv, out) for sub, (argv, out) in runs.items()} == GOLDEN["gripper"]
+        assert loads == [None]
+    finally:
+        cli._keep_heap.cache_clear()   # the next main call sets the real heap up again
+
+
+def test_a_large_output_is_written_without_a_whole_encoded_copy(tmp_path):
+    import tracemalloc
+
+    # 8 Mi characters; a 3-byte character ends each 1 Mi-character slice
+    text = ("x" * ((1 << 20) - 1) + "\u20ac") * 8
+    out = tmp_path / "big.txt"
+    tracemalloc.start()
+    try:
+        cli._write(str(out), text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes() == text.encode("utf-8")
+    assert peak < len(text)   # the whole text encoded at once is len(text) + 16 bytes
+
+
 # -- entry points ----------------------------------------------------------------
 
 
-def run_module(*args, cwd):
+def run_python(*args, cwd):
     src = str(Path(floatconv.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-m", "floatconv", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
     )
+
+
+def run_module(*args, cwd):
+    return run_python("-m", "floatconv", *args, cwd=cwd)
+
+
+def test_importing_the_cli_sets_up_no_heap(tmp_path):
+    proc = run_python("-c", "from floatconv import cli; print(cli._keep_heap.cache_info().misses)",
+                      cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
 
 
 def test_module_help_exits_0(tmp_path):
