@@ -15,6 +15,7 @@ import ctypes
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -88,7 +89,8 @@ def _converter(cfg: RunConfig, gap_x: float = 0.0) -> FloatingConverter:
 
 def _summary(**pairs):
     """Print the one summary line: key=value pairs, numbers in fmt6 and text as given."""
-    print(" ".join(f"{k}={v if isinstance(v, str) else fmt6(v)}" for k, v in pairs.items()))
+    print(" ".join(f"{k}={v if isinstance(v, str) else fmt6(v)}" for k, v in pairs.items()),
+          flush=True)   # a closed pipe fails here, not at exit
 
 
 def _cmd_synthesize(args, cfg: RunConfig):
@@ -210,6 +212,7 @@ def main(argv=None) -> int:
     16 MiB past the heap top, so later commands reuse touched pages (a repeated 65,536-sample
     chain faults 0-2 pages, not ~4,400, at up to 16 MiB more RSS). Elsewhere it does nothing."""
     _keep_heap()
+    args = None
     try:
         args = _build_parser().parse_args(argv)
         # the config is the first file a subcommand reads
@@ -217,4 +220,10 @@ def main(argv=None) -> int:
     except FloatConvError as exc:
         print(f"ERR:{type(exc).__name__}:{exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:   # stdout's reader left before the summary, the last step
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())   # exit's flush, too
+        if getattr(args, "out", None) and Path(args.out).is_file():   # a file, not a device
+            os.remove(args.out)
+        print("ERR:ValidationError:cannot write stdout: Broken pipe", file=sys.stderr)
+        return 1
     return 0

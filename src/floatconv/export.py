@@ -6,23 +6,23 @@ formatting and a locale-independent '.' separator, and every writer is a
 pure text generator, so output is byte-for-byte deterministic and
 golden-file friendly. Line endings are LF.
 
-One codec serves every file, and it works in blocks of at most _BLOCK
-rows: a writer, the trace's phase by phase, or the reader holds its result,
-one more copy of it and one block's temporaries, never a whole column of
-them. The encoder turns each value into its integer quantum round(v * 1e6);
-where the float product lands on a half quantum, ``"%.6f" % v``, which
-rounds the exact product half to even, decides it. It splits the quantum
-into whole part and decimals by 10**6; a 0-decimal column (the trace's
-tick and latch) holds whole numbers and writes its whole part alone. Each
-block becomes one matrix of NUL-padded 4-byte words from lookup tables,
-as many words per column as that column's widest number needs, and one
-``bytes.translate`` deletes the NULs. The bytes are those ``"%.6f"`` writes, with
-"-0.000000" normalized to "0.000000"; a block holding a non-finite
-value or one of 2**52/1e6 or more in magnitude is %-formatted instead.
-The decoder reads a profile CSV, in blocks cut just after a LF, whose
-every field is ``-?\\d{1,9}\\.\\d{6}`` as integers over 1e6, which is
-float() of each field bit for bit; any other text goes to a row-by-row
-parse that names the first bad line.
+One codec serves every file, in blocks of at most _BLOCK rows that its callers
+cut and hand the encoder one at a time: a writer, the trace's phase by phase,
+or the reader holds its result, one more copy of it and one block's
+temporaries, never a whole column of them. The encoder turns each value into
+its integer quantum round(v * 1e6); where the float product lands on a half
+quantum, ``"%.6f" % v``, which rounds the exact product half to even, decides
+it. It splits the quantum into whole part and decimals by 10**6; a 0-decimal
+column (the trace's tick and latch) holds whole numbers and writes its whole
+part alone. Each block becomes one matrix of NUL-padded 4-byte words from
+lookup tables, as many words per column as that column's widest number needs,
+and one ``bytes.translate`` deletes the NULs. The bytes are those ``"%.6f"``
+writes, with "-0.000000" normalized to "0.000000"; a block holding a
+non-finite value or one of 2**52/1e6 or more in magnitude is %-formatted
+instead. The decoder reads a profile CSV, in blocks cut just after a LF, whose
+every field is ``-?\\d{1,9}\\.\\d{6}`` as integers over 1e6, which is float()
+of each field bit for bit; any other text goes to a row-by-row parse that
+names the first bad line.
 """
 
 from __future__ import annotations
@@ -114,17 +114,14 @@ def _encode(values: np.ndarray, decimals: tuple[int, ...], seps: tuple[str, ...]
     column holds whole numbers. ``quanta`` is ``_quanta(values)`` when
     the caller has it. A block is %-formatted alone, to the same bytes.
 
-    Up to _BLOCK rows are one matrix of NUL-padded 4-byte words, sized
-    column by column: a sign word if the column holds a negative quantum;
-    the words of whole digits its largest whole part needs; for 6
-    decimals ".ddd" and "ddd" plus the separator's first byte; the rest of
-    the separator. Every quantum splits by the scalar 10**6, which numpy
-    vectorises. One ``bytes.translate`` deletes the NULs.
+    Callers hand it at most one block, _BLOCK rows, which becomes one
+    matrix of NUL-padded 4-byte words, sized column by column: a sign word
+    if the column holds a negative quantum; the words of whole digits its
+    largest whole part needs; for 6 decimals ".ddd" and "ddd" plus the
+    separator's first byte; the rest of the separator. Every quantum splits
+    by the scalar 10**6, which numpy vectorises. One ``bytes.translate``
+    deletes the NULs.
     """
-    if len(values) > _BLOCK:
-        return "".join(_encode(values[i:i + _BLOCK], decimals, seps,
-                               None if quanta is None else quanta[i:i + _BLOCK])
-                       for i in range(0, len(values), _BLOCK))
     q = _quanta(values) if quanta is None else quanta
     if q is None:
         row = "".join(f"%.{d}f{sep}" for d, sep in zip(decimals, seps))
@@ -322,11 +319,13 @@ def profile_to_svg(profile: PulleyProfile, scale: float = 10.0) -> str:
 
 def sweep_to_csv(table: SweepTable) -> str:
     """The sweep's rows, then spring - counter and that plus and minus the friction band."""
-    ideal, band = table.op_force_ideal, table.friction_band
-    values = np.column_stack([
-        table.u * 1000.0, table.spring_force, table.counter_force, ideal, ideal + band, ideal - band
-    ])
-    return SWEEP_CSV_HEADER + "\n" + _encode(values, (6,) * 6, (",",) * 5 + ("\n",))
+    blocks, ideal, band = [SWEEP_CSV_HEADER + "\n"], table.op_force_ideal, table.friction_band
+    for i in range(0, table.u.size, _BLOCK):
+        d, b = ideal[i:i + _BLOCK], band[i:i + _BLOCK]
+        values = np.column_stack([table.u[i:i + _BLOCK] * 1000.0, table.spring_force[i:i + _BLOCK],
+                                  table.counter_force[i:i + _BLOCK], d, d + b, d - b])
+        blocks.append(_encode(values, (6,) * 6, (",",) * 5 + ("\n",)))
+    return "".join(blocks)
 
 
 def trace_to_csv(trace: GraspTrace) -> str:

@@ -722,17 +722,18 @@ def test_a_large_output_is_written_without_a_whole_encoded_copy(tmp_path):
 # -- entry points ----------------------------------------------------------------
 
 
-def run_python(*args, cwd):
+def run_python(*args, cwd, stdout=subprocess.PIPE):
     src = str(Path(floatconv.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *args], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=60,
     )
 
 
-def run_module(*args, cwd):
-    return run_python("-m", "floatconv", *args, cwd=cwd)
+def run_module(*args, cwd, stdout=subprocess.PIPE):
+    return run_python("-m", "floatconv", *args, cwd=cwd, stdout=stdout)
 
 
 def test_importing_the_cli_sets_up_no_heap(tmp_path):
@@ -762,6 +763,28 @@ def test_module_sweep_matches_golden(tmp_path):
     assert proc.returncode == code
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--out", "out.csv"],
+    ["verify", "--profile", "profile.csv"],
+    ["sweep", "--out", "out.csv"],
+    ["grasp", "--target-force-n", "10", "--out", "out.csv"],
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_pipe_is_one_error_line(tmp_path, argv):
+    # as under `| head -c0`: the summary finds no reader, and the output goes with it
+    assert run_module("synthesize", "--config", GRIPPER, "--out", "profile.csv",
+                      cwd=tmp_path).returncode == 0
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_module(argv[0], "--config", GRIPPER, *argv[1:], cwd=tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    # one short ERR line: no traceback, and no "Exception ignored" from the flush at exit
+    assert proc.returncode == 1
+    assert proc.stderr == "ERR:ValidationError:cannot write stdout: Broken pipe\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 # A fresh interpreter shows numpy's RuntimeWarnings on stderr, as a user sees

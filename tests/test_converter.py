@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from floatconv import (
@@ -443,6 +443,118 @@ def test_summary_banded_force_is_the_plus_minus_maximum(rows, huge, mu, f0):
         assert got[0] == want[0] == "NumericalError"
     else:
         assert got == want
+
+
+# -- the balance's rescalings ---------------------------------------------------
+#
+# The balance r * T(s) = R * F(R * theta) is homogeneous, so it has exact
+# rescalings that need no reference implementation:
+#   (a) R -> lam * R, theta_max / lam where given: the thetas scale by 1 / lam
+#       and the radii by lam; the payout and the counter force r * T / R do not;
+#   (b) the counter's tension -> lam * T (load * lam, or t0 * lam and k2 * lam**2):
+#       the radii and the payout scale by 1 / lam, the counter force does not;
+#   (c) the law's force and the tension -> lam * F and lam * T (load * lam, or t0 * lam
+#       and k2 * lam): the profile does not change.
+# Truncation bounds scale with the radii. Under (a) and (b) the operating force and
+# the friction band, which read the counter force, are unchanged.
+
+RESCALED_SAMPLES = 1025
+
+
+@st.composite
+def rescalable_designs(draw):
+    """A law of any kind, a weight or spring counter, optional theta_max and truncation
+    window (shares of the peak radius), friction, and lam in [0.25, 4]."""
+    kind = draw(st.sampled_from(["linear", "constant", "power_law", "tabulated"]))
+    x_max = draw(st.floats(0.02, 0.12))
+    if kind == "tabulated":
+        xs = [0.0, *sorted(set(draw(st.lists(st.floats(1e-3, 0.9 * x_max), max_size=5)))), x_max]
+        fs = draw(st.lists(st.floats(0.0, 50.0), min_size=len(xs), max_size=len(xs)))
+        fs[draw(st.integers(0, len(fs) - 1))] = draw(st.floats(1.0, 50.0))   # not all zero
+        args = (list(zip(xs, fs)),)
+    elif kind == "power_law":
+        args = (draw(st.floats(1e-3, 0.1)), draw(st.floats(5e-3, 0.1)),
+                draw(st.just(1.0) | st.floats(1.0, 3.0)), x_max)
+    else:   # linear k or constant f0
+        args = (draw(st.floats(10.0, 500.0) if kind == "linear" else st.floats(0.5, 50.0)), x_max)
+    R, t0 = draw(st.floats(0.01, 0.05)), draw(st.floats(1.0, 20.0))
+    # a spring's tension at most doubles over the law's energy: the synthesis's
+    # forward check then holds at RESCALED_SAMPLES
+    energy = scaled_law(kind, args, 1.0).stored_energy(x_max)
+    return {
+        "kind": kind,
+        "args": args,
+        "R": R,
+        "theta_max": draw(st.none() | st.floats(0.5, 1.0).map(lambda share: share * x_max / R)),
+        "t0": t0,
+        "k2": draw(st.just(0.0) | st.floats(0.1, 3.0).map(lambda s: s * t0 * t0 / (2 * energy))),
+        "window": draw(st.none() | st.tuples(st.floats(0.0, 0.4), st.floats(0.6, 1.0))),
+        "mu": draw(st.just(0.0) | st.floats(1e-3, 0.5)),
+        "f0": draw(st.just(0.0) | st.floats(0.0, 1.0)),
+        "lam": draw(st.floats(0.25, 4.0)),
+    }
+
+
+def scaled_law(kind, args, force):
+    """The law with its force times ``force``: each tabulated F, else the first argument."""
+    if kind == "tabulated":
+        return ForceCharacteristic.tabulated([(x, f * force) for x, f in args[0]])
+    return getattr(ForceCharacteristic, kind)(args[0] * force, *args[1:])
+
+
+def rescaled_converter(design, bounds, R=1.0, t0=1.0, k2=1.0, force=1.0):
+    """The design's converter with its R, t0, k2 and law force times the given factors,
+    its theta_max divided by R's, truncated to ``bounds`` (None: not truncated)."""
+    law = scaled_law(design["kind"], design["args"], force)
+    theta_max = design["theta_max"]
+    R, theta_max = design["R"] * R, None if theta_max is None else theta_max / R
+    counter = CounterElement(design["t0"] * t0, design["k2"] * k2)
+    if counter.k2:
+        profile = synthesize_spring_counter(law, R, counter, RESCALED_SAMPLES - 1, theta_max)
+    else:
+        profile = synthesize_weight_counter(law, R, counter.t0, RESCALED_SAMPLES, theta_max)
+    if bounds is not None:
+        profile = profile.truncated(*bounds)
+    return FloatingConverter(law, profile, counter,
+                             friction_mu=design["mu"], friction_f0=design["f0"])
+
+
+def scaled(bounds, factor):
+    return None if bounds is None else tuple(bounds * factor)
+
+
+def assert_within(got, want, tol):
+    assert np.max(np.abs(got - want)) <= tol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(design=rescalable_designs())
+def test_rescaled_designs_keep_their_operating_force(design):
+    lam, window = design["lam"], design["window"]
+    try:
+        peak_radius = float(np.max(rescaled_converter(design, None).profile.radii))
+    except NumericalError:   # a design that synthesis refuses at RESCALED_SAMPLES
+        reject()
+    bounds = None if window is None else np.array(window) * peak_radius
+    base = rescaled_converter(design, scaled(bounds, 1.0))
+    by_radius = rescaled_converter(design, scaled(bounds, lam), R=lam)                       # (a)
+    by_tension = rescaled_converter(design, scaled(bounds, 1.0 / lam), t0=lam, k2=lam * lam)  # (b)
+    by_force = rescaled_converter(design, scaled(bounds, 1.0), t0=lam, k2=lam, force=lam)     # (c)
+
+    thetas, radii = base.profile.thetas, base.profile.radii
+    r_max = float(np.max(radii))
+    assert_within(by_radius.profile.thetas, thetas / lam, 1e-12 * thetas[-1] / lam)
+    assert_within(by_radius.profile.radii, radii * lam, 1e-12 * r_max * lam)
+    assert_within(by_tension.profile.radii, radii / lam, 1e-12 * r_max / lam)
+    assert np.array_equal(by_force.profile.thetas, thetas)
+    assert_within(by_force.profile.radii, radii, 1e-12 * r_max)
+
+    want = base.sweep(0.0, 0.999 * base.u_max, 257)
+    peak = float(np.max(np.abs(want.spring_force)))
+    for conv in (by_radius, by_tension):
+        got = conv.sweep(0.0, 0.999 * conv.u_max, 257)
+        assert_within(got.op_force_ideal, want.op_force_ideal, 1e-12 * peak)
+        assert_within(got.friction_band, want.friction_band, 1e-12 * peak)
 
 
 # -- energy ledger -----------------------------------------------------------

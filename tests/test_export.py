@@ -26,7 +26,7 @@ from floatconv import (
     synthesize_weight_counter,
 )
 from floatconv import export
-from floatconv.converter import SweepTable
+from floatconv.converter import MAX_SWEEP_ROWS, SweepTable
 from floatconv.export import (
     SVG_MAX_PX,
     SVG_SCALE_MAX,
@@ -428,20 +428,23 @@ _MU = st.sampled_from([0.0, 0.5, math.nextafter(1.0, 0.0)]) | st.floats(0.0, 1.0
 _F0 = st.sampled_from([0.0, 4.9e-7, 5e-7, 1e15]) | st.floats(0.0, 1e16)
 
 
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=100, suppress_health_check=ONE_BLOCK_SIZE)
 @given(rows=st.lists(st.tuples(*[_VALUES] * 3), min_size=1, max_size=40), mu=_MU, f0=_F0)
-def test_sweep_csv_matches_per_value_writer(rows, mu, f0):
+def test_sweep_csv_matches_per_value_writer(block_rows, rows, mu, f0):
+    # at 3-row blocks, %-formatted blocks and encoded ones share a document
     columns = np.array(rows).T
     u, first = np.unique(columns[0] / 1000.0, return_index=True)
     table = SweepTable(u, *columns[1:, first], mu, f0)
     assert sweep_to_csv(table).encode() == ref_sweep_csv(table).encode()
 
 
-def test_sweep_csv_writes_non_finite_values_as_before():
+def test_sweep_csv_writes_non_finite_values_as_before(block_rows):
     table = SweepTable(
-        [0.0, 1.0, 2.0], [math.inf, -math.inf, math.nan], [-0.0, 1e300, -5e-7], 0.5, 0.25,
+        [0.0, 1.0, 2.0, 3.0], [math.inf, -math.inf, math.nan, 1.5], [-0.0, 1e300, -5e-7, 0.25],
+        0.5, 0.25,
     )
-    assert table.friction_band.tolist() == [0.25, 5e299, 0.5 * 5e-7 + 0.25]
+    assert table.friction_band.tolist() == [0.25, 5e299, 0.5 * 5e-7 + 0.25, 0.375]
+    # at 3-row blocks the last row, all finite, is a block the encoder writes
     assert sweep_to_csv(table) == ref_sweep_csv(table)
 
 
@@ -744,4 +747,19 @@ def test_trace_csv_holds_no_whole_trace_matrix():
     grip = np.concatenate([np.zeros(n // 2 + 1), np.linspace(0.0, 10.0, n - n // 2 - 1)])
     trace = GraspTrace(np.linspace(0.0, 0.1, n), grip, np.linspace(0.0, 12.0, n), n // 2, True)
     text, peak = traced_peak(lambda: trace_to_csv(trace))
+    assert peak < 2.25 * len(text)
+
+
+def test_sweep_csv_holds_no_whole_table():
+    # the longest sweep a converter runs: the peak is the document, the list of
+    # blocks it is joined from and a block's temporaries. The whole six-column
+    # matrix, built before encoding, took it to 2.87x.
+    spring = ForceCharacteristic.linear(k=100.0, x_max=0.12)
+    conv = FloatingConverter(left=spring, profile=synthesize_weight_counter(spring, 0.02, 10.0),
+                             counter=CounterElement.weight(10.0), friction_mu=0.05,
+                             friction_f0=0.01)
+    table = conv.sweep(0.0, conv.u_max, MAX_SWEEP_ROWS)
+    table.op_force_ideal, table.friction_band   # derived on first read: not the writer's
+    text, peak = traced_peak(lambda: sweep_to_csv(table))
+    assert text.count("\n") == MAX_SWEEP_ROWS + 1
     assert peak < 2.25 * len(text)
