@@ -1,7 +1,7 @@
 """Command-line interface: synthesis, verification, sweeps, grasps, export.
 
-Results go to stdout and output files; diagnostics go to stderr with a
-stable machine-readable prefix ``ERR:<kind>:``. Exit codes: 0 success, 1
+Results go to stdout and output files; a diagnostic goes to stderr as one line
+of at most 300 bytes, prefixed ``ERR:<kind>:``. Exit codes: 0 success, 1
 validation or configuration error (a usage error included), 2 numerical
 or simulation failure.
 All subcommands are deterministic: the same config bytes produce the same
@@ -36,12 +36,22 @@ from .export import fmt6
 from .gripper import GripperModel, plan_grasp, simulate_grasp
 
 SWEEP_ROWS = 256
+MAX_INPUT_CHARS = 64 << 20   # above the widest profile CSV written: 2^20 rows of 46 bytes
 
 
 def _read(path: str) -> str:
-    """The one reader of every file the CLI opens: UTF-8 text."""
+    """The one reader of every file the CLI opens: UTF-8 text of at most MAX_INPUT_CHARS.
+    A file is judged by its size, so a small one is not read into a buffer of the bound's
+    size; one of size 0, such as a pipe or a device, is read to one character past it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            text = fh.read(MAX_INPUT_CHARS + 1 if size == 0
+                           else None if size <= MAX_INPUT_CHARS else 0)
+        if max(size, len(text)) > MAX_INPUT_CHARS:
+            raise ValidationError(
+                f"cannot read {_shown(path, str)}: more than {MAX_INPUT_CHARS} characters")
+        return text
     except (OSError, UnicodeDecodeError) as exc:
         # an OSError's reason, without the path its text repeats
         reason = exc.strerror if isinstance(exc, OSError) else exc
@@ -154,8 +164,7 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ``ValidationError``; subparsers share the class."""
 
     def error(self, message):
-        # cut argparse's echo of outside text: the ERR: line keeps within 300 bytes
-        raise ValidationError(_shown(f"{self.prog}: {message}", str, 279))
+        raise ValidationError(f"{self.prog}: {message}")
 
 
 @functools.cache
@@ -217,13 +226,13 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         # the config is the first file a subcommand reads
         args.func(args, _load_config(args.config) if "config" in args else None)
+        return 0
     except FloatConvError as exc:
-        print(f"ERR:{type(exc).__name__}:{exc}", file=sys.stderr)
-        return exc.exit_code
+        error = exc
     except BrokenPipeError:   # stdout's reader left before the summary, the last step
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())   # exit's flush, too
         if getattr(args, "out", None) and Path(args.out).is_file():   # a file, not a device
             os.remove(args.out)
-        print("ERR:ValidationError:cannot write stdout: Broken pipe", file=sys.stderr)
-        return 1
-    return 0
+        error = ValidationError("cannot write stdout: Broken pipe")
+    print(_shown(f"ERR:{type(error).__name__}:{error}", str, 299), file=sys.stderr)
+    return error.exit_code

@@ -7,15 +7,24 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from test_converter import RESCALED_SAMPLES, rescalable_designs, scaled, scaled_law
 from test_golden import GOLDEN, pipeline, run
 
 import floatconv
 from floatconv import cli
-from floatconv.cli import _build_parser, main
-from floatconv.config import MAX_PROFILE_SAMPLES
+from floatconv.characteristics import MAX_LENGTH
+from floatconv.cli import MAX_INPUT_CHARS, SWEEP_ROWS, _build_parser, main
+from floatconv.config import MAX_PROFILE_SAMPLES, MIN_CIRCULAR_RADIUS
+from floatconv.export import PROFILE_CSV_HEADER, fmt6
+from floatconv.pulley import MAX_PROFILE_RADIUS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 THETA_MAX_DEG = 345.0
@@ -545,6 +554,11 @@ EMOJI_PATH = "\U0001F600" * 5_000   # four UTF-8 bytes a character
         ([LONG_TEXT], "floatconv: argument command: invalid choice: 'kkk"),
         (["sweep", "--config", GRIPPER, "--out", "x.csv", LONG_TEXT],
          "floatconv: unrecognized arguments: kkk"),
+        # --config missing where it is required, and given where it is not
+        (["verify", "--profile", "p.csv"],
+         "floatconv verify: the following arguments are required: --config\n"),
+        (["export-svg", "--config", GRIPPER, "--profile", "p.csv", "--out", "x.svg"],
+         "floatconv: unrecognized arguments: --config "),
     ],
 )
 def test_usage_error_is_one_validation_error_exit_1(tmp_path, monkeypatch, capsys, argv, start):
@@ -722,18 +736,18 @@ def test_a_large_output_is_written_without_a_whole_encoded_copy(tmp_path):
 # -- entry points ----------------------------------------------------------------
 
 
-def run_python(*args, cwd, stdout=subprocess.PIPE):
+def run_python(*args, cwd, stdout=subprocess.PIPE, preexec_fn=None):
     src = str(Path(floatconv.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE,
-        text=True, timeout=60,
+        text=True, timeout=60, preexec_fn=preexec_fn,
     )
 
 
-def run_module(*args, cwd, stdout=subprocess.PIPE):
-    return run_python("-m", "floatconv", *args, cwd=cwd, stdout=stdout)
+def run_module(*args, cwd, stdout=subprocess.PIPE, preexec_fn=None):
+    return run_python("-m", "floatconv", *args, cwd=cwd, stdout=stdout, preexec_fn=preexec_fn)
 
 
 def test_importing_the_cli_sets_up_no_heap(tmp_path):
@@ -930,6 +944,52 @@ def test_config_with_a_5001_digit_integer_is_one_error_line(tmp_path):
     assert_one_error_line_from_module(tmp_path, argv, start, out)
 
 
+def test_config_with_a_100000_character_key_is_one_error_line(tmp_path):
+    cfg = gripper_config()
+    cfg[LONG_TEXT] = 1
+    out = tmp_path / "profile.csv"
+    argv = ["synthesize", "--config", write_config(tmp_path, cfg), "--out", str(out)]
+    start = f"config: unknown key '{LONG_TEXT[:80]}'\n"
+    assert_one_error_line_from_module(tmp_path, argv, start, out)
+
+
+# the widest profile CSV the package writes: 2^20 rows, each of the largest angle a
+# config allows, MAX_LENGTH / MIN_CIRCULAR_RADIUS rad, and the largest radius, in fmt6
+WIDEST_ROW = (f"{fmt6(math.degrees(MAX_LENGTH / MIN_CIRCULAR_RADIUS))},"
+              f"{fmt6(MAX_PROFILE_RADIUS * 1e3)}\n")
+
+
+def test_the_input_bound_exceeds_the_widest_profile_csv():
+    widest = len(PROFILE_CSV_HEADER) + 1 + MAX_PROFILE_SAMPLES * len(WIDEST_ROW)
+    assert (len(WIDEST_ROW), widest) == (46, 48_234_511)
+    assert widest < MAX_INPUT_CHARS
+
+
+@pytest.mark.parametrize("source", ["sparse", "/dev/zero"])
+@pytest.mark.parametrize("flag", ["--config", "--profile"])
+def test_a_huge_or_endless_input_is_one_error_line(tmp_path, source, flag):
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        # 1 GiB: an unbounded read of these inputs ends in a MemoryError, not a full machine
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    if source == "sparse":
+        source = "huge.csv"
+        with open(tmp_path / source, "wb") as fh:
+            fh.truncate(3 << 30)   # 3 GiB of holes: no disk space
+    elif not os.path.exists(source):
+        pytest.skip(f"no {source}")
+    out = tmp_path / "out.csv"
+    argv = (["synthesize", "--config", source, "--out", str(out)] if flag == "--config"
+            else ["verify", "--config", GRIPPER, "--profile", source])
+    proc = run_module(*argv, cwd=tmp_path, preexec_fn=cap_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"ERR:ValidationError:cannot read {source}: more than {MAX_INPUT_CHARS} characters\n"
+    )
+    assert not out.exists()
+
+
 def test_duplicate_top_level_key_is_refused(tmp_path, capsys):
     text = Path(GRIPPER).read_text(encoding="utf-8").rstrip().removesuffix("}")
     path = tmp_path / "config.json"
@@ -959,3 +1019,117 @@ def test_a_duplicate_key_is_echoed_cut(tmp_path, capsys):
     assert main(["synthesize", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"ERR:ValidationError:config: duplicate key '{key[:80]}'\n"
     assert not out.exists()
+
+
+# -- the balance's rescalings, through the CLI ----------------------------------------
+#
+# test_converter's rescalings (a), (b) and (c) of a drawn design, checked on what
+# synthesize, sweep and grasp write. Each written number has 6 decimals: a force may
+# move by one quantum of them, a radius by half a quantum for each of its two roundings.
+
+QUANTUM = 1e-6
+LAW_KEYS = {"linear": ["k_n_per_m"], "constant": ["f0_n"], "power_law": ["c", "d_m", "p"]}
+
+
+def design_config(design, bounds, R=1.0, t0=1.0, k2=1.0, force=1.0):
+    """test_converter.rescaled_converter's design as a config, with a gripper whose stage
+    stops half a step short of the object and whose actuator never stalls."""
+    kind, args = design["kind"], design["args"]
+    if kind == "tabulated":
+        spring = {"points_m_n": [[x, f * force] for x, f in args[0]]}
+    else:
+        spring = dict(zip(LAW_KEYS[kind] + ["max_extension_m"], (args[0] * force, *args[1:])))
+    tension, stiffness = design["t0"] * t0, design["k2"] * k2
+    pulley = {"circular_radius_m": design["R"] * R, "samples": RESCALED_SAMPLES}
+    if design["theta_max"] is not None:
+        pulley["theta_max_deg"] = math.degrees(design["theta_max"]) / R
+    if bounds is not None:
+        pulley["r_min_m"], pulley["r_max_m"] = bounds
+    step = scaled_law(kind, args, 1.0).x_max / 64
+    return {
+        "spring": {"type": kind, **spring},
+        "pulley": pulley,
+        "counter": ({"type": "spring", "t0_n": tension, "k2_n_per_m": stiffness} if stiffness
+                    else {"type": "weight", "load_n": tension}),
+        "friction": {"mu": design["mu"], "offset_n": design["f0"]},
+        "gripper": {"stage_travel_m": 2.5 * step, "stage_step_m": step, "latch": True,
+                    "actuator_cap_n": 1e6, "object_position_m": 2.5 * step},
+    }
+
+
+def run_design(work, command, cfg, *flags):
+    """(exit code, stdout, the written CSV's rows as lists of fields) of one run in-process."""
+    config, out = work / "config.json", work / "out.csv"
+    config.write_text(json.dumps(cfg))
+    stdout = StringIO()
+    with redirect_stdout(stdout), redirect_stderr(StringIO()):
+        code = main([command, "--config", str(config), *flags, "--out", str(out)])
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]] if code == 0 else None
+    out.unlink(missing_ok=True)
+    return code, stdout.getvalue(), rows
+
+
+def quanta(rows, columns):
+    return np.round(np.array([[float(row[i]) for i in columns] for row in rows]) / QUANTUM)
+
+
+def assert_scaled(got, want, factor):
+    """Radii in mm: got is factor * want within (factor + 1) half-quanta, plus 1e-12 of the
+    largest radius for synthesis's own rounding."""
+    got, want = (np.array([float(row[1]) for row in rows]) for rows in (got, want))
+    assert got.shape == want.shape
+    tol = (factor + 1) * QUANTUM / 2 + 1e-12 * np.max(got)
+    assert np.max(np.abs(got - factor * want)) <= tol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(design=rescalable_designs())
+def test_rescaled_designs_write_the_same_forces(design):
+    lam, window, kind = design["lam"], design["window"], design["kind"]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        code, summary, _ = run_design(work, "synthesize", design_config(design, None))
+        if code == 2:   # a design that synthesis refuses at RESCALED_SAMPLES
+            reject()
+        assert code == 0
+        peak_radius = float(summary.split("r_max_mm=")[1]) / 1e3
+        bounds = None if window is None else np.array(window) * peak_radius
+        configs = {
+            "base": design_config(design, scaled(bounds, 1.0)),
+            "a": design_config(design, scaled(bounds, lam), R=lam),
+            "b": design_config(design, scaled(bounds, 1.0 / lam), t0=lam, k2=lam * lam),
+            "c": design_config(design, scaled(bounds, 1.0), t0=lam, k2=lam, force=lam),
+        }
+        profiles = {}
+        for name, cfg in configs.items():
+            code, _, profiles[name] = run_design(work, "synthesize", cfg)
+            assert code == 0, name
+        assert_scaled(profiles["a"], profiles["base"], lam)
+        assert_scaled(profiles["b"], profiles["base"], 1.0 / lam)
+        assert np.max(np.abs(quanta(profiles["c"], [1]) - quanta(profiles["base"], [1]))) <= 1
+
+        # the grasp needs the law's inverse, which linear and power laws have: its target
+        # is the law's force halfway along the pulley's reach
+        target = None
+        if kind in ("linear", "power_law"):
+            law, theta_max = scaled_law(kind, design["args"], 1.0), design["theta_max"]
+            reach = law.x_max if theta_max is None else min(law.x_max, design["R"] * theta_max)
+            target = repr(law.force_at(0.5 * reach))
+        written = {}
+        for name in ("base", "a", "b"):
+            code, _, sweep = run_design(work, "sweep", configs[name])
+            assert code == 0 and len(sweep) == SWEEP_ROWS, name
+            grasp = None
+            if target is not None:
+                code, _, grasp = run_design(work, "grasp", configs[name],
+                                            "--target-force-n", target)
+                assert code == 0, name
+            written[name] = sweep, grasp
+        base_sweep, base_grasp = written["base"]
+        for sweep, grasp in (written["a"], written["b"]):
+            assert np.max(np.abs(quanta(sweep, range(6)) - quanta(base_sweep, range(6)))) <= 1
+            if grasp is not None:
+                # tick, phase, jaw and latch are the stage's: the same rows, equal
+                assert [row[:3] + row[5:] for row in grasp] == [
+                    row[:3] + row[5:] for row in base_grasp]
+                assert np.max(np.abs(quanta(grasp, [3, 4]) - quanta(base_grasp, [3, 4]))) <= 1

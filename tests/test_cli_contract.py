@@ -21,7 +21,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_cli import CONFIGS, run_module
 
+from floatconv import cli
 from floatconv.cli import main
+from floatconv.errors import NumericalError, ValidationError
 
 BASE = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, 1e308)
@@ -104,6 +106,7 @@ def assert_contract(code, stdout, stderr, out: Path):
     else:
         assert code in (1, 2)
         assert re.fullmatch(r"ERR:\w+:[^\n]*\n", stderr), stderr
+        assert len(stderr.encode()) <= 300
         assert not out.exists()
 
 
@@ -188,6 +191,32 @@ def test_a_grasp_to_a_huge_force_is_one_error_line_and_no_file(tmp_path):
         "grip=1e+298 N actuator=1e+298 N amplification=1\n"
     )
     assert sorted(tmp_path.iterdir()) == before
+
+
+# ASCII text, then a lone surrogate that stderr writes as the six bytes \udcff, then
+# four-byte characters: the 300-byte cut of an ERR:NumericalError: line falls between
+# two of them, that of an ERR:ValidationError: line, one byte longer, inside one
+LONG_MESSAGE = "m" * 102 + "\udcff" + "\U0001F600" * 9_897
+
+
+@pytest.mark.parametrize("error", [ValidationError, NumericalError])
+def test_a_long_message_is_one_error_line_of_300_bytes(tmp_path, monkeypatch, capsys, error):
+    def refuse(cfg):
+        raise error(LONG_MESSAGE)
+
+    monkeypatch.setattr(cli, "synthesize_from_config", refuse)
+    out = tmp_path / "profile.csv"
+    assert main(["synthesize", "--config", str(CONFIGS / "gripper.json"),
+                 "--out", str(out)]) == error.exit_code
+    stdout, stderr = capsys.readouterr()
+    # the bytes stderr writes, which escape a lone surrogate
+    line = stderr.encode(errors="backslashreplace")
+    whole = f"ERR:{error.__name__}:{LONG_MESSAGE}\n".encode(errors="backslashreplace")
+    assert stdout == "" and line.count(b"\n") == 1 and line.endswith(b"\n")
+    # cut on a character boundary, to at most 300 bytes with the LF
+    assert whole.startswith(line[:-1]) and line.decode()
+    assert 300 - 3 <= len(line) <= 300
+    assert not out.exists()
 
 
 # -- the property ------------------------------------------------------------------
