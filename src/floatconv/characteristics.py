@@ -67,11 +67,7 @@ def clip_domain(x, x_max: float):
     Returns x as _reals reads it, a real scalar as a Python float, which every
     evaluator computes in plain float arithmetic, and an array uncopied when
     already inside the domain: no evaluator writes into the value it is given.
-    An in-domain Python float, what every tick and sample point passes, is
-    returned at once, with no full read.
     """
-    if type(x) is float and 0.0 <= x <= x_max:
-        return x
     slack = _slack(x_max)
     x = _reals("displacement", x)
     if type(x) is float:
@@ -111,8 +107,11 @@ class PiecewiseLinear:
         return cumulative_trapezoid(self.ys, self.xs)
 
     @cached_property
-    def _lists(self) -> tuple[list, list, list]:
-        return self.xs.tolist(), self.ys.tolist(), self.cumulative.tolist()
+    def _lists(self) -> tuple[list, list, list, list]:
+        """The knots, the running integral and each segment's slope, as float lists."""
+        with np.errstate(over="ignore"):   # inf, as the float arithmetic gives it
+            slopes = np.diff(self.ys) / np.diff(self.xs)
+        return self.xs.tolist(), self.ys.tolist(), self.cumulative.tolist(), slopes.tolist()
 
     def at(self, x):
         """y at x, clamped to the end values outside the knots: np.interp."""
@@ -120,7 +119,7 @@ class PiecewiseLinear:
             return np.interp(x, self.xs, self.ys)
         # numpy's segment choice, end clamping and formula, so the result
         # is bit-identical
-        xp, fp, _ = self._lists
+        xp, fp, _, slopes = self._lists
         j = bisect_right(xp, x) - 1
         if j < 0:
             return fp[0]
@@ -128,8 +127,7 @@ class PiecewiseLinear:
             return fp[-1]
         if xp[j] == x:
             return fp[j]
-        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-        return slope * (x - xp[j]) + fp[j]
+        return slopes[j] * (x - xp[j]) + fp[j]
 
     def integral(self, x):
         """The integral from xs[0] to x."""
@@ -140,7 +138,7 @@ class PiecewiseLinear:
         running sum plus the partial trapezoid, exact for the piecewise-linear curve."""
         y = self.at(x)
         if type(x) is float or np.ndim(x) == 0:
-            xp, fp, cum = self._lists
+            xp, fp, cum, _ = self._lists
             i = min(max(bisect_right(xp, x) - 1, 0), len(xp) - 2)
             return y, cum[i] + 0.5 * (fp[i] + y) * (x - xp[i])
         # the same sum in two buffers (np.take's mode "raise" would copy its out)
@@ -418,7 +416,7 @@ class ForceCharacteristic:
                 return self.x_max
             return min(self.d * math.expm1(math.log(f_start / force) / self.p), self.x_max)
         # tabulated: only [0, x_max] is the law's domain, so end the knots there
-        xs, fs, _ = self._curve._lists
+        xs, fs = map(list, zip(*self.points))
         n = bisect_left(xs, self.x_max)
         xs = xs[:n] + [self.x_max]
         fs = fs[:n] + [self._eval(self.x_max)]

@@ -87,22 +87,30 @@ class FloatingConverter:
 
         The counter cable is slack for u < gap_x (the jaw has not met the
         object yet) and contributes zero force there. u is checked once,
-        against u_max, which lies inside both the law's and the pulley's range.
+        against u_max, which lies inside both the law's and the pulley's range;
+        a Python float already inside [0, u_max], as every grasp tick is, skips
+        clip_domain and reads the converter's values once, from _flat.
         """
-        us = clip_domain(u, self.u_max)
+        u_max, gap, R, theta_max, counter, cable_force, spring = self._flat
+        if type(u) is not float or not 0.0 <= u <= u_max:
+            u = clip_domain(u, u_max)
+        if type(u) is float:
+            return spring(u), 0.0 if u < gap else cable_force(
+                counter, min((u - gap) / R, theta_max))
+        theta = u - gap
+        np.maximum(theta, 0.0, out=theta)
+        theta /= R
+        np.minimum(theta, theta_max, out=theta)
+        cable = cable_force(counter, theta)
+        cable[u < gap] = 0.0
+        return spring(u), cable   # the spring last: not alive in the payout search
+
+    @cached_property
+    def _flat(self) -> tuple:
+        """What force_components reads of the converter, read once."""
         profile = self.profile
-        R = profile.circular_radius
-        if type(us) is float:
-            counter = 0.0 if us < self.gap_x else profile._cable_force(
-                self.counter, min((us - self.gap_x) / R, profile.theta_max))
-        else:
-            theta = us - self.gap_x
-            np.maximum(theta, 0.0, out=theta)
-            theta /= R
-            np.minimum(theta, profile.theta_max, out=theta)
-            counter = profile._cable_force(self.counter, theta)
-            counter[us < self.gap_x] = 0.0
-        return self.left._eval(us), counter   # the spring last: not alive in the payout search
+        return (self.u_max, self.gap_x, profile.circular_radius, profile.theta_max,
+                self.counter, profile._cable_force, self.left._eval)
 
     def operating_force(self, u):
         """External force (N) to hold the balance point at displacement u."""

@@ -165,12 +165,19 @@ def test_sweep_end_ends_at_the_slack(x_max):
     conv = matched_converter(x_max=x_max, gap_x=0.0 if x_max is None else 5.0)
     end = conv.u_max + _slack(conv.u_max)
     assert conv.sweep(0.0, end, 2).u.tolist() == [0.0, end]
+    # a single float at the end is clipped onto u_max
+    assert conv.force_components(end) == conv.force_components(conv.u_max)
     for past in (math.nextafter(end, math.inf), math.inf):
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # no inf reaches np.linspace
             with pytest.raises(DomainError) as info:
                 conv.sweep(0.0, past, 2)
         assert str(info.value) == f"sweep end {past:g} m exceeds converter range {conv.u_max:g} m"
+        with pytest.raises(DomainError) as info:
+            conv.force_components(past)
+        assert str(info.value) == ("displacement must be finite" if past == math.inf else
+                                   f"value range [{past:g}, {past:g}] outside domain "
+                                   f"[0, {conv.u_max:g}]")
 
 
 @pytest.mark.parametrize("n", [MAX_SWEEP_ROWS + 1, 2.5, True, 1, 0, "512", 2**40])

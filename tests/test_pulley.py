@@ -2,6 +2,7 @@
 
 import math
 import struct
+import sys
 import warnings
 from decimal import Decimal, localcontext
 
@@ -24,6 +25,7 @@ from floatconv import (
 from floatconv.pulley import MAX_PROFILE_RADIUS, PulleyProfile
 
 PROTO_THETA_MAX = math.radians(345.0)  # 6.0214 rad prototype stroke
+MIN_NORMAL = sys.float_info.min
 
 
 def make_linear(k=100.0, R=0.02):
@@ -542,6 +544,10 @@ def test_tension_where_a_square_overflows(counter, energy, want):
 # t0 + a past the float range below E = 0, and 2*k2 past it
 @example(t0=1.7e308, k2=1e308, energy=-1e308)
 @example(t0=0.0, k2=1.7e308, energy=1.0)
+# roots below the smallest normal float: the first rounds correctly, the second lands
+# 0.77 of a subnormal step from the exact root, as a = sqrt(2*k2*|E|) rounds onto that grid
+@example(t0=2.2250738585e-313, k2=2.2250738585e-313, energy=-1e-320)
+@example(t0=5.4e-323, k2=5.4e-323, energy=-1e-323)
 def test_tension_for_energy_is_the_energy_balance_root(t0, k2, energy):
     counter = CounterElement(t0, k2)
     with warnings.catch_warnings():
@@ -555,7 +561,11 @@ def test_tension_for_energy_is_the_energy_balance_root(t0, k2, energy):
         if energy >= 0:
             assert abs(Decimal(got) - want) <= 3 * Decimal(math.ulp(float(want)))
         else:
-            assert abs(Decimal(got) ** 2 - square) <= 4 * Decimal(2) ** -52 * Decimal(t0) ** 2
+            # no float lies nearer a subnormal root than half the 2**-1074 spacing; rounding
+            # got and a onto that grid moves got**2 by up to 2*t0*2**-1074, where the
+            # relative bound alone asks for less than any float can give
+            grid = 2 * Decimal(t0) * Decimal(2) ** -1074 if want < Decimal(MIN_NORMAL) else 0
+            assert abs(Decimal(got) ** 2 - square) <= 4 * Decimal(2) ** -52 * Decimal(t0) ** 2 + grid
 
 
 def test_weight_is_the_zero_stiffness_spring():

@@ -140,6 +140,8 @@ def _points(hi):
 def test_scalar_is_a_float_equal_to_the_array_element(name, fn, hi, ulps, data):
     x = data.draw(_points(hi))
     fast, reference = fn(x), _element(fn, x)
+    # a numpy number, an int or a 0-d array takes the float path once clip_domain reads it
+    assert _bits(fast) == _bits(fn(float(x)))
     if not ulps:
         assert _bits(fast) == _bits(reference)
         return
@@ -153,7 +155,7 @@ def test_scalar_is_a_float_equal_to_the_array_element(name, fn, hi, ulps, data):
 
 @pytest.mark.parametrize("name, fn, hi, ulps", CASES, ids=IDS)
 @pytest.mark.parametrize(
-    "where", ["nan", "inf", "-inf", "below", "above", "above_slack", "int_above"]
+    "where", ["nan", "inf", "-inf", "below", "above", "above_slack", "past_slack", "int_above"]
 )
 def test_scalar_domain_errors_match_array_path(name, fn, hi, ulps, where):
     slack = 1e-12 * max(hi, 1.0)
@@ -164,6 +166,7 @@ def test_scalar_domain_errors_match_array_path(name, fn, hi, ulps, where):
         "below": -1e-3,
         "above": 1.5 * hi,
         "above_slack": hi + 4 * slack,
+        "past_slack": math.nextafter(hi + slack, math.inf),   # the first float refused
         "int_above": math.floor(hi) + 1,
     }[where]
     with pytest.raises(DomainError) as fast:
@@ -171,6 +174,21 @@ def test_scalar_domain_errors_match_array_path(name, fn, hi, ulps, where):
     with pytest.raises(DomainError) as reference:
         fn(np.array([x, x]))
     assert str(fast.value) == str(reference.value)
+    if not math.isfinite(x):
+        assert str(fast.value) == "displacement must be finite"
+
+
+@pytest.mark.parametrize("name, fn, hi, ulps", CASES, ids=IDS)
+def test_a_real_scalar_gives_the_float_calls_bits(name, fn, hi, ulps):
+    # the slack past hi clips onto hi; -0.0 keeps its sign into the evaluators, as
+    # the array path keeps it
+    assert _bits(fn(hi + 1e-12 * max(hi, 1.0))) == _bits(fn(hi))
+    for x in _edges(hi):
+        want = _bits(fn(x))
+        assert _bits(fn(np.float64(x))) == _bits(fn(np.asarray(x))) == want
+        if not ulps:
+            assert want == _bits(_element(fn, x))
+    assert _bits(fn(0)) == _bits(fn(np.int64(0))) == _bits(fn(0.0))
 
 
 @pytest.mark.parametrize(
@@ -190,15 +208,25 @@ def test_power_law_scalar_keeps_numpy_overflow_semantics(law, x):
     assert _bits(fast) == _bits(reference)
 
 
-# -- clip_domain's in-domain float shortcut -----------------------------------------
+def test_tabulated_slopes_past_the_float_range_are_inf_without_a_warning():
+    # F differences and F/x slopes that overflow: the cached slopes are inf, as plain
+    # float arithmetic gives them, and no RuntimeWarning is raised building them
+    law = ForceCharacteristic.tabulated(
+        [(0.0, 0.0), (1e-300, 1e300), (1.0, -1.7e308), (2.0, 1.7e308)]
+    )
+    xs = [5e-301, 0.5, 1.5]
+    got = [law.force_at(x) for x in xs]
+    assert got == law.force_at(np.array(xs)).tolist() == [math.inf, -8.49999995e307, math.inf]
+
+
+# -- clip_domain ------------------------------------------------------------------
 
 CLIP_ENDS = [X_MAX, SHORT_PROFILE.theta_max, GAP + R * SHORT_PROFILE.theta_max, 3.0]
 
 
 @pytest.mark.parametrize("hi", CLIP_ENDS)
 def test_clip_domain_gives_a_float_the_value_numpy_inputs_get(hi):
-    # a Python float in [0, hi] returns at once; an np.float64 and a 1-element
-    # array take the full read, slack clip included
+    # a Python float, an np.float64 and a 1-element array take one read, slack clip included
     for x in _edges(hi):
         as_float, as_numpy = clip_domain(x, hi), clip_domain(np.float64(x), hi)
         as_array = clip_domain(np.array([x]), hi)
