@@ -160,6 +160,8 @@ def _shown(value, text=repr, size=80) -> str:
 def _real(name: str, value) -> float:
     """The one reader of a real number: value as a Python float, an int past the
     float range as the infinity of its sign. ValidationError for a bool or a non-real."""
+    if isinstance(value, float):   # np.float64 too, before the slower ABC test
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {_shown(value)}")
     try:
@@ -173,9 +175,7 @@ def _reals(name: str, x):
     number, a 0-d array) as a Python float, read by _real and never through a 1-element
     array, else a float ndarray, uncopied when it is one. ValidationError for a bool,
     text, None, a complex, an object dtype or ragged nesting."""
-    if isinstance(x, float):
-        return float(x)
-    if isinstance(x, numbers.Number):
+    if isinstance(x, (float, numbers.Number)):
         return _real(name, x)
     try:
         arr = np.asarray(x)

@@ -108,8 +108,8 @@ def _cmd_synthesize(args, cfg: RunConfig):
     _write(args.out, export.profile_to_csv(profile))
     _summary(a_m_per_rad="none" if profile.slope is None else profile.slope,
              theta_max_deg=math.degrees(profile.theta_max),
-             r_min_mm=float(np.min(profile.radii)) * 1000.0,
-             r_max_mm=float(np.max(profile.radii)) * 1000.0)
+             r_min_mm=float(profile.radii.min()) * 1000.0,
+             r_max_mm=float(profile.radii.max()) * 1000.0)
 
 
 def _cmd_verify(args, cfg: RunConfig):
@@ -145,7 +145,7 @@ def _cmd_grasp(args, cfg: RunConfig):
     plan = plan_grasp(model, args.target_force_n)
     trace = simulate_grasp(plan)
     amp = trace.amplification   # inf for a free converter: printed as "inf", not bounded
-    peaks = [float(np.max(np.abs(column))) for column in (trace.grip, trace.actuator)]
+    peaks = [float(np.abs(column).max()) for column in (trace.grip, trace.actuator)]
     if not all(v <= MAX_SUMMARY_VALUE for v in (*peaks, 0.0 if amp == math.inf else abs(amp))):
         raise NumericalError(f"grasp forces are not finite or exceed {MAX_SUMMARY_VALUE:g}: "
                              f"grip={peaks[0]:g} N actuator={peaks[1]:g} N amplification={amp:g}")

@@ -237,16 +237,16 @@ def verify_profile(cfg: RunConfig, profile: PulleyProfile) -> VerifyReport:
             release = stored - cumulative_trapezoid(withheld, xs)
             clamped_to = float(thetas[clamped[-1]])
     e_scale = max(float(stored[-1]), 1e-300)
-    energy_error = float(np.max(np.abs(counter.released_energy(payout) - release))) / e_scale
+    energy_error = float(np.abs(counter.released_energy(payout) - release).max()) / e_scale
 
-    peak = max(float(np.max(np.abs(force))), 1e-300)
-    slope_bound = float(np.max(np.abs(np.diff(force) / np.diff(xs))))
+    peak = max(float(np.abs(force).max()), 1e-300)
+    slope_bound = float(np.abs(np.diff(force) / np.diff(xs)).max())
     quantization = (
         CSV_RADIUS_QUANTUM * float(tension[-1]) / R + slope_bound * R * CSV_ANGLE_QUANTUM
     )
     rtol = VERIFY_FORCE_RTOL if counter.k2 == 0 else SPRING_SYNTHESIS_RTOL
     return VerifyReport(
-        max_residual=float(np.max(np.abs(residual))),
+        max_residual=float(np.abs(residual).max()),
         residual_tol=rtol * peak + quantization,
         energy_error=energy_error,
         clamped_to=clamped_to,

@@ -189,16 +189,16 @@ class FloatingConverter:
         resid = spring - counter - applied
         # synthesis balances the counter only to SPRING_SYNTHESIS_RTOL of the law's
         # peak; an infinite peak sets no scale, and the absolute band stands alone
-        peak = float(np.max(np.abs(spring)))
+        peak = float(np.abs(spring).max())
         tol = max(EQUILIBRIUM_FORCE_TOL, SPRING_SYNTHESIS_RTOL * peak if peak < np.inf else 0.0)
-        if float(np.max(np.abs(resid))) <= tol:
+        if float(np.abs(resid).max()) <= tol:
             raise IndeterminateEquilibrium(
                 f"operating force equals {applied:g} N everywhere; "
                 "every displacement is an equilibrium"
             )
-        if float(np.max(resid) - np.min(resid)) <= tol:
+        if float(resid.max() - resid.min()) <= tol:
             raise NoRootError(
-                f"operating force is constant at {float(np.mean(resid)) + applied:g} N "
+                f"operating force is constant at {float(resid.mean()) + applied:g} N "
                 f"and never crosses {applied:g} N"
             )
         sign_change = np.nonzero(resid[:-1] * resid[1:] <= 0)[0]
@@ -237,9 +237,9 @@ class SweepTable:
 
     def __post_init__(self):
         u = _columns(self, ("u", "spring_force", "counter_force"), "sweep columns", 1)[0]
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ValidationError("sweep displacements must be finite")
-        if np.any(u[1:] <= u[:-1]):
+        if (u[1:] <= u[:-1]).any():
             raise ValidationError("sweep displacements must be strictly increasing")
         _friction(self, np.float64)   # a numpy float: each field is a buffer
 
@@ -261,19 +261,19 @@ class SweepTable:
         dwarfs the spring force.
         """
         spring = np.abs(self.spring_force)
-        peak = float(np.max(spring))
-        op_const = float(np.max(np.abs(self.op_force_ideal)))
+        peak = float(spring.max())
+        op_const = float(np.abs(self.op_force_ideal).max())
         banded = np.abs(self.op_force_ideal) + self.friction_band   # the grasp's effort
-        ratio_peak = float(np.max(banded) / peak) if peak > 0 else 0.0
+        ratio_peak = float(banded.max() / peak) if peak > 0 else 0.0
         nonzero = spring > 1e-12 * max(peak, 1.0)
-        ratio_point = float(np.max(banded[nonzero] / spring[nonzero], initial=0.0))
+        ratio_point = float((banded[nonzero] / spring[nonzero]).max(initial=0.0))
         if not all(abs(v) <= MAX_SUMMARY_VALUE for v in (op_const, ratio_peak, ratio_point)):
             raise NumericalError(
                 f"sweep summary is not finite or exceeds {MAX_SUMMARY_VALUE:g}: "
                 f"op_force_const={op_const:g} N "
                 f"ratio_peak={ratio_peak:g} ratio_point={ratio_point:g}"
             )
-        counter, band = float(np.max(np.abs(self.counter_force))), float(np.max(banded))
+        counter, band = float(np.abs(self.counter_force).max()), float(banded.max())
         if not all(v <= MAX_SUMMARY_VALUE for v in (peak, counter, band)):
             raise NumericalError(f"sweep forces are not finite or exceed {MAX_SUMMARY_VALUE:g}: "
                                  f"spring={peak:g} N counter={counter:g} N banded={band:g} N")

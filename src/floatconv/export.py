@@ -20,9 +20,9 @@ and one ``bytes.translate`` deletes the NULs. The bytes are those ``"%.6f"``
 writes, with "-0.000000" normalized to "0.000000"; a block holding a
 non-finite value or one of 2**52/1e6 or more in magnitude is %-formatted
 instead. The decoder reads a profile CSV, in blocks cut just after a LF, whose
-every field is ``-?\\d{1,9}\\.\\d{6}`` as integers over 1e6, which is float()
-of each field bit for bit; any other text goes to a row-by-row parse that
-names the first bad line.
+every field is ``-?\\d{1,9}\\.\\d{6}`` as integers over 1e6, float() of each field
+bit for bit: the decimals by Horner on the bytes, each block one array, joined at
+the end. Any other text goes to a row-by-row parse that names the first bad line.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ _BLOCK = 2**14   # rows a block, 128 KiB a column of int64; decoding, 16 charact
 def _quanta(values: np.ndarray) -> np.ndarray | None:
     """round(v * 1e6) as int64, half to even on the exact product, ``"%.6f"``
     deciding a float tie; None when a value is non-finite or |v| >= _FAST_MAX."""
-    if not np.all(np.abs(values) < _FAST_MAX):   # false for nan, too
+    if not (np.abs(values) < _FAST_MAX).all():   # false for nan, too
         return None
     p = values * 1e6
     q = np.rint(p)
@@ -197,9 +197,8 @@ def _decode(text: str) -> np.ndarray | None:
     head = PROFILE_CSV_HEADER + "\n"
     if not (text.startswith(head) and text.endswith("\n") and text.isascii()):
         return None
-    values = np.empty(2 * text.count("\n") - 2)   # two fields a row below the header
-    at, start = 0, len(head)
-    while values.size >= 4 and start < len(text):
+    blocks, start = [], len(head)   # each block's values, as float64
+    while start < len(text):
         # a block ends just after the first LF _BLOCK * 16 characters on, or at the end
         stop = text.find("\n", start + 16 * _BLOCK) + 1 or len(text)
         raw = np.frombuffer(text[start:stop].encode("ascii"), np.uint8)
@@ -207,7 +206,7 @@ def _decode(text: str) -> np.ndarray | None:
         ends = np.flatnonzero(raw < ord("-"))   # the separators, and any other byte below '-'
         n = ends.size
         # they must alternate ",\n,\n...", ending in the block's last LF: one comma per row
-        if np.any(raw[ends[0::2]] != ord(",")) or np.any(raw[ends[1::2]] != ord("\n")):
+        if (raw[ends[0::2]] != ord(",")).any() or (raw[ends[1::2]] != ord("\n")).any():
             return None
         starts = np.concatenate(([0], ends[:-1] + 1))
         neg = raw[starts] == ord("-")
@@ -215,22 +214,31 @@ def _decode(text: str) -> np.ndarray | None:
         # a point 7 bytes before each end; besides it, the separator and a
         # leading minus, every byte is a digit
         if (
-            np.any(whole < 1)
-            or np.any(whole > 9)
-            or np.any(raw[ends - 7] != ord("."))
+            (whole < 1).any()
+            or (whole > 9).any()
+            or (raw[ends - 7] != ord(".")).any()
             or np.count_nonzero(raw - np.uint8(ord("0")) < 10) != raw.size - 2 * n - neg.sum()
         ):
             return None
-        # one take per digit column, counted back from each field's end
-        number = np.zeros(n, np.int64)
-        for place in range(6):
-            number += (raw[ends - 1 - place].astype(np.int64) - ord("0")) * 10**place
+        # the six decimals by Horner on the bytes, each '0' taken off once at the end
+        at = ends - 6
+        number = raw.take(at).astype(np.int64)
+        for _ in range(5):
+            at += 1
+            number *= 10
+            number += raw.take(at)
+        number -= ord("0") * 111111
+        # then one take per whole digit column, counted back from the units 7 bytes on
         for place in range(int(whole.max())):
-            digit = raw.take(ends - 8 - place, mode="clip").astype(np.int64) - ord("0")
-            number += np.where(whole > place, digit, 0) * 10 ** (6 + place)
-        np.divide(number, 1e6, out=values[at:at + n])
-        values[at:at + n][neg] *= -1.0
-        at += n
+            digit = raw.take(at - (7 + place), mode="clip").astype(np.int64)
+            digit -= ord("0")
+            digit *= 10 ** (6 + place)
+            np.putmask(digit, whole <= place, 0)
+            number += digit
+        block = number / 1e6
+        block[neg] *= -1.0
+        blocks.append(block)
+    values = np.concatenate(blocks) if blocks else np.empty(0)
     return values if values.size >= 4 else None
 
 
@@ -287,7 +295,7 @@ def profile_to_svg(profile: PulleyProfile, scale: float = 10.0) -> str:
         raise ValidationError(
             f"scale must be in [{SVG_SCALE_MIN:g}, {SVG_SCALE_MAX:g}] px/mm, got {sc}"
         )
-    r_max_mm = float(np.max(profile.radii)) * 1000.0   # x 1000 is monotone: the max of r_mm
+    r_max_mm = float(profile.radii.max()) * 1000.0   # x 1000 is monotone: the max of r_mm
     if r_max_mm * sc > SVG_MAX_PX:
         raise ValidationError(
             f"largest radius x scale must be <= {SVG_MAX_PX:g} px, "

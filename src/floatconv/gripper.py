@@ -109,7 +109,7 @@ class GraspTrace:
 
     def __post_init__(self):
         jaw = _columns(self, ("jaw", "grip", "actuator"), "trace columns", 2)[0]
-        if not np.all(np.isfinite(jaw)):
+        if not np.isfinite(jaw).all():
             raise ValidationError("trace jaw must be finite")
         _count("n_positioning", self.n_positioning, 0, jaw.size - 2)
         _flag("latch_holds", self.latch_holds)
@@ -134,7 +134,7 @@ class GraspTrace:
 
     @property
     def max_actuator(self) -> float:
-        return float(np.max(self.actuator))
+        return float(self.actuator.max())
 
     @property
     def final_grip(self) -> float:
@@ -146,7 +146,7 @@ class GraspTrace:
         max_actuator = self.max_actuator
         if max_actuator == 0.0:
             return math.inf
-        return float(np.max(self.grip)) / max_actuator
+        return float(self.grip.max()) / max_actuator
 
 
 def plan_grasp(model: GripperModel, target_grip: float) -> GraspPlan:

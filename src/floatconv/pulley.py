@@ -97,7 +97,9 @@ class CounterElement:
 
     def tension_for_energy(self, energy):
         """Tension (N) after releasing ``energy`` (J), from T**2 = t0**2 + 2*k2*E (dT/ds = k2,
-        dE/ds = T) with no square formed: 0 where T would pass zero, t0 at any E if k2 = 0."""
+        dE/ds = T) with no square formed: 0 where T would pass zero, t0 at any E if k2 = 0.
+        A root below the smallest normal float is within one step of the 2**-1074 grid (0.77
+        of a step seen), not correctly rounded: a = rate * sqrt(|E|) rounds onto it first."""
         energy = _reals("energy", energy)
         if self.k2 == 0:
             return self.t0 if type(energy) is float else np.full_like(energy, self.t0)
@@ -130,17 +132,17 @@ class PulleyProfile:
         thetas, radii = _columns(self, ("thetas", "radii"), "profile columns", 2)
         _floats(self, "circular_radius")
         _at_least("circular-pulley radius", self.circular_radius, 0, strict=True)
-        if not np.all(np.isfinite(thetas)) or not np.all(np.isfinite(radii)):
+        if not np.isfinite(thetas).all() or not np.isfinite(radii).all():
             raise ValidationError("profile samples must be finite")
         if abs(thetas[0]) > 1e-15:
             raise ValidationError(f"profile must start at theta=0, got {thetas[0]}")
-        if np.any(thetas[1:] <= thetas[:-1]):
+        if (thetas[1:] <= thetas[:-1]).any():
             raise ValidationError("profile thetas must be strictly increasing")
-        if np.any(radii < 0):
+        if (radii < 0).any():
             raise ValidationError("profile radii must be non-negative")
-        if np.any(radii > MAX_PROFILE_RADIUS):
+        if (radii > MAX_PROFILE_RADIUS).any():
             raise ValidationError(
-                f"profile radii must be <= {MAX_PROFILE_RADIUS:g} m, got {np.max(radii):g} m"
+                f"profile radii must be <= {MAX_PROFILE_RADIUS:g} m, got {radii.max():g} m"
             )
         if self.slope is not None:
             object.__setattr__(self, "slope", _real("slope", self.slope))
@@ -247,7 +249,7 @@ def _synthesize(
     _at_least("theta_max", theta_max, 0, strict=True)
     thetas = np.linspace(0.0, theta_max, n_samples)
     forces = target.force_at(R * thetas)
-    if np.any(forces < 0):
+    if (forces < 0).any():
         raise ValidationError("counter synthesis requires a non-negative target force")
     tension = counter.tension_for_energy(target.stored_energy(R * thetas) if counter.k2 else 0.0)
     if np.any(tension <= 0):
@@ -260,8 +262,8 @@ def _synthesize(
     # the forward check r*T/R: a dead weight's T is t0, and needs no payout sum
     T = counter.t0 if counter.k2 == 0 else counter.tension(profile._radius.cumulative)
     realized = radii * T / R
-    peak = max(float(np.max(np.abs(forces))), 1e-300)
-    residual = float(np.max(np.abs(realized - forces))) / peak
+    peak = max(float(np.abs(forces).max()), 1e-300)
+    residual = float(np.abs(realized - forces).max()) / peak
     if residual > SPRING_SYNTHESIS_RTOL:
         raise NumericalError(
             f"forward verification residual {residual:.3e} exceeds "

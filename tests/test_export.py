@@ -1,9 +1,11 @@
 """CSV round trips, SVG rendering, byte determinism, parse errors."""
 
+import json
 import math
 import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,12 +28,14 @@ from floatconv import (
     synthesize_weight_counter,
 )
 from floatconv import export
+from floatconv.config import parse_config, synthesize_from_config
 from floatconv.converter import MAX_SWEEP_ROWS, SweepTable
 from floatconv.export import (
     SVG_MAX_PX,
     SVG_SCALE_MAX,
     _decode,
     _encode,
+    _parse_rows,
     _quanta,
     fmt6,
     sweep_to_csv,
@@ -41,6 +45,7 @@ from floatconv.gripper import MAX_GRASP_TICKS, GraspTrace, GripperModel
 from floatconv.pulley import MAX_PROFILE_RADIUS, MAX_PROFILE_SAMPLES
 
 THETA_MAX = math.radians(345.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def prototype_profile():
@@ -675,6 +680,18 @@ def test_decoder_reads_an_edge_field_at_every_row(block_rows, field):
         fields[k] = field
         text = HEADER + "".join(f"{a},{b}\n" for a, b in zip(fields[0::2], fields[1::2]))
         assert _decode(text).tobytes() == np.array([float(f) for f in fields]).tobytes()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_decoder_reads_a_shipped_profile_as_the_row_loop_does(path):
+    # each shipped config's profile at 65,536 samples: real numbers in whole blocks.
+    # A round trip, profile_to_csv(read) == text, would pass a decoder that is off
+    # by less than half a quantum; float() of each field would not
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["pulley"]["samples"] = 2**16
+    text = profile_to_csv(synthesize_from_config(parse_config(data)))
+    assert text.count("\n") - 1 > 3 * export._BLOCK
+    assert _decode(text).tobytes() == _parse_rows(text).tobytes()
 
 
 @pytest.mark.parametrize("value", [-0.0, -4.9e-7, 123456789.5, -999999999.999999, math.inf])
